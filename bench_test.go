@@ -321,7 +321,7 @@ func BenchmarkLikelihoodsTKIP(b *testing.B) {
 // BenchmarkDoubleByteCandidates measures repeated Algorithm 2 list-Viterbi
 // decodes in isolation (likelihoods precomputed) at the online demo's
 // per-round depth — the decode the online runtime re-runs at every cadence
-// point, so the N-best tables are held in one PairDecoder across rounds.
+// point, so one PairDecoder is held across rounds.
 func BenchmarkDoubleByteCandidates(b *testing.B) {
 	attack := benchCookieAttack(b)
 	lks, err := attack.Likelihoods()

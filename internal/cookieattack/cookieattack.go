@@ -101,10 +101,12 @@ type Attack struct {
 	Stream snapshot.StreamInfo
 
 	// Decode-path scratch, reused across rounds: the online runtime decodes
-	// at every cadence point, so the 17 half-megabyte likelihood tables and
-	// the list-Viterbi N-best tables must not be rebuilt from scratch each
-	// time. Both are recomputed from the evidence on every call — only the
-	// allocations persist — so reuse never changes a result bit.
+	// at every cadence point, so the 17 half-megabyte likelihood tables are
+	// allocated once, and the lazy list-Viterbi keeps its per-node lists
+	// and frontiers: at most n + |charset|² 16-byte entries per chain
+	// position, under 5 MB for a 16-byte cookie at n = 2^13. Both are
+	// recomputed from the evidence on every call — only the allocations
+	// persist — so reuse never changes a result bit.
 	lk      []*recovery.PairLikelihoods
 	decoder recovery.PairDecoder
 }
@@ -415,7 +417,6 @@ func (a *Attack) Candidates(n int) ([]recovery.Candidate, error) {
 	}
 	m1 := a.cfg.Plaintext[a.cfg.Offset-1]
 	mL := a.cfg.Plaintext[a.cfg.Offset+a.cfg.CookieLen]
-	a.decoder.Workers = a.Workers
 	cands, err := a.decoder.Decode(lks, m1, mL, n, a.cfg.Charset)
 	if err != nil {
 		return nil, err

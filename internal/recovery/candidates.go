@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"rc4break/internal/dataset"
 )
 
 // Candidate is one plaintext guess with its log-likelihood score.
@@ -197,36 +195,48 @@ var identityCharset = func() (cs [256]byte) {
 	return
 }()
 
-// pairLevel holds the N-best prefix lists of one chain position, indexed by
-// the position's plaintext byte value; values outside the active charset
-// keep empty lists.
-type pairLevel [256][]entry2
-
-func (lv *pairLevel) reset() {
-	for v := range lv {
-		lv[v] = lv[v][:0]
-	}
+// pairNode is one (chain position, plaintext value) node of the lazy
+// list-Viterbi: the prefix of its N-best list built so far and the merge
+// frontier that extends it. Each frontier element is the best unconsumed
+// entry of one predecessor list.
+type pairNode struct {
+	list []entry2
+	fh   frontierHeap
+	// popped marks fh[0] as already emitted into list: it advances to its
+	// predecessor's next entry only when the next entry here is asked for.
+	popped bool
 }
 
-// PairDecoder runs Algorithm 2 decodes repeatedly, reusing its N-best
-// tables between calls and fanning the per-value merges of each chain
-// position over a worker pool. The online attack runtime decodes at every
-// cadence point, and one decode materializes up to n backpointer entries
-// for each of 256 values per position — far too much to reallocate per
-// round; a decoder amortizes the tables across the whole run. Results are
-// bitwise identical for any Workers value (each target value's merge only
-// reads the previous level and writes its own list) and identical to a
-// fresh decoder's: reused capacity never changes merge order.
+// pairLevel holds the nodes of one chain position, indexed by the
+// position's plaintext byte value. A decode touches only the charset's
+// values, and mL's node at the final position.
+type pairLevel [256]pairNode
+
+// PairDecoder runs Algorithm 2 decodes repeatedly, reusing its node
+// allocations between calls. The decode is lazy, in the manner of
+// Jiménez–Marzal's recursive enumeration of K shortest paths: the final
+// node (L, mL) is asked for n entries, and a node asks predecessor
+// (r−1, pv) for its next entry only when its own frontier for pv advances.
+// Every node runs the same heap operations, in the same order, as the
+// eager merge that built each full n-best list, so each node's list is a
+// prefix of the eager one and the output — plaintexts, float scores and
+// order, ties included — is bitwise identical to it.
+//
+// Cost: seeding every node's frontier over the charset is O(L·|cs|²);
+// each of the n final entries then pulls at most one new entry per
+// position, O(L·n·log|cs|) heap work. Retained memory is
+// O(L·n + L·|cs|²): per position at most n entries plus |cs| frontiers of
+// |cs| elements. Results are identical to a fresh decoder's: reused
+// capacity never changes heap order.
 type PairDecoder struct {
-	// Workers bounds the per-level merge parallelism; 0 means GOMAXPROCS.
+	// Workers is kept for callers that set it and is ignored: the decode
+	// runs on the calling goroutine (its per-position work is a chain of
+	// single heap steps, too fine to fan out), and its output never
+	// depended on the worker count.
 	Workers int
-	// levels[r-2] holds the N-best lists of chain position r (paper
-	// indexing: 2..L); grown lazily to the longest chain decoded.
+	// levels[r-2] holds the nodes of chain position r (paper indexing:
+	// 2..L); grown lazily to the longest chain decoded.
 	levels []*pairLevel
-	// fhs[v] is the merge frontier heap reused by target value v. Within a
-	// level each target merges exactly once, so per-value scratch is
-	// race-free under the worker pool.
-	fhs [256]frontierHeap
 }
 
 // Decode implements the paper's Algorithm 2: a list-Viterbi (N-best) decode
@@ -251,9 +261,9 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 	if len(interior) == 0 {
 		return nil, errors.New("recovery: empty charset")
 	}
-	// Deduplicate the charset (first occurrence wins): the per-level merge
-	// fans targets over workers with per-value output lists and scratch, so
-	// a duplicated value would be merged concurrently by two goroutines.
+	// Deduplicate the charset (first occurrence wins): a repeated value
+	// would seed two frontiers from one predecessor list and emit every
+	// prefix through it twice.
 	var seen [256]bool
 	dedup := interior[:0:0]
 	for _, v := range interior {
@@ -267,44 +277,51 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 		d.levels = append(d.levels, new(pairLevel))
 	}
 
-	// Position 2 (paper indexing): prefixes m1‖µ2.
-	first := d.levels[0]
-	first.reset()
+	// Position 2 (paper indexing): the single prefix m1‖µ2 per value, with
+	// an empty frontier, so it is exhausted after one entry.
 	for _, v := range interior {
-		first[v] = append(first[v], entry2{score: likelihoods[0].At(m1, v)})
+		nd := &d.levels[0][v]
+		nd.list = append(nd.list[:0], entry2{score: likelihoods[0].At(m1, v)})
 	}
-
-	// Each level merges the N best entries ending in each target value from
-	// all predecessor lists. Targets are independent — they share the
-	// (read-only) previous level and write disjoint lists — so the merge
-	// loop fans out over the worker pool without changing any output bit.
+	// Seed every later node's frontier with each predecessor's best entry,
+	// in charset order, position by position (so those entries exist).
+	final := [1]byte{mL}
 	for r := 3; r <= L; r++ {
-		prev, cur := d.levels[r-3], d.levels[r-2]
-		cur.reset()
 		targets := interior
 		if r == L {
-			targets = []byte{mL}
+			targets = final[:]
 		}
 		lk := likelihoods[r-2]
-		err := dataset.ForShards(d.Workers, len(targets), func(ti int) error {
-			v := targets[ti]
-			cur[v] = mergeNBest(cur[v], &d.fhs[v], prev, interior, lk, v, n)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for _, v := range targets {
+			nd := &d.levels[r-2][v]
+			if cap(nd.fh) < len(interior) {
+				nd.fh = make(frontierHeap, 0, len(interior))
+			}
+			fh := nd.fh[:0]
+			for _, pv := range interior {
+				if e, ok := d.at(likelihoods, r-1, pv, 0); ok {
+					fh = append(fh, frontier{score: e.score + lk.At(pv, v), pv: pv, idx: 0})
+				}
+			}
+			heap.Init(&fh)
+			nd.list, nd.fh, nd.popped = nd.list[:0], fh, false
 		}
 	}
 
-	final := d.levels[L-2][mL]
-	out := make([]Candidate, len(final))
-	for i, e := range final {
+	for k := 0; k < n; k++ {
+		if _, ok := d.at(likelihoods, L, mL, k); !ok {
+			break
+		}
+	}
+	list := d.levels[L-2][mL].list
+	out := make([]Candidate, len(list))
+	for i, e := range list {
 		pt := make([]byte, L)
 		pt[L-1] = mL
 		v, idx := e.prevV, e.prevI
 		for r := L - 1; r >= 2; r-- {
 			pt[r-1] = v
-			ent := d.levels[r-2][v][idx]
+			ent := d.levels[r-2][v].list[idx]
 			v, idx = ent.prevV, ent.prevI
 		}
 		pt[0] = m1
@@ -315,34 +332,30 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 
 // DoubleByteCandidates is the one-shot form of PairDecoder.Decode, kept for
 // callers that decode once per evidence pool. Repeated decoders (the online
-// runtime) hold a PairDecoder instead, which reuses the N-best tables.
+// runtime) hold a PairDecoder instead, which reuses the node allocations.
 func DoubleByteCandidates(likelihoods []*PairLikelihoods, m1, mL byte, n int, charset []byte) ([]Candidate, error) {
 	return new(PairDecoder).Decode(likelihoods, m1, mL, n, charset)
 }
 
-// mergeNBest appends the n best extensions ending in value v to dst
-// (len(dst) == 0 on entry; its capacity is reused), drawing from the
-// per-predecessor sorted lists with a heap (each predecessor list is
-// already sorted, so the best unseen element per predecessor is a frontier).
-// fhp is caller-owned heap scratch, reset here and handed back with its
-// capacity for the next merge.
-func mergeNBest(dst []entry2, fhp *frontierHeap, prev *pairLevel, interior []byte, lk *PairLikelihoods, v byte, n int) []entry2 {
-	fh := (*fhp)[:0]
-	for _, pv := range interior {
-		pl := prev[pv]
-		if len(pl) == 0 {
-			continue
-		}
-		fh = append(fh, frontier{score: pl[0].score + lk.At(pv, v), pv: pv, idx: 0})
+// at returns entry k of node (r, v), extending its list on demand by one
+// step of the eager merge — advance the frontier emitted last (asking its
+// predecessor for the following entry), then emit the heap top; ok is
+// false once the list is exhausted. Successors ask for a node's entries in
+// order, so k ≤ len(list). No list grows past n entries, the eager merge's
+// cap: the final node is asked for n, and a node asks a predecessor for
+// entry idx+1 only when it is itself asked for an entry after having
+// emitted entries 0..idx of that predecessor.
+func (d *PairDecoder) at(lks []*PairLikelihoods, r int, v byte, k int) (entry2, bool) {
+	nd := &d.levels[r-2][v]
+	if k < len(nd.list) {
+		return nd.list[k], true
 	}
-	heap.Init(&fh)
-	for len(dst) < n && fh.Len() > 0 {
+	fh := nd.fh
+	if nd.popped {
 		top := fh[0]
-		dst = append(dst, entry2{score: top.score, prevV: top.pv, prevI: top.idx})
-		pl := prev[top.pv]
-		if int(top.idx)+1 < len(pl) {
+		if next, ok := d.at(lks, r-1, top.pv, int(top.idx)+1); ok {
 			fh[0] = frontier{
-				score: pl[top.idx+1].score + lk.At(top.pv, v),
+				score: next.score + lks[r-2].At(top.pv, v),
 				pv:    top.pv,
 				idx:   top.idx + 1,
 			}
@@ -358,8 +371,13 @@ func mergeNBest(dst []entry2, fhp *frontierHeap, prev *pairLevel, interior []byt
 			}
 		}
 	}
-	*fhp = fh
-	return dst
+	nd.fh, nd.popped = fh, len(fh) > 0
+	if len(fh) == 0 {
+		return entry2{}, false
+	}
+	e := entry2{score: fh[0].score, prevV: fh[0].pv, prevI: fh[0].idx}
+	nd.list = append(nd.list, e)
+	return e, true
 }
 
 // entry2 is one N-best list element: a prefix score plus the backpointer to

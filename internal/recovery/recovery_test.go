@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rc4break/internal/biases"
+	"rc4break/internal/httpmodel"
 )
 
 // sampleCiphertexts encrypts the plaintext byte pt many times with keystream
@@ -560,6 +561,21 @@ func BenchmarkDoubleByteCandidates(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if _, err := DoubleByteCandidates(lks, '=', ';', 256, charset); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDoubleByteCandidatesCookie9 decodes a 9-link chain (an
+// 8-character cookie) over the 90-value cookie charset at the online
+// runtime's 2^13 depth with one reused PairDecoder.
+func BenchmarkDoubleByteCandidatesCookie9(b *testing.B) {
+	lks := randomChain(rand.New(rand.NewSource(9)), 9)
+	charset := httpmodel.CookieCharset()
+	var dec PairDecoder
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := dec.Decode(lks, '=', ';', 1<<13, charset); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,23 +148,25 @@ func readFull(r io.Reader, buf []byte) error {
 
 // WriteGob gob-encodes v and writes it as an envelope of the given kind.
 func WriteGob(w io.Writer, kind string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	payload, err := EncodeGob(v)
+	if err != nil {
 		return err
 	}
-	return Write(w, kind, buf.Bytes())
+	return Write(w, kind, payload)
 }
 
 // EncodeGob gob-encodes v into a standalone payload — the producer half of
 // the wire framing: a network peer sends the payload inside an envelope
 // (Write), and the receiver dispatches on the envelope kind before decoding
-// (DecodeGob).
+// (DecodeGob). The payload's gob type IDs are renumbered canonically (see
+// canonicalGob), so its bytes depend only on v, never on which types the
+// process encoded before.
 func EncodeGob(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return canonicalGob(buf.Bytes())
 }
 
 // DecodeGob decodes an envelope payload previously produced by EncodeGob or
@@ -218,11 +220,11 @@ func WriteFile(path, kind string, payload []byte) error {
 // WriteFileGob atomically persists v as a gob-encoded envelope at path (see
 // WriteFile for the crash-safety guarantees).
 func WriteFileGob(path, kind string, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	payload, err := EncodeGob(v)
+	if err != nil {
 		return err
 	}
-	return WriteFile(path, kind, buf.Bytes())
+	return WriteFile(path, kind, payload)
 }
 
 // ReadFileGob loads an envelope of wantKind from path into v.
@@ -305,18 +307,18 @@ type StreamInfo struct {
 // Fingerprint is a stable 16-byte digest of a gob-encodable configuration
 // value, used to reject merges and resumes across mismatched layouts (a
 // shard captured against a different plaintext, model, or position set).
-// FNV-1a over the gob stream is deterministic for a fixed type and ample
-// for accident detection; this is an integrity check, not an authenticator.
+// FNV-1a over the canonical gob stream (EncodeGob) is deterministic for a
+// fixed value in any process and ample for accident detection; this is an
+// integrity check, not an authenticator.
 func Fingerprint(v any) ([16]byte, error) {
 	var out [16]byte
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	b, err := EncodeGob(v)
+	if err != nil {
 		return out, err
 	}
 	// Two independent 64-bit FNV-1a passes (the second over the reversed
 	// stream) fill the 128-bit fingerprint.
 	const offset64, prime64 = 14695981039346656037, 1099511628211
-	b := buf.Bytes()
 	h1 := uint64(offset64)
 	for _, c := range b {
 		h1 = (h1 ^ uint64(c)) * prime64

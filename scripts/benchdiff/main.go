@@ -5,7 +5,7 @@
 // against the committed BENCH_*.json baseline, so perf drift is visible on
 // every run without blocking merges on a noisy shared runner:
 //
-//	go run ./scripts/benchdiff -threshold 0.25 BENCH_pr5.json bench.json
+//	go run ./scripts/benchdiff -threshold 0.25 BENCH_pr8.json bench.json
 //
 // With -gate the diff becomes a real CI gate over an allowlisted benchmark
 // family: only benchmarks whose name matches the regexp are compared, a
@@ -14,7 +14,7 @@
 // stops measuring must not silently pass). -min collapses `-count N`
 // repeats to the fastest run on both sides before diffing:
 //
-//	go run ./scripts/benchdiff -gate 'Keystream|Skip' -min -threshold 0.6 BENCH_pr5.json bench.json
+//	go run ./scripts/benchdiff -gate 'Keystream|Skip' -min -threshold 0.6 BENCH_pr5_kernel.json kernel.json
 //
 // The -gate family has a static sibling: scripts/bcecheck compiles the same
 // internal/rc4 kernels with -d=ssa/check_bce and fails CI when a bounds

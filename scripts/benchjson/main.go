@@ -3,7 +3,7 @@
 // perf-trajectory files:
 //
 //	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | tee bench.txt
-//	go run ./scripts/benchjson < bench.txt > BENCH_pr5.json
+//	go run ./scripts/benchjson < bench.txt > bench.json
 //
 // -min collapses `-count N` repeats to the fastest run per benchmark — the
 // statistic the keystream perf gate diffs. Input containing no benchmark

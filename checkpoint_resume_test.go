@@ -236,7 +236,7 @@ func TestTKIPCheckpointResumeMergeEquivalence(t *testing.T) {
 }
 
 // onlineCookieCapture adapts a capture rig to the online runtime's
-// CaptureTo contract.
+// FeedFunc contract.
 func (rig *cookieCaptureRig) onlineCaptureTo(t *testing.T) func(uint64) error {
 	return func(target uint64) error {
 		rig.capture(t, target-rig.attack.Records)
@@ -272,7 +272,7 @@ func TestOnlineEvidenceMatchesOfflineCapture(t *testing.T) {
 				Cadence:       cad,
 				MaxCandidates: 8,
 				Budget:        budget,
-				CaptureTo:     rig.onlineCaptureTo(t),
+				Feed:          online.FeedFunc(rig.onlineCaptureTo(t)),
 			})
 			if !errors.Is(err, online.ErrBudgetExhausted) {
 				t.Fatalf("cadence %+v: expected budget exhaustion at toy scale, got %v", cad, err)
@@ -329,7 +329,7 @@ func TestOnlineKillResume(t *testing.T) {
 			Cadence:       cad,
 			MaxCandidates: depth,
 			Budget:        budget,
-			CaptureTo:     modelCaptureTo(a),
+			Feed:          online.FeedFunc(modelCaptureTo(a)),
 			Checkpoint:    checkpoint,
 		}
 	}
@@ -434,10 +434,10 @@ func TestTKIPOnlineEvidenceMatchesOffline(t *testing.T) {
 			Cadence:       cad,
 			MaxCandidates: 8,
 			Budget:        budget,
-			CaptureTo: func(target uint64) error {
+			Feed: online.FeedFunc(func(target uint64) error {
 				capture(a, v, sn, target-a.Frames)
 				return nil
-			},
+			}),
 		})
 		if !errors.Is(err, online.ErrBudgetExhausted) {
 			t.Fatalf("cadence %+v: expected budget exhaustion at toy scale, got %v", cad, err)

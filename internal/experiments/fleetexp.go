@@ -12,7 +12,7 @@ import (
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/fleet"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 )
@@ -30,7 +30,6 @@ type FleetParams struct {
 	// scale where the online loop confirms mid-run on one laptop).
 	Secret string
 	Seed   int64
-	MaxGap int
 	// DecodeWorkers bounds decode parallelism (0 = GOMAXPROCS).
 	DecodeWorkers int
 }
@@ -57,9 +56,6 @@ func (p FleetParams) withDefaults() FleetParams {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.MaxGap == 0 {
-		p.MaxGap = 128
-	}
 	return p
 }
 
@@ -73,19 +69,12 @@ func (p FleetParams) withDefaults() FleetParams {
 // shows what the fleet layer itself costs.
 func FleetVsSingle(p FleetParams) (Result, error) {
 	p = p.withDefaults()
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", p.Secret, 64)
+	spec := job.Spec{Attack: "cookie", Secret: p.Secret, Workers: p.DecodeWorkers}
+	cfg, _, err := job.CookieLayout(p.Secret)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := cookieattack.Config{
-		CookieLen:   len(p.Secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      p.MaxGap,
-		Charset:     httpmodel.CookieCharset(),
-	}
-	job := fleet.JobSpec{
+	fj := fleet.JobSpec{
 		Attack:      "cookie",
 		Mode:        "model",
 		Seed:        p.Seed,
@@ -93,25 +82,20 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 		LaneRecords: p.LaneRecords,
 	}
 	cad := online.Cadence{First: p.First}
-	newAttack := func() (*cookieattack.Attack, error) {
-		a, err := cookieattack.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		a.Workers = p.DecodeWorkers
-		return a, nil
-	}
 	snap := func(a *cookieattack.Attack) ([]byte, error) {
 		var buf bytes.Buffer
 		err := a.WriteSnapshot(&buf)
 		return buf.Bytes(), err
 	}
 
-	// Single-process run: same lanes, same order, no network.
-	single, err := newAttack()
+	// Single-process run: same lanes, same order, no network — and an
+	// independent reference for the fleet's lane capture, which goes
+	// through job.Spec.CollectLane.
+	single, err := cookieattack.New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	single.Workers = p.DecodeWorkers
 	lane := uint64(0)
 	t0 := time.Now()
 	singleRes, singleErr := online.Run(online.Config{
@@ -119,12 +103,12 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 		Oracle:        &netsim.CookieServer{Secret: []byte(p.Secret)},
 		Cadence:       cad,
 		MaxCandidates: p.Candidates,
-		Budget:        job.Budget,
+		Budget:        fj.Budget,
 		Feed: online.FeedFunc(func(target uint64) error {
-			for single.Records < target && lane < job.Lanes() {
-				_, records := job.LaneExtent(lane)
-				shard, err := cookieattack.CollectLane(cfg, []byte(p.Secret), job.LaneStream(lane),
-					cliutil.LaneSeed(job.Seed, lane), records, p.DecodeWorkers)
+			for single.Records < target && lane < fj.Lanes() {
+				_, records := fj.LaneExtent(lane)
+				shard, err := cookieattack.CollectLane(cfg, []byte(p.Secret), fj.LaneStream(lane),
+					cliutil.LaneSeed(fj.Seed, lane), records, p.DecodeWorkers)
 				if err != nil {
 					return err
 				}
@@ -142,15 +126,17 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 	}
 
 	// Fleet run: coordinator plus p.Workers workers over loopback TCP.
-	pool, err := newAttack()
+	pool, oracle, err := spec.Pool(nil)
 	if err != nil {
 		return Result{}, err
 	}
-	job.Fingerprint = pool.Fingerprint()
+	if fj.Fingerprint, err = spec.Fingerprint(); err != nil {
+		return Result{}, err
+	}
 	coord, err := fleet.NewCoordinator(fleet.Config{
-		Job:           job,
-		Pool:          &fleet.CookiePool{Attack: pool},
-		Oracle:        &netsim.CookieServer{Secret: []byte(p.Secret)},
+		Job:           fj,
+		Pool:          pool,
+		Oracle:        oracle,
 		Cadence:       cad,
 		MaxCandidates: p.Candidates,
 		LeaseTTL:      30 * time.Second,
@@ -176,16 +162,9 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 				Addr:        l.Addr().String(),
 				ID:          fmt.Sprintf("w%d", i+1),
 				Attack:      "cookie",
-				Fingerprint: job.Fingerprint,
+				Fingerprint: fj.Fingerprint,
 				MaxWait:     100 * time.Millisecond,
-				Collect: func(job fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
-					a, err := cookieattack.CollectLane(cfg, []byte(p.Secret), lease.Stream,
-						cliutil.LaneSeed(job.Seed, lease.Lane), lease.Records, p.DecodeWorkers)
-					if err != nil {
-						return nil, err
-					}
-					return snap(a)
-				},
+				Collect:     spec.CollectLane,
 			}
 			_, workerErrs[i] = w.Run(context.Background())
 		}()
@@ -214,7 +193,7 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	fleetSnap, err := snap(pool)
+	fleetSnap, err := snap(pool.(*fleet.CookiePool).Attack)
 	if err != nil {
 		return Result{}, err
 	}
@@ -239,7 +218,7 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 	}
 	return Result{
 		ID:      "Fleet §6",
-		Title:   fmt.Sprintf("Distributed fleet vs single process (%d workers, %d lanes)", p.Workers, job.Lanes()),
+		Title:   fmt.Sprintf("Distributed fleet vs single process (%d workers, %d lanes)", p.Workers, fj.Lanes()),
 		Columns: []string{"records x2^20", "rank", "rounds", "wall-clock s"},
 		Rows: []Row{
 			row("single-process", singleRes, singleTime),

@@ -5,9 +5,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"rc4break/internal/cliutil"
-	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 )
@@ -24,7 +23,6 @@ type OnlineCookieParams struct {
 	First, Every uint64
 	// Candidates is the per-round list depth; default 2^12.
 	Candidates int
-	MaxGap     int
 	Seed       int64
 	Workers    int
 }
@@ -41,9 +39,6 @@ func (p OnlineCookieParams) withDefaults() OnlineCookieParams {
 	}
 	if p.Candidates == 0 {
 		p.Candidates = 1 << 12
-	}
-	if p.MaxGap == 0 {
-		p.MaxGap = 128
 	}
 	return p
 }
@@ -78,34 +73,23 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	perPoint := make([]int, len(points)) // successes landing at each decode point
 	for t := 0; t < p.Trials; t++ {
 		secret := randomCookie(rng, charset, 16)
-		req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+		rt, err := job.New(job.Spec{
+			Attack:  "cookie",
+			Mode:    "model",
+			Seed:    p.Seed + int64(t)*7919,
+			Secret:  string(secret),
+			Workers: p.Workers,
+		}, nil)
 		if err != nil {
 			return Result{}, err
 		}
-		attack, err := cookieattack.New(cookieattack.Config{
-			CookieLen:   16,
-			Offset:      req.CookieOffset(),
-			Plaintext:   req.Marshal(),
-			CounterBase: counterBase,
-			MaxGap:      p.MaxGap,
-			Charset:     charset,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		attack.Workers = p.Workers
-		server := &netsim.CookieServer{Secret: secret}
-		trialSeed := p.Seed + int64(t)*7919
 		res, err := online.Run(online.Config{
-			Decoder:       attack,
-			Oracle:        server,
+			Decoder:       rt.Decoder,
+			Oracle:        rt.Oracle,
 			Cadence:       cad,
 			MaxCandidates: p.Candidates,
 			Budget:        p.Budget,
-			CaptureTo: func(target uint64) error {
-				rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(trialSeed, attack.Records)))
-				return attack.SimulateStatistics(rng, secret, target-attack.Records)
-			},
+			Feed:          online.FeedFunc(rt.CaptureTo),
 		})
 		if errors.Is(err, online.ErrBudgetExhausted) {
 			continue // censored trial

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"sort"
 
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/packet"
-	"rc4break/internal/rc4"
 	"rc4break/internal/tkip"
 )
 
@@ -97,11 +97,7 @@ func Figures8and9(p TKIPParams) (Result, error) {
 		SA:     [6]byte{0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee},
 	}
 	victim := netsim.NewWiFiVictim(session, []byte("PAYLOAD"))
-	// The true trailer bytes of the injected packet.
-	frame := victim.Transmit()
-	key := tkip.MixKey(session.TK, session.TA, frame.TSC)
-	_ = key
-	trailer := trueTrailer(session, victim.MSDU)
+	trailer := job.TrueTrailer(session, victim.MSDU)
 
 	rng := rand.New(rand.NewSource(p.Seed))
 	res := Result{
@@ -143,15 +139,6 @@ func Figures8and9(p TKIPParams) (Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// trueTrailer computes the plaintext MIC‖ICV of the injected packet.
-func trueTrailer(s *tkip.Session, msdu []byte) []byte {
-	f := s.Encapsulate(msdu, 0)
-	key := tkip.MixKey(s.TK, s.TA, 0)
-	plain := make([]byte, len(f.Body))
-	xorKeystream(key, f.Body, plain)
-	return plain[len(msdu):]
 }
 
 func median(xs []int) float64 {
@@ -221,8 +208,4 @@ func PayloadPlacement(ctx context.Context, keysPerTSC uint64, workers int) (Resu
 		Row{Label: "payload=7 (pos 56-67)", Values: []float64{window(56)}},
 	)
 	return res, nil
-}
-
-func xorKeystream(key [16]byte, src, dst []byte) {
-	rc4.MustNew(key[:]).XORKeyStream(dst, src)
 }

@@ -5,16 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/packet"
 	"rc4break/internal/tkip"
-	"rc4break/internal/tlsrec"
 	"rc4break/internal/trace"
 )
 
@@ -67,21 +65,15 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	session := tkip.DemoSession()
-	newTKIP := func() (*tkip.Attack, error) {
-		return tkip.NewAttack(model, tkip.TrailerPositions(msduLen))
-	}
-	direct, err := newTKIP()
+	direct, err := job.New(job.Spec{Attack: "tkip", Mode: "exact", Model: model}, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	sniffer := netsim.NewSniffer(victim.FrameLen())
-	for i := uint64(0); i < p.Frames; i++ {
-		if f := victim.Transmit(); sniffer.Filter(f) {
-			direct.Observe(f)
-		}
+	if err := direct.CaptureTo(p.Frames); err != nil {
+		return Result{}, nil, err
 	}
+	session := tkip.DemoSession()
+	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
 	var capture bytes.Buffer
 	pw, err := trace.NewPcapWriter(&capture, trace.LinkTypeRadiotap)
 	if err != nil {
@@ -91,13 +83,15 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if err := netsim.NewWiFiVictim(session, tkip.DemoPayload).WriteTrace(fw, p.Frames); err != nil {
+	if err := victim.WriteTrace(fw, p.Frames); err != nil {
 		return Result{}, nil, err
 	}
-	ingested, err := newTKIP()
+	// The capture is the exact stream, so the ingest carries its identity.
+	ingested, err := tkip.NewAttack(model, tkip.TrailerPositions(msduLen))
 	if err != nil {
 		return Result{}, nil, err
 	}
+	ingested.Stream = direct.Decoder.(*tkip.Attack).Stream
 	start := time.Now()
 	stats, err := tkip.CollectTraceReaders(ingested, victim.FrameLen(),
 		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false)
@@ -108,7 +102,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if stats.Matched != p.Frames {
 		return Result{}, nil, fmt.Errorf("trace: TKIP ingest matched %d of %d frames", stats.Matched, p.Frames)
 	}
-	equal, err := snapshotsEqual(direct.WriteSnapshot, ingested.WriteSnapshot)
+	equal, err := snapshotsEqual(direct.Evidence, ingested.WriteSnapshot)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -141,45 +135,16 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	// §6 side: TLS records through Ethernet/TCP reassembly into
 	// digraph/ABSAB statistics.
 	const secret = "Secur3C00kieVal+"
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
+	directC, err := job.New(job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: secret}, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	cfg := cookieattack.Config{
-		CookieLen:   len(secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	}
-	master := make([]byte, 48)
-	rand.New(rand.NewSource(p.Seed)).Read(master)
-	newVictim := func() (*netsim.HTTPSVictim, error) {
-		return netsim.NewHTTPSVictim(master, req)
-	}
-	directC, err := cookieattack.New(cfg)
-	if err != nil {
+	if err := directC.CaptureTo(p.Records); err != nil {
 		return Result{}, nil, err
 	}
-	cv, err := newVictim()
+	cfg, req, err := job.CookieLayout(secret)
 	if err != nil {
 		return Result{}, nil, err
-	}
-	collector := &tlsrec.CollectRequests{WantLen: cv.RecordPlaintextLen()}
-	var observeErr error
-	for i := uint64(0); i < p.Records; i++ {
-		rec := cv.SendRequest()
-		if err := collector.Feed(rec, func(body []byte) {
-			if oerr := directC.ObserveRecord(body); oerr != nil && observeErr == nil {
-				observeErr = oerr
-			}
-		}); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	if observeErr != nil {
-		return Result{}, nil, observeErr
 	}
 	var captureC bytes.Buffer
 	pwC, err := trace.NewPcapNGWriter(&captureC, trace.LinkTypeEthernet)
@@ -190,7 +155,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	wv, err := newVictim()
+	wv, err := job.HTTPSVictim(p.Seed, req)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -201,8 +166,9 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
+	ingestedC.Stream = directC.Decoder.(*cookieattack.Attack).Stream
 	start = time.Now()
-	statsC, err := cookieattack.CollectTraceReaders(ingestedC, cv.RecordPlaintextLen(),
+	statsC, err := cookieattack.CollectTraceReaders(ingestedC, wv.RecordPlaintextLen(),
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false)
 	ingestTimeC := time.Since(start)
 	if err != nil {
@@ -211,7 +177,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if statsC.Matched != p.Records {
 		return Result{}, nil, fmt.Errorf("trace: TLS ingest matched %d of %d records", statsC.Matched, p.Records)
 	}
-	equal, err = snapshotsEqual(directC.WriteSnapshot, ingestedC.WriteSnapshot)
+	equal, err = snapshotsEqual(directC.Evidence, ingestedC.WriteSnapshot)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -219,7 +185,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, errors.New("trace: cookie evidence ingested from pcapng differs from direct capture")
 	}
 	start = time.Now()
-	if _, err := cookieattack.CollectTraceReaders(nil, cv.RecordPlaintextLen(),
+	if _, err := cookieattack.CollectTraceReaders(nil, wv.RecordPlaintextLen(),
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false); err != nil {
 		return Result{}, nil, err
 	}
@@ -252,14 +218,16 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	}, results, nil
 }
 
-// snapshotsEqual compares two snapshot writers byte for byte.
-func snapshotsEqual(a, b func(io.Writer) error) (bool, error) {
-	var ba, bb bytes.Buffer
-	if err := a(&ba); err != nil {
+// snapshotsEqual compares a runtime's evidence with a snapshot writer's
+// output byte for byte.
+func snapshotsEqual(evidence func() ([]byte, error), write func(io.Writer) error) (bool, error) {
+	want, err := evidence()
+	if err != nil {
 		return false, err
 	}
-	if err := b(&bb); err != nil {
+	var got bytes.Buffer
+	if err := write(&got); err != nil {
 		return false, err
 	}
-	return bytes.Equal(ba.Bytes(), bb.Bytes()), nil
+	return bytes.Equal(want, got.Bytes()), nil
 }

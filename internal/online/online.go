@@ -13,14 +13,15 @@
 // The runtime is attack-agnostic: cookieattack.Attack and tkip.Attack both
 // implement Decoder, and netsim.CookieServer / tkip.TrailerOracle implement
 // Oracle. Evidence arrives through a pluggable Feed: in-process capturers
-// use the CaptureTo function form (exact-mode drivers compose it with
-// cliutil.CheckpointLoop — checkpointed, SIGINT-safe, resumable mid-cadence
-// — and model-mode drivers draw each chunk's sufficient statistics in one
-// shot), while the fleet coordinator implements Feed directly, blocking
-// until enough worker lanes have merged. Decode points are absolute
-// observation counts, so a resumed run lands on exactly the cadence an
-// uninterrupted run would use, and a feed that overshoots a point (whole-
-// lane granularity) simply decodes at the overshot count.
+// wrap a job.Runtime's capture function in FeedFunc (model captures draw
+// each cadence chunk in one shot; the CLIs step exact captures under
+// cliutil.CheckpointLoop, checkpointed, SIGINT-safe and resumable
+// mid-cadence), the service advances it in scheduler-gated granules, and
+// the fleet coordinator implements Feed directly, blocking until enough
+// worker lanes have merged. Decode points are absolute observation counts,
+// so a resumed run lands on exactly the cadence an uninterrupted run would
+// use, and a feed that overshoots a point (whole-lane granularity) simply
+// decodes at the overshot count.
 package online
 
 import (
@@ -62,8 +63,8 @@ type Feed interface {
 	AdvanceTo(target uint64) error
 }
 
-// FeedFunc adapts a capture function to the Feed interface — the shape the
-// in-process drivers already use via Config.CaptureTo.
+// FeedFunc adapts a capture function that lands exactly on its target to
+// the Feed interface — the shape in-process capturers use.
 type FeedFunc func(target uint64) error
 
 // AdvanceTo implements Feed.
@@ -143,11 +144,7 @@ type Config struct {
 	// it too fails the run returns ErrBudgetExhausted.
 	Budget uint64
 	// Feed advances the evidence to at least the target observation count.
-	// Exactly one of Feed and CaptureTo must be set.
 	Feed Feed
-	// CaptureTo is the function form of Feed, kept for in-process capturers
-	// that land exactly on the target; ignored when Feed is set.
-	CaptureTo func(target uint64) error
 	// Checkpoint, when non-nil, runs after every unsuccessful decode round
 	// — with snapshot-backed decoders this makes the run resumable
 	// mid-cadence.
@@ -193,12 +190,8 @@ var ErrBudgetExhausted = errors.New("online: observation budget exhausted withou
 // Run drives the closed loop: capture to the next cadence point, decode,
 // walk the list against the oracle, stop at the first confirmed hit.
 func Run(cfg Config) (Result, error) {
-	feed := cfg.Feed
-	if feed == nil && cfg.CaptureTo != nil {
-		feed = FeedFunc(cfg.CaptureTo)
-	}
-	if cfg.Decoder == nil || cfg.Oracle == nil || feed == nil {
-		return Result{}, errors.New("online: Decoder, Oracle and an evidence Feed (or CaptureTo) are required")
+	if cfg.Decoder == nil || cfg.Oracle == nil || cfg.Feed == nil {
+		return Result{}, errors.New("online: Decoder, Oracle and an evidence Feed are required")
 	}
 	if cfg.Budget == 0 {
 		return Result{}, errors.New("online: zero observation budget")
@@ -222,7 +215,7 @@ func Run(cfg Config) (Result, error) {
 		if target > cfg.Decoder.Observed() {
 			capSpan := cfg.Tracer.Start(runCtx, "online.capture", obs.U64("target", target))
 			t0 := time.Now() //rc4lint:allow timing capture-time metric
-			if err := feed.AdvanceTo(target); err != nil {
+			if err := cfg.Feed.AdvanceTo(target); err != nil {
 				capSpan.End()
 				res.Observed = cfg.Decoder.Observed()
 				return res, err

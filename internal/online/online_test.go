@@ -97,7 +97,7 @@ func TestRunStopsAtFirstConfirmedHit(t *testing.T) {
 		Cadence:       online.Cadence{First: 1000},
 		MaxCandidates: 16,
 		Budget:        1 << 20,
-		CaptureTo:     func(target uint64) error { dec.observed = target; return nil },
+		Feed:          online.FeedFunc(func(target uint64) error { dec.observed = target; return nil }),
 		Checkpoint:    func() error { checkpoints++; return nil },
 	})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestRunBudgetExhausted(t *testing.T) {
 		Cadence:       online.Cadence{First: 1000},
 		MaxCandidates: 4,
 		Budget:        3000,
-		CaptureTo:     func(target uint64) error { dec.observed = target; return nil },
+		Feed:          online.FeedFunc(func(target uint64) error { dec.observed = target; return nil }),
 	})
 	if !errors.Is(err, online.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
@@ -189,10 +189,10 @@ func TestRunCaptureErrorPropagates(t *testing.T) {
 	dec := &fakeDecoder{truth: []byte("x")}
 	boom := errors.New("boom")
 	_, err := online.Run(online.Config{
-		Decoder:   dec,
-		Oracle:    &fakeOracle{truth: []byte("x")},
-		Budget:    1 << 21,
-		CaptureTo: func(uint64) error { return boom },
+		Decoder: dec,
+		Oracle:  &fakeOracle{truth: []byte("x")},
+		Budget:  1 << 21,
+		Feed:    online.FeedFunc(func(uint64) error { return boom }),
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -205,9 +205,9 @@ func TestRunValidation(t *testing.T) {
 	}
 	dec := &fakeDecoder{truth: []byte("x")}
 	if _, err := online.Run(online.Config{
-		Decoder:   dec,
-		Oracle:    &fakeOracle{},
-		CaptureTo: func(uint64) error { return nil },
+		Decoder: dec,
+		Oracle:  &fakeOracle{},
+		Feed:    online.FeedFunc(func(uint64) error { return nil }),
 	}); err == nil {
 		t.Fatal("zero budget accepted")
 	}

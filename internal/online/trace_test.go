@@ -20,7 +20,7 @@ func TestRunEmitsRoundSpans(t *testing.T) {
 			Cadence:       online.Cadence{First: 1000},
 			MaxCandidates: 16,
 			Budget:        1 << 20,
-			CaptureTo:     func(target uint64) error { dec.observed = target; return nil },
+			Feed:          online.FeedFunc(func(target uint64) error { dec.observed = target; return nil }),
 			Tracer:        j,
 			TraceParent:   parent,
 		})

@@ -1,202 +1,30 @@
 package service
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"rc4break/internal/cliutil"
-	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
-	"rc4break/internal/netsim"
+	"rc4break/internal/job"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
-	"rc4break/internal/rc4"
 	"rc4break/internal/recovery"
-	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
-	"rc4break/internal/tlsrec"
 )
 
-// jobRuntime binds one job spec to live attack state: the decoder/oracle
-// pair the online loop drives, the mode-specific capture function, and the
-// evidence serializer the checkpoint path persists. Built identically by
-// the service runner and by SoloRun, so the two can only differ in
-// scheduling — never in evidence.
-type jobRuntime struct {
-	decoder  online.Decoder
-	oracle   online.Oracle
-	observed func() uint64
-	// capture advances the evidence to exactly target observations.
-	capture func(target uint64) error
-	// evidence serializes the attack state as snapshot-envelope bytes.
-	evidence func() ([]byte, error)
-}
-
-// newJobRuntime builds the runtime for spec, resuming from evidence bytes
-// (a prior checkpoint blob) when non-nil. TKIP jobs need their trained
-// model passed in; cookie jobs ignore it.
-func newJobRuntime(spec JobSpec, evidence []byte, model *tkip.PerTSCModel) (*jobRuntime, error) {
-	switch spec.Attack {
-	case "cookie":
-		return newCookieRuntime(spec, evidence)
-	case "tkip":
-		return newTKIPRuntime(spec, evidence, model)
-	}
-	return nil, fmt.Errorf("service: unknown attack %q", spec.Attack)
-}
-
-func newCookieRuntime(spec JobSpec, evidence []byte) (*jobRuntime, error) {
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", spec.Secret, 64)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cookieattack.Config{
-		CookieLen:   len(spec.Secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	}
-	attack, err := cookieattack.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if evidence != nil {
-		resumed, err := cookieattack.ReadSnapshot(bytes.NewReader(evidence))
-		if err != nil {
-			return nil, err
-		}
-		if resumed.Fingerprint() != attack.Fingerprint() {
-			return nil, errors.New("service: evidence blob was captured under a different cookie configuration")
-		}
-		attack = resumed
-	}
-	attack.Workers = spec.Workers
-	streamID := snapshot.StreamInfo{Mode: spec.Mode, Seed: spec.Seed}
-	if attack.Records > 0 && attack.Stream != streamID {
-		return nil, fmt.Errorf("service: evidence stream %v does not match spec stream %v", attack.Stream, streamID)
-	}
-	attack.Stream = streamID
-
-	rt := &jobRuntime{
-		decoder:  attack,
-		oracle:   &netsim.CookieServer{Secret: []byte(spec.Secret)},
-		observed: func() uint64 { return attack.Records },
-		evidence: func() ([]byte, error) {
-			var buf bytes.Buffer
-			err := attack.WriteSnapshot(&buf)
-			return buf.Bytes(), err
-		},
-	}
-	switch spec.Mode {
-	case "model":
-		rt.capture = func(target uint64) error {
-			// Each granule derives its noise stream from the continuation
-			// point, so a run resumed at any granule boundary draws
-			// identically to an uninterrupted one.
-			rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(spec.Seed, attack.Records)))
-			return attack.SimulateStatistics(rng, []byte(spec.Secret), target-attack.Records)
-		}
-	case "exact":
-		master := make([]byte, 48)
-		rand.New(rand.NewSource(spec.Seed)).Read(master)
-		victim, err := netsim.NewHTTPSVictim(master, req)
-		if err != nil {
-			return nil, err
-		}
-		victim.Skip(attack.Records) // fast-forward past resumed records
-		collector := &tlsrec.CollectRequests{WantLen: victim.RecordPlaintextLen()}
-		rt.capture = func(target uint64) error {
-			var observeErr error
-			for attack.Records < target {
-				if err := collector.Feed(victim.SendRequest(), func(body []byte) {
-					if err := attack.ObserveRecord(body); err != nil && observeErr == nil {
-						observeErr = err
-					}
-				}); err != nil {
-					return err
-				}
-				if observeErr != nil {
-					return observeErr
-				}
-			}
-			return nil
-		}
-	}
-	return rt, nil
-}
-
-func newTKIPRuntime(spec JobSpec, evidence []byte, model *tkip.PerTSCModel) (*jobRuntime, error) {
-	if model == nil {
-		return nil, errors.New("service: tkip runtime needs a trained model")
-	}
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	var attack *tkip.Attack
-	var err error
-	if evidence != nil {
-		attack, err = tkip.ReadAttackSnapshot(bytes.NewReader(evidence), model)
-	} else {
-		attack, err = tkip.NewAttack(model, tkip.TrailerPositions(len(victim.MSDU)))
-	}
-	if err != nil {
-		return nil, err
-	}
-	streamID := snapshot.StreamInfo{Mode: spec.Mode, Seed: spec.Seed}
-	if attack.Frames > 0 && attack.Stream != streamID {
-		return nil, fmt.Errorf("service: evidence stream %v does not match spec stream %v", attack.Stream, streamID)
-	}
-	attack.Stream = streamID
-
-	rt := &jobRuntime{
-		decoder: attack,
-		oracle: &tkip.TrailerOracle{
-			DA: session.DA, SA: session.SA, MSDU: victim.MSDU,
-			Confirm: netsim.ForgeryConfirm(session, victim.MSDU),
-		},
-		observed: func() uint64 { return attack.Frames },
-		evidence: func() ([]byte, error) {
-			var buf bytes.Buffer
-			err := attack.WriteSnapshot(&buf)
-			return buf.Bytes(), err
-		},
-	}
-	switch spec.Mode {
-	case "model":
-		trailer := trueTrailer(session, victim.MSDU)
-		rt.capture = func(target uint64) error {
-			rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(spec.Seed, attack.Frames)))
-			return attack.SimulateCaptures(rng, trailer, target-attack.Frames)
-		}
-	case "exact":
-		victim.Skip(attack.Frames)
-		sniffer := netsim.NewSniffer(victim.FrameLen())
-		rt.capture = func(target uint64) error {
-			for attack.Frames < target {
-				if f := victim.Transmit(); sniffer.Filter(f) {
-					attack.Observe(f)
-				}
-			}
-			return nil
-		}
-	}
-	return rt, nil
-}
-
-// trueTrailer decrypts one encapsulation with the real key to obtain the
-// plaintext MIC‖ICV the model-mode simulation feeds the sampler (the same
-// helper cmd/tkipattack uses).
-func trueTrailer(s *tkip.Session, msdu []byte) []byte {
-	f := s.Encapsulate(msdu, 0)
-	key := tkip.MixKey(s.TK, s.TA, 0)
-	plain := make([]byte, len(f.Body))
-	rc4.MustNew(key[:]).XORKeyStream(plain, f.Body)
-	return plain[len(msdu):]
+// newRuntime builds spec's job.Runtime, resuming from evidence bytes (a prior
+// checkpoint blob) when non-nil. The service and SoloRun both build jobs
+// here, so the two can only differ in scheduling, never in evidence. TKIP
+// jobs need their trained model passed in; cookie jobs ignore it.
+func newRuntime(spec JobSpec, evidence []byte, model *tkip.PerTSCModel) (*job.Runtime, error) {
+	return job.New(job.Spec{
+		Attack:  spec.Attack,
+		Mode:    spec.Mode,
+		Seed:    spec.Seed,
+		Secret:  spec.Secret,
+		Model:   model,
+		Workers: spec.Workers,
+	}, evidence)
 }
 
 // chunkedFeed is the service's online.Feed: it advances capture in absolute
@@ -319,11 +147,7 @@ func SharedModel(trainKeys uint64) (*tkip.PerTSCModel, error) {
 	if m, ok := sharedModels.m[trainKeys]; ok {
 		return m, nil
 	}
-	positions := tkip.TrailerPositions(len(netsim.NewWiFiVictim(tkip.DemoSession(), tkip.DemoPayload).MSDU))
-	m, err := tkip.Train(tkip.TrainConfig{
-		Positions:  positions[len(positions)-1],
-		KeysPerTSC: trainKeys,
-	})
+	m, err := job.LoadOrTrainModel("", trainKeys, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -350,22 +174,22 @@ func SoloRun(spec JobSpec) (online.Result, []byte, error) {
 			return online.Result{}, nil, err
 		}
 	}
-	rt, err := newJobRuntime(spec, nil, model)
+	rt, err := newRuntime(spec, nil, model)
 	if err != nil {
 		return online.Result{}, nil, err
 	}
 	res, runErr := online.Run(online.Config{
-		Decoder:       rt.decoder,
-		Oracle:        rt.oracle,
+		Decoder:       rt.Decoder,
+		Oracle:        rt.Oracle,
 		Cadence:       spec.cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
-		Feed:          &chunkedFeed{chunk: spec.CaptureChunk, observed: rt.observed, capture: rt.capture},
+		Feed:          &chunkedFeed{chunk: spec.CaptureChunk, observed: rt.Observed, capture: rt.CaptureTo},
 	})
 	if runErr != nil && !errors.Is(runErr, online.ErrBudgetExhausted) {
 		return res, nil, runErr
 	}
-	snap, err := rt.evidence()
+	snap, err := rt.Evidence()
 	if err != nil {
 		return res, nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rc4break/internal/cliutil"
+	"rc4break/internal/job"
 	"rc4break/internal/metrics"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
@@ -377,7 +378,7 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 	}
-	rt, err := newJobRuntime(spec, evidence, model)
+	rt, err := newRuntime(spec, evidence, model)
 	if err != nil {
 		s.finishFailed(j, man.Observed, man.Rounds, online.Result{}, err)
 		return
@@ -387,16 +388,16 @@ func (s *Server) runJob(j *Job) {
 		if err := s.sched.Acquire(man.Tenant); err != nil {
 			return err
 		}
-		s.markRunning(j, rt.observed())
+		s.markRunning(j, rt.Observed())
 		return nil
 	}
 	feed := &chunkedFeed{
 		chunk:    spec.CaptureChunk,
-		observed: rt.observed,
+		observed: rt.Observed,
 		capture: func(target uint64) error {
 			gs := s.cfg.Tracer.Start(jobCtx, "job.granule", obs.U64("target", target))
 			t0 := time.Now() //rc4lint:allow timing granule-latency histogram only; never reaches evidence or persisted state
-			err := rt.capture(target)
+			err := rt.CaptureTo(target)
 			s.granuleSeconds.ObserveDuration(time.Since(t0)) //rc4lint:allow timing granule-latency histogram only
 			gs.End()
 			return err
@@ -406,7 +407,7 @@ func (s *Server) runJob(j *Job) {
 		onAdvance: func(n uint64) { s.obsTotal.Add(float64(n)) },
 	}
 	dec := &gatedDecoder{
-		Decoder: rt.decoder,
+		Decoder: rt.Decoder,
 		feed:    feed,
 		gate:    gate,
 		ungate:  s.sched.Release,
@@ -425,7 +426,7 @@ func (s *Server) runJob(j *Job) {
 	sinceCheckpoint := 0
 	res, runErr := online.Run(online.Config{
 		Decoder:       dec,
-		Oracle:        rt.oracle,
+		Oracle:        rt.Oracle,
 		Cadence:       spec.cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
@@ -450,7 +451,7 @@ func (s *Server) runJob(j *Job) {
 		outcome = "interrupted"
 		// Crash simulation: no writes, no events — the process "died".
 	default:
-		s.finishFailed(j, rt.observed(), dec.rounds, res, runErr)
+		s.finishFailed(j, rt.Observed(), dec.rounds, res, runErr)
 	}
 }
 
@@ -505,14 +506,14 @@ func (s *Server) markRunning(j *Job, observed uint64) {
 
 // checkpoint records round progress and, when persist is set, writes the
 // evidence blob + manifest so a crash from here resumes at this round.
-func (s *Server) checkpoint(j *Job, rt *jobRuntime, rounds int, persist bool) error {
-	observed := rt.observed()
+func (s *Server) checkpoint(j *Job, rt *job.Runtime, rounds int, persist bool) error {
+	observed := rt.Observed()
 	j.mu.Lock()
 	j.man.Observed = observed
 	j.man.Rounds = rounds
 	j.mu.Unlock()
 	if persist {
-		snap, err := rt.evidence()
+		snap, err := rt.Evidence()
 		if err != nil {
 			return err
 		}
@@ -534,8 +535,8 @@ func (s *Server) checkpoint(j *Job, rt *jobRuntime, rounds int, persist bool) er
 
 // persistFinal writes the job's final evidence blob (always, regardless of
 // CheckpointRounds) and its terminal manifest.
-func (s *Server) persistFinal(j *Job, rt *jobRuntime) error {
-	snap, err := rt.evidence()
+func (s *Server) persistFinal(j *Job, rt *job.Runtime) error {
+	snap, err := rt.Evidence()
 	if err != nil {
 		return err
 	}
@@ -550,10 +551,10 @@ func (s *Server) persistFinal(j *Job, rt *jobRuntime) error {
 	return s.store.PutManifest(man)
 }
 
-func (s *Server) finishDone(j *Job, rt *jobRuntime, rounds int, res online.Result, runErr error) {
+func (s *Server) finishDone(j *Job, rt *job.Runtime, rounds int, res online.Result, runErr error) {
 	j.mu.Lock()
 	j.man.State = StateDone
-	j.man.Observed = rt.observed()
+	j.man.Observed = rt.Observed()
 	j.man.Rounds = rounds
 	j.man.Result = JobResult{
 		Success:   runErr == nil,
@@ -600,10 +601,10 @@ func (s *Server) finishFailed(j *Job, observed uint64, rounds int, res online.Re
 // suspend is the drain path: checkpoint the evidence exactly where the
 // scheduler stopped granting (a granule boundary) and mark the job
 // suspended; Resume on a restarted server picks it up from here.
-func (s *Server) suspend(j *Job, rt *jobRuntime, rounds int) {
+func (s *Server) suspend(j *Job, rt *job.Runtime, rounds int) {
 	j.mu.Lock()
 	j.man.State = StateSuspended
-	j.man.Observed = rt.observed()
+	j.man.Observed = rt.Observed()
 	j.man.Rounds = rounds
 	man := j.man
 	j.mu.Unlock()

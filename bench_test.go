@@ -17,6 +17,7 @@ import (
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/experiments"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/packet"
 	"rc4break/internal/recovery"
@@ -502,5 +503,37 @@ func BenchmarkTraceIngest(b *testing.B) {
 				b.Fatalf("matched %d records", stats.Matched)
 			}
 		}
+	})
+}
+
+// BenchmarkCaptureExact is live exact capture end to end through the job
+// runtime, the path the attack CLIs, the service and exact fleet lanes
+// drive: the simulated victim seals each request (or encrypts each
+// frame), the trace collector scans and filters it, and the batched fold
+// takes it into the evidence. One op advances the capture by one chunk;
+// obs/s is the capture rate.
+func BenchmarkCaptureExact(b *testing.B) {
+	run := func(b *testing.B, spec job.Spec, chunk uint64) {
+		rt, err := job.New(spec, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if err := rt.CaptureTo(rt.Observed() + chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds(), "obs/s")
+	}
+	b.Run("cookie", func(b *testing.B) {
+		run(b, job.Spec{Attack: "cookie", Mode: "exact", Seed: 41, Secret: "Secur3C00kieVal+"}, 1<<12)
+	})
+	b.Run("tkip", func(b *testing.B) {
+		model, err := job.LoadOrTrainModel("", 8, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, job.Spec{Attack: "tkip", Mode: "exact", Model: model}, 1<<14)
 	})
 }

@@ -35,7 +35,7 @@ func main() {
 	tkipKeys := flag.Uint64("tkipkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "report keystream-generation progress on stderr")
-	only := flag.String("only", "", "comma-separated subset: table1,table2,eq2,eq35,fig4,fig5,fig6,eq8,broadcast,absab,eq9,fig7,fig89,fig10,online,fleet,service,trace,placement,charset")
+	only := flag.String("only", "", "comma-separated subset: table1,table2,eq2,eq35,fig4,fig5,fig6,eq8,broadcast,absab,eq9,fig7,fig89,fig10,online,trace,placement,charset")
 	jsonOut := flag.Bool("json", false, "append machine-readable JSON result lines for experiments that produce them (trace)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (one span per experiment, engine shard spans nested) to this file")
 	flag.Parse()
@@ -240,20 +240,6 @@ func main() {
 			Candidates: *candidates,
 			Seed:       2,
 		})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fleet") {
-		res, err := experiments.FleetVsSingle(experiments.FleetParams{})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("service") {
-		res, err := experiments.ServiceVsSolo(experiments.ServiceParams{})
 		if err != nil {
 			fail(err)
 		}

@@ -125,19 +125,24 @@ func LaneSeed(seed int64, lane uint64) int64 {
 	return ContinuationSeed(seed, lane+1)
 }
 
-// CheckpointLoop is the capture-loop scaffolding the exact-mode drivers
-// share: Step runs Iterations times; every time the progress counter
-// advances Every steps past the last write (and Path is set), Save runs;
-// SIGINT/SIGTERM flushes a final Save and returns ErrInterrupted, so a
-// kill loses at most one checkpoint interval.
+// checkpointStep bounds one CheckpointLoop advance: small enough that a
+// signal is answered within a few tens of milliseconds of capture, large
+// enough that the batched fold behind AdvanceTo runs on full batches.
+const checkpointStep = 4096
+
+// CheckpointLoop is the exact-mode capture loop the attack CLIs drive:
+// AdvanceTo moves the capture to Target in bounded chunks that stop at
+// every Every-th observation past the start, where Save runs (when Path is
+// set). SIGINT/SIGTERM flushes a final Save and returns ErrInterrupted, so
+// a kill loses at most one checkpoint interval.
 type CheckpointLoop struct {
-	Iterations uint64
-	Path       string        // checkpoint file; "" disables writes
-	Every      uint64        // progress steps between periodic writes
-	Unit       string        // progress unit for messages ("records", "frames")
-	Save       func() error  // atomically writes the snapshot to Path
-	Progress   func() uint64 // current progress counter
-	Step       func() (advanced bool, err error)
+	Target    uint64
+	Path      string        // checkpoint file; "" disables writes
+	Every     uint64        // observations between periodic writes
+	Unit      string        // progress unit for messages ("records", "frames")
+	Save      func() error  // atomically writes the snapshot to Path
+	Progress  func() uint64 // observations captured so far
+	AdvanceTo func(target uint64) error
 }
 
 // Run drives the loop. Status lines match the drivers' indented style.
@@ -146,8 +151,10 @@ func (l CheckpointLoop) Run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
-	var sinceWrite uint64
-	for i := uint64(0); i < l.Iterations; i++ {
+	periodic := l.Path != "" && l.Every > 0
+	at := l.Progress()
+	nextWrite := at + l.Every
+	for at < l.Target {
 		select {
 		case <-sig:
 			if l.Path == "" {
@@ -162,19 +169,19 @@ func (l CheckpointLoop) Run() error {
 			return ErrInterrupted
 		default:
 		}
-		advanced, err := l.Step()
-		if err != nil {
+		at = min(l.Target, at+checkpointStep)
+		if periodic {
+			at = min(at, nextWrite)
+		}
+		if err := l.AdvanceTo(at); err != nil {
 			return err
 		}
-		if advanced {
-			sinceWrite++
-		}
-		if l.Path != "" && l.Every > 0 && sinceWrite >= l.Every {
+		if periodic && at == nextWrite {
 			if err := l.Save(); err != nil {
 				return err
 			}
 			fmt.Printf("      checkpoint: %d %s -> %s\n", l.Progress(), l.Unit, l.Path)
-			sinceWrite = 0
+			nextWrite += l.Every
 		}
 	}
 	return nil

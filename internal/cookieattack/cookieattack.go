@@ -240,7 +240,9 @@ func (a *Attack) AnchorsPerPair() []int {
 }
 
 // ObserveRecord folds one encrypted record body (RC4 ciphertext of the
-// aligned request plaintext) into the statistics.
+// aligned request plaintext) into the statistics. Capture folds through
+// ObserveRecords; this per-record form is the reference tests and
+// benchmarks pin it to.
 func (a *Attack) ObserveRecord(body []byte) error {
 	if len(body) < len(a.cfg.Plaintext) {
 		return errors.New("cookieattack: record shorter than modeled plaintext")

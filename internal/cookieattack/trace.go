@@ -9,14 +9,14 @@ import (
 	"rc4break/internal/trace"
 )
 
-// This file is the §6.3 collection tool's offline half: rebuild the TCP
-// streams of a sniffed HTTPS capture (pcap or pcapng, Ethernet or raw
-// IPv4), scan each flow for TLS records, and fold the fixed-size encrypted
-// requests into an Attack's digraph/ABSAB statistics — "this requires
-// reassembling the TCP and TLS streams, and then detecting the 512-byte
-// (encrypted) HTTP requests". Evidence ingested from a capture netsim
-// wrote is bitwise identical to what the in-process victim hands the
-// attack directly.
+// This file is the §6.3 collection tool: rebuild the TCP streams of a
+// sniffed HTTPS capture (pcap or pcapng, Ethernet or raw IPv4), scan each
+// flow for TLS records, and fold the fixed-size encrypted requests into an
+// Attack's digraph/ABSAB statistics — "this requires reassembling the TCP
+// and TLS streams, and then detecting the 512-byte (encrypted) HTTP
+// requests". A live in-process victim's connection enters the same scanner
+// and fold batch through Feed, so evidence ingested from a capture netsim
+// wrote is bitwise identical to the live victim's.
 
 // ErrTraceShort reports a strict observation-range ingest (a fleet lane)
 // that ran out of capture before the range was filled.
@@ -99,9 +99,6 @@ func (c *TraceCollector) Done() bool {
 // is rejected the rest of the capture cannot repair the evidence, so paying
 // full parse cost for it would only delay the report.
 func (c *TraceCollector) Ingest(r *trace.Reader) error {
-	if c.flows == nil {
-		c.flows = make(map[trace.FlowKey]*flowScan)
-	}
 	for !c.Done() {
 		if c.observeErr != nil {
 			return c.observeErr
@@ -144,22 +141,41 @@ func (c *TraceCollector) Ingest(r *trace.Reader) error {
 	return nil
 }
 
-// markDead abandons one flow's TLS scanning and counts it.
-func (c *TraceCollector) markDead(key trace.FlowKey) {
+// Feed scans the stream bytes of one implicit live flow (an in-process
+// victim's connection) through the same scanner and fold batch as a
+// reassembled capture flow. Unlike a capture flow, the live flow cannot be
+// abandoned: lost TLS framing is returned as an error.
+func (c *TraceCollector) Feed(data []byte) error {
+	if err := c.scan(c.flow(trace.FlowKey{}), data); err != nil {
+		return err
+	}
+	return c.observeErr
+}
+
+// flow returns one flow's scanning state, creating it on first sight.
+func (c *TraceCollector) flow(key trace.FlowKey) *flowScan {
+	if c.flows == nil {
+		c.flows = make(map[trace.FlowKey]*flowScan)
+	}
 	fs := c.flows[key]
 	if fs == nil {
 		fs = &flowScan{col: &tlsrec.CollectRequests{WantLen: c.WantLen}}
 		c.flows[key] = fs
 	}
-	if !fs.dead {
+	return fs
+}
+
+// markDead abandons one flow's TLS scanning and counts it.
+func (c *TraceCollector) markDead(key trace.FlowKey) {
+	if fs := c.flow(key); !fs.dead {
 		fs.dead = true
 		c.Stats.DeadFlows++
 	}
 }
 
 // Flush drains flows whose origin was never pinned by a SYN (mid-stream
-// captures) and folds the final partial batch. Call it once after the last
-// Ingest.
+// captures) and folds the final partial batch. Call it after the last
+// Ingest, or whenever a live Feed caller needs the evidence current.
 func (c *TraceCollector) Flush() error {
 	if err := c.asm.Flush(c.deliver); err != nil {
 		return err
@@ -170,26 +186,24 @@ func (c *TraceCollector) Flush() error {
 
 // deliver feeds one flow's contiguous stream bytes into its TLS scanner.
 func (c *TraceCollector) deliver(key trace.FlowKey, data []byte) error {
-	fs := c.flows[key]
-	if fs == nil {
-		fs = &flowScan{col: &tlsrec.CollectRequests{WantLen: c.WantLen}}
-		c.flows[key] = fs
-	}
-	if fs.dead {
-		return nil
-	}
-	err := fs.col.FeedBatch(data, c.observeBodies)
-	otherDelta := fs.col.Other - fs.lastOther
-	fs.lastOther = fs.col.Other
-	c.Stats.Records += otherDelta
-	c.Stats.OtherRecords += otherDelta
-	if err != nil {
+	if fs := c.flow(key); !fs.dead && c.scan(fs, data) != nil {
 		// TLS framing lost on this flow (mid-stream capture start, or a
 		// desynchronized stream): abandon the flow rather than poisoning
 		// the pool; other flows keep scanning.
 		c.markDead(key)
 	}
 	return nil
+}
+
+// scan runs stream bytes through one flow's TLS scanner, folding its
+// matched records and counting the others.
+func (c *TraceCollector) scan(fs *flowScan, data []byte) error {
+	err := fs.col.FeedBatch(data, c.observeBodies)
+	otherDelta := fs.col.Other - fs.lastOther
+	fs.lastOther = fs.col.Other
+	c.Stats.Records += otherDelta
+	c.Stats.OtherRecords += otherDelta
+	return err
 }
 
 // observeBodies walks one chunk of matched record bodies in stream order:

@@ -2,6 +2,8 @@ package job
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rc4break/internal/cookieattack"
@@ -201,5 +203,43 @@ func TestExactCaptureMatchesScalarReference(t *testing.T) {
 				t.Fatalf("exact lane [%d, +%d) differs from the scalar reference", lease.Start, lease.Records)
 			}
 		})
+	}
+}
+
+// TestCheckpointedMatchesCaptureTo pins the CLIs' chunked exact capture:
+// with the checkpoint interval below, at and above the loop's step, the
+// periodic writes land on exact multiples of the interval and the file the
+// CLI finally writes holds CaptureTo's evidence byte for byte.
+func TestCheckpointedMatchesCaptureTo(t *testing.T) {
+	spec := Spec{Attack: "cookie", Mode: "exact", Seed: 3, Secret: testSecret}
+	const target = 9000
+	for _, every := range []uint64{1000, 4096, 1 << 20} {
+		path := filepath.Join(t.TempDir(), "run.snap")
+		rt, err := New(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Checkpointed(path, every)(target); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if lastWrite := target / every * every; lastWrite == 0 {
+			if !os.IsNotExist(err) {
+				t.Fatalf("every=%d: checkpoint written before the first interval (err %v)", every, err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(got, evidenceOf(t, spec, lastWrite)) {
+			t.Fatalf("every=%d: last periodic write differs from CaptureTo(%d) evidence", every, lastWrite)
+		}
+		if err := rt.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, evidenceOf(t, spec, target)) {
+			t.Fatalf("every=%d: final checkpoint differs from CaptureTo(%d) evidence", every, target)
+		}
 	}
 }

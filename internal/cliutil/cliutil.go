@@ -78,22 +78,6 @@ func TraceStreamSeed(paths []string) int64 {
 // flush; drivers exit 130 on it.
 var ErrInterrupted = errors.New("cliutil: capture interrupted")
 
-// OnlineCheckpoint returns the Checkpoint hook the online attack drivers
-// share: write the snapshot after every unsuccessful decode round (no-op
-// when path is empty) and report it in the drivers' indented style.
-func OnlineCheckpoint(path, unit string, save func(string) error, progress func() uint64) func() error {
-	return func() error {
-		if path == "" {
-			return nil
-		}
-		if err := save(path); err != nil {
-			return err
-		}
-		fmt.Printf("      checkpoint: %d %s -> %s\n", progress(), unit, path)
-		return nil
-	}
-}
-
 // IndentLogf prints a runtime progress line in the drivers' indented style
 // — the online.Config Logf both attack CLIs use.
 func IndentLogf(format string, args ...interface{}) {

@@ -22,7 +22,9 @@ type RunResult struct {
 	// keeps their output byte-identical to the pre-service schema.
 	Job    string `json:"job,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// Online reports whether the closed-loop runtime drove the run.
+	// Online reports whether the run captured and decoded on a cadence
+	// (-online). Offline recovery runs too, as the loop's single final
+	// round over evidence collected beforehand.
 	Online bool `json:"online"`
 	// Success is false on budget exhaustion or a missing candidate.
 	Success bool `json:"success"`
@@ -34,8 +36,8 @@ type RunResult struct {
 	// Observations is the records/frames folded into the evidence at the
 	// end of the run — the records-to-success metric for online runs.
 	Observations uint64 `json:"observations"`
-	// Rounds, Checks and Skipped describe the online decode loop (zero for
-	// offline runs, whose single decode is implicit).
+	// Rounds, Checks and Skipped describe the decode loop; an offline run
+	// reports its one round and its checks (it never skips).
 	Rounds  int    `json:"rounds,omitempty"`
 	Checks  uint64 `json:"checks,omitempty"`
 	Skipped uint64 `json:"skipped,omitempty"`
@@ -46,9 +48,9 @@ type RunResult struct {
 	// bytes, so their gap is the evidence-folding cost.
 	ParseMBps  float64 `json:"parse_mbps,omitempty"`
 	IngestMBps float64 `json:"ingest_mbps,omitempty"`
-	// CaptureMS/DecodeMS/OracleMS split the wall clock by phase; offline
-	// paths that do not separate decode from oracle report the combined
-	// time as DecodeMS.
+	// CaptureMS/DecodeMS/OracleMS split the loop's wall clock by phase on
+	// every path. An offline run collects before its round, so it reports
+	// no capture time and ElapsedMS covers decode and oracle only.
 	CaptureMS float64 `json:"capture_ms"`
 	DecodeMS  float64 `json:"decode_ms"`
 	OracleMS  float64 `json:"oracle_ms"`

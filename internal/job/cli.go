@@ -2,6 +2,8 @@ package job
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"os/signal"
@@ -11,8 +13,178 @@ import (
 	"rc4break/internal/fleet"
 	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
+	"rc4break/internal/online"
+	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
 )
+
+// CLI is one attack-command run once its flags are parsed: the flow the
+// cookie and TKIP commands share. Offline runs collect this shard to
+// Budget, checkpoint it, pool the Merge shards, and recover in a single
+// final online.Run round at the pooled observation count. Online runs
+// capture and decode on Cadence until the oracle confirms a candidate or
+// Budget is spent. Both end in the same summary and -json result.
+type CLI struct {
+	// Budget is the observations this shard should hold, resumed ones
+	// included; online, it is the loop's budget.
+	Budget uint64
+	// Depth bounds the candidate walk; RoundDepth, when nonzero, replaces
+	// it for online rounds.
+	Depth, RoundDepth int
+	// Checkpoint, when set, receives the shard's snapshot: after offline
+	// collection (before any merge), and after every online round.
+	Checkpoint      string
+	CheckpointEvery uint64
+	// Merge lists shard snapshots to pool before offline recovery.
+	Merge       []string
+	CollectOnly bool
+	Online      bool
+	Cadence     online.Cadence
+	JSON        bool
+	// Live describes n observations at the attack's live capture rate.
+	Live func(n uint64) string
+	// Recovered prints the attack's own lines after a confirmed hit and
+	// returns the value the -json result reports as recovered.
+	Recovered func(res online.Result) []byte
+}
+
+// Resume builds spec's runtime, resumed from the snapshot file at path
+// when path is set.
+func Resume(spec Spec, path string) (*Runtime, error) {
+	var evidence []byte
+	if path != "" {
+		var err error
+		if evidence, err = os.ReadFile(path); err != nil {
+			return nil, fmt.Errorf("resume %s: %w", path, err)
+		}
+	}
+	rt, err := New(spec, evidence)
+	if err == nil && path != "" {
+		fmt.Printf("      resumed %s: %d %s of evidence\n", path, rt.Observed(), rt.Unit)
+	}
+	return rt, err
+}
+
+// Run drives rt through the command's flow. It returns
+// cliutil.ErrInterrupted after a flushed SIGINT, and an error after a
+// failed attack, once the -json result is out.
+func (c CLI) Run(rt *Runtime) error {
+	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: c.Depth, Logf: cliutil.IndentLogf}
+	if c.Online {
+		switch {
+		case c.CollectOnly || len(c.Merge) > 0:
+			return errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows")
+		case rt.mode == "trace":
+			return errors.New("-online captures live; -pcap is an offline/fleet ingest path")
+		case c.Budget <= rt.Observed():
+			return fmt.Errorf("online: budget %d already reached by resumed evidence (%d %s)", c.Budget, rt.Observed(), rt.Unit)
+		}
+		if c.RoundDepth > 0 {
+			cfg.MaxCandidates = c.RoundDepth
+		}
+		fmt.Printf("[2/4] online closed loop: budget %d %s, first decode at %d, %s cadence, %d candidates/round...\n",
+			c.Budget, rt.Unit, c.Cadence.First, c.Cadence, cfg.MaxCandidates)
+		cfg.Cadence, cfg.Budget = c.Cadence, c.Budget
+		cfg.Feed = online.FeedFunc(rt.Checkpointed(c.Checkpoint, c.CheckpointEvery))
+		cfg.Checkpoint = func() error { return c.save(rt) }
+	} else {
+		if err := c.collect(rt); err != nil || c.CollectOnly {
+			return err
+		}
+		// The pooled evidence is the whole budget, so the round decodes
+		// without capturing and is the loop's last.
+		fmt.Printf("[3/4] recovering: one decode round at %d %s, walking up to %d candidates...\n",
+			rt.Observed(), rt.Unit, cfg.MaxCandidates)
+		cfg.Budget = rt.Observed()
+		cfg.Feed = online.FeedFunc(rt.CaptureTo)
+	}
+	res, err := online.Run(cfg)
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		return err
+	}
+	result := cliutil.OnlineRunResult(rt.attack, rt.mode, res, err)
+	result.Online = c.Online
+	if err != nil {
+		if jerr := result.Emit(c.JSON); jerr != nil {
+			return jerr
+		}
+		return fmt.Errorf("attack failed: %w (try a larger budget or a deeper list)", err)
+	}
+	if c.Online {
+		if err := c.save(rt); err != nil {
+			return err
+		}
+		saved := c.Budget - res.Observed
+		fmt.Printf("[3/4] online success: %d under the %d budget (%s saved)\n", saved, c.Budget, c.Live(saved))
+	}
+	fmt.Printf("      oracle-confirmed candidate at rank %d after %d %s (%s)\n", res.Rank, res.Observed, rt.Unit, c.Live(res.Observed))
+	fmt.Printf("      %d decode rounds, %d oracle checks (+%d cache-skipped), wall-clock %v (capture %v, decode %v, oracle %v)\n",
+		res.Rounds, res.Checks, res.Skipped, res.Elapsed.Round(time.Millisecond), res.CaptureTime.Round(time.Millisecond),
+		res.DecodeTime.Round(time.Millisecond), res.OracleTime.Round(time.Millisecond))
+	result.Plaintext = hex.EncodeToString(c.Recovered(res))
+	return result.Emit(c.JSON)
+}
+
+// collect is the offline capture phase: this shard up to Budget, its
+// checkpoint, then the Merge shards folded in. A shard of a capture stream
+// already in the pool is refused: its observations would count twice.
+func (c CLI) collect(rt *Runtime) error {
+	var remaining uint64
+	if c.Budget > rt.Observed() {
+		remaining = c.Budget - rt.Observed()
+	}
+	fmt.Printf("[2/4] collecting %d %s (%s mode; %s)...\n", remaining, rt.Unit, rt.mode, c.Live(remaining))
+	if remaining == 0 {
+		fmt.Println("      shard target already reached")
+	} else if err := rt.Checkpointed(c.Checkpoint, c.CheckpointEvery)(c.Budget); err != nil {
+		return err
+	}
+	if summary := rt.Summary(); summary != "" {
+		fmt.Printf("      %s\n", summary)
+	}
+	fmt.Printf("      shard evidence: %d %s\n", rt.Observed(), rt.Unit)
+	if err := c.save(rt); err != nil {
+		return err
+	}
+	seen := make(map[snapshot.StreamInfo]string)
+	if rt.Observed() > 0 && *rt.stream != (snapshot.StreamInfo{}) {
+		seen[*rt.stream] = "this shard"
+	}
+	for _, path := range c.Merge {
+		stream, merge, err := rt.openShard(path)
+		if err != nil {
+			return fmt.Errorf("merge %s: %w", path, err)
+		}
+		if stream != (snapshot.StreamInfo{}) {
+			if prev, dup := seen[stream]; dup {
+				return fmt.Errorf("merge %s: same capture stream (%s/seed %d) as %s — its %s would be double-counted",
+					path, stream.Mode, stream.Seed, prev, rt.Unit)
+			}
+			seen[stream] = path
+		}
+		before := rt.Observed()
+		if err := merge(); err != nil {
+			return fmt.Errorf("merge %s: %w", path, err)
+		}
+		fmt.Printf("      merged %s: +%d %s (pool now %d)\n", path, rt.Observed()-before, rt.Unit, rt.Observed())
+	}
+	if c.CollectOnly {
+		fmt.Println("      collect-only: skipping recovery phase")
+	}
+	return nil
+}
+
+// save writes the shard's snapshot to Checkpoint, when set.
+func (c CLI) save(rt *Runtime) error {
+	if c.Checkpoint == "" {
+		return nil
+	}
+	if err := rt.SaveFile(c.Checkpoint); err != nil {
+		return err
+	}
+	fmt.Printf("      checkpoint: %d %s -> %s\n", rt.Observed(), rt.Unit, c.Checkpoint)
+	return nil
+}
 
 // LoadOrTrainModel is the train-once workflow for the demo session's
 // per-TSC model (the paper's CPU-year artifact). With path set and present

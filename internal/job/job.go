@@ -81,6 +81,7 @@ type Runtime struct {
 	// Unit names one observation in status lines: "records" or "frames".
 	Unit string
 
+	attack   string
 	mode     string
 	capture  func(target uint64) error
 	stream   *snapshot.StreamInfo
@@ -96,6 +97,9 @@ type Runtime struct {
 	// strict fails when the files cannot cover the range.
 	ingest  func(skip, n uint64, strict bool) error
 	summary func() string
+	// openShard reads a -merge shard snapshot, returning its stream
+	// identity and the merge that folds it into the evidence.
+	openShard func(path string) (snapshot.StreamInfo, func() error, error)
 }
 
 // New builds the runtime for spec, resuming from evidence (a prior
@@ -114,7 +118,7 @@ func New(spec Spec, evidence []byte) (*Runtime, error) {
 			rt.stream.Mode, rt.stream.Seed, want.Mode, want.Seed)
 	}
 	*rt.stream = want
-	rt.mode = want.Mode
+	rt.attack, rt.mode = spec.Attack, want.Mode
 	switch want.Mode {
 	case "trace":
 		rt.capture = func(target uint64) error {
@@ -342,6 +346,13 @@ func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 			return attack.SimulateStatistics(rng, []byte(s.Secret), n)
 		},
 	}
+	rt.openShard = func(path string) (snapshot.StreamInfo, func() error, error) {
+		shard, err := cookieattack.ReadSnapshotFile(path)
+		if err != nil {
+			return snapshot.StreamInfo{}, nil, err
+		}
+		return shard.Stream, func() error { return attack.Merge(shard) }, nil
+	}
 	var st cookieattack.TraceStats
 	rt.summary = func() string {
 		return fmt.Sprintf("capture: %d packets, %d TLS records (%d matched, %d other), %d flows abandoned, %.1f MB of capture payload",
@@ -407,6 +418,13 @@ func (s Spec) buildTKIP(evidence []byte) (*Runtime, error) {
 		simulate: func(rng *rand.Rand, n uint64) error {
 			return attack.SimulateCaptures(rng, trailer, n)
 		},
+	}
+	rt.openShard = func(path string) (snapshot.StreamInfo, func() error, error) {
+		shard, err := tkip.ReadAttackSnapshotFile(path, s.Model)
+		if err != nil {
+			return snapshot.StreamInfo{}, nil, err
+		}
+		return shard.Stream, func() error { return attack.Merge(shard) }, nil
 	}
 	var st tkip.TraceStats
 	rt.summary = func() string {

@@ -248,7 +248,7 @@ func Run(cfg Config) (Result, error) {
 
 		walkSpan := cfg.Tracer.Start(runCtx, "online.walk", obs.Int("round", int64(res.Rounds)))
 		t0 = time.Now() //rc4lint:allow timing oracle-time metric
-		hit, rank, walked := res.walk(src, cfg.Oracle, maxC, rejected)
+		hit, rank, walked := res.walk(src, cfg.Oracle, maxC, rejected, !last)
 		res.OracleTime += time.Since(t0) //rc4lint:allow timing oracle-time metric
 		walkSpan.SetAttrs(obs.Int("walked", int64(walked)), obs.U64("checks", res.Checks))
 		walkSpan.End()
@@ -275,15 +275,15 @@ func Run(cfg Config) (Result, error) {
 }
 
 // walk presents up to max candidates to the oracle, skipping candidates a
-// previous round already rejected.
-func (res *Result) walk(src recovery.CandidateSource, oracle Oracle, max int, rejected map[string]struct{}) (hit []byte, rank, walked int) {
+// previous round already rejected. remember adds this round's rejects to
+// the cache; the final round skips that, since no later round reads them.
+func (res *Result) walk(src recovery.CandidateSource, oracle Oracle, max int, rejected map[string]struct{}, remember bool) (hit []byte, rank, walked int) {
 	for rank = 1; rank <= max; rank++ {
 		c, ok := src.Next()
 		if !ok {
 			break
 		}
-		key := string(c.Plaintext)
-		if _, seen := rejected[key]; seen {
+		if _, seen := rejected[string(c.Plaintext)]; seen {
 			res.Skipped++
 			continue
 		}
@@ -291,8 +291,8 @@ func (res *Result) walk(src recovery.CandidateSource, oracle Oracle, max int, re
 		if oracle.Check(c.Plaintext) {
 			return c.Plaintext, rank, rank
 		}
-		if len(rejected) < rejectCacheMax {
-			rejected[key] = struct{}{}
+		if remember && len(rejected) < rejectCacheMax {
+			rejected[string(c.Plaintext)] = struct{}{}
 		}
 	}
 	return nil, 0, rank - 1

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"rc4break/internal/metrics"
@@ -13,6 +14,20 @@ import (
 type SubmitRequest struct {
 	Tenant string  `json:"tenant"`
 	Spec   JobSpec `json:"spec"`
+}
+
+// maxSubmitBytes caps a submit body. An encoded SubmitRequest is a few
+// hundred bytes; a larger body is refused with 413 before it is buffered.
+const maxSubmitBytes = 1 << 16
+
+// decodeSubmit reads one submit body. Unknown fields are errors, so a
+// misspelled spec field is refused instead of silently taking its default.
+func decodeSubmit(r io.Reader) (SubmitRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req SubmitRequest
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // Handler serves the job API:
@@ -66,9 +81,13 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	st, err := s.Submit(req.Tenant, req.Spec)

@@ -146,3 +146,72 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("post-drain submit: http %d, want 503", code)
 	}
 }
+
+// TestSubmitBodyBoundary pins the submit path's trust boundary: an
+// oversized body is 413, an unknown field is 400, and a valid submit is
+// still accepted.
+func TestSubmitBodyBoundary(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: store, Capacity: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"tenant":"a","spec":{"attack":"cookie","secret":"` + strings.Repeat("x", maxSubmitBytes) + `"}}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: http %d, want 413", code)
+	}
+	if code := post(`{"tenant":"a","spec":{"attack":"cookie","secret":"C00kie","budgett":1}}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown spec field: http %d, want 400", code)
+	}
+	if code := post(`{"tenant":"a","spec":{"attack":"cookie","secret":"C00kie"},"priority":9}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown request field: http %d, want 400", code)
+	}
+	valid := `{"tenant":"a","spec":{"attack":"cookie","secret":"C00kie","budget":1048576,"first_decode":1048576,"max_candidates":1}}`
+	if code := post(valid); code != http.StatusAccepted {
+		t.Fatalf("valid submit: http %d, want 202", code)
+	}
+	s.Wait()
+}
+
+// FuzzSubmitDecode fuzzes the submit path up to, not including, Submit:
+// the strict body decode and Normalize. Neither may panic, and a body
+// both accept must normalize to a spec that re-normalizes to itself — the
+// manifest a restarted server re-derives the job from.
+func FuzzSubmitDecode(f *testing.F) {
+	f.Add([]byte(`{"tenant":"a","spec":{"attack":"cookie","secret":"C00kie"}}`))
+	f.Add([]byte(`{"tenant":"b","spec":{"attack":"tkip","mode":"exact","seed":7,"first_decode":4096,"budget":8192}}`))
+	f.Add([]byte(`{"spec":{"attack":"cookie","secret":"s","decode_every":3,"capture_chunk":1,"checkpoint_rounds":-2,"trace_id":"0a"}}`))
+	f.Add([]byte(`{"spec":{"attack":"tkip","max_candidates":-1,"train_keys":1}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSubmit(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		spec, err := req.Spec.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("normalized spec %+v rejected on re-normalize: %v", spec, err)
+		}
+		if again != spec {
+			t.Fatalf("normalize is not idempotent:\n%+v\n%+v", spec, again)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package tlsrec
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 )
 
 // Scanner splits a raw TLS byte stream into records — the §6.3 collection
@@ -186,25 +185,4 @@ func (c *CollectRequests) FeedBatch(data []byte, deliver func(bodies [][]byte)) 
 			deliver(bodies[:n])
 		}
 	})
-}
-
-// Drain reads r to EOF through the collector in chunks — convenience for
-// pcap-style offline processing (the paper's TKIP tool parses a raw pcap;
-// the TLS tool monitors live traffic).
-func (c *CollectRequests) Drain(r io.Reader, deliver func(body []byte)) error {
-	chunk := make([]byte, 4096)
-	for {
-		n, err := r.Read(chunk)
-		if n > 0 {
-			if ferr := c.Feed(chunk[:n], deliver); ferr != nil {
-				return ferr
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
 }

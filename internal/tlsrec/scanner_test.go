@@ -104,18 +104,6 @@ func TestCollectRequestsFiltersBySize(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	stream, bodies := sealedStream(t, bytes.Repeat([]byte{'q'}, 64))
-	c := &CollectRequests{WantLen: len(bodies[0])}
-	var got int
-	if err := c.Drain(bytes.NewReader(stream), func([]byte) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("drained %d records", got)
-	}
-}
-
 func TestScannerFeedsCookieAttack(t *testing.T) {
 	// Integration with the §6 pipeline: scanner-extracted record bodies
 	// line up with what ObserveRecord expects (the encrypted request at

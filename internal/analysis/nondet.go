@@ -18,7 +18,7 @@ var NonDeterminism = &Analyzer{
 
 // wallClockFuncs are the time package functions that read the wall clock.
 // Referencing one in a deterministic package — as a call or as a function
-// value (the injected-clock default `cfg.Now = time.Now`) — needs a
+// value (an injected-clock default such as `clock := time.Now`) — needs a
 // `//rc4lint:allow timing <why>` annotation.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,

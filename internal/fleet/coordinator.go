@@ -62,22 +62,21 @@ type Config struct {
 	// unsuccessful decode round.
 	Checkpoint string
 	Logf       func(format string, args ...interface{})
-	// Now is the clock used for lease bookkeeping (a test hook); nil means
-	// time.Now.
-	Now func() time.Time
 	// Tracer, when non-nil, records the fleet span tree (fleet.run, per-lane
-	// lease→upload spans, ingest and merge spans, plus the online runtime's
-	// per-round spans) and folds in the span records workers piggyback on
-	// their uploads. A nil Tracer costs one nil check per site; outputs are
-	// bitwise identical either way.
+	// lease→upload spans, ingest, merge and decode spans, plus the online
+	// runtime's per-round spans) and folds in the span records workers
+	// piggyback on their uploads. A nil Tracer records nothing, but the
+	// same spans still time the stages the Observe hooks report; outputs
+	// are bitwise identical either way.
 	Tracer *obs.Journal
 	// TraceParent parents the fleet.run span (e.g. a service job's span).
 	TraceParent obs.SpanContext
 	// ObserveLaneRoundtrip, ObserveIngest and ObserveDecode, when non-nil,
 	// receive wall-clock durations for the daemon's latency histograms:
-	// lease grant to accepted upload per lane, evidence validate+stage per
-	// upload, and each decode round. Durations come from the injected Now
-	// clock, so the hooks work with or without a Tracer.
+	// lease grant to accepted upload per lane (the uploaded fleet.lane
+	// span), evidence validate+stage per upload (fleet.ingest), and each
+	// decode round (fleet.decode). Each is its span's End duration, so the
+	// hooks work with or without a Tracer.
 	ObserveLaneRoundtrip func(d time.Duration)
 	ObserveIngest        func(d time.Duration)
 	ObserveDecode        func(d time.Duration)
@@ -107,11 +106,11 @@ type Coordinator struct {
 	stopReason string
 	failure    error
 
-	// runSpan is the root of the coordinator's trace tree (nil untraced);
-	// laneSpans tracks each outstanding lease's span and grant time from
-	// grant to accepted upload or expiry, keyed by lane.
+	// runSpan is the root of the coordinator's trace tree; laneSpans holds
+	// each outstanding lease's span from grant to accepted upload or
+	// expiry, keyed by lane. Both exist untraced too, timing only.
 	runSpan   *obs.Span
-	laneSpans map[uint64]laneGrant
+	laneSpans map[uint64]*obs.Span
 
 	listener net.Listener
 	conns    map[net.Conn]struct{}
@@ -125,13 +124,6 @@ type Coordinator struct {
 type stagedLane struct {
 	shard   Shard
 	records uint64
-}
-
-// laneGrant is the per-lease trace state: the span opened at grant and the
-// grant instant (from the injected clock) for the roundtrip histogram.
-type laneGrant struct {
-	span    *obs.Span
-	granted time.Time
 }
 
 // NewCoordinator validates the configuration and prepares the lane ledger.
@@ -154,16 +146,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now //rc4lint:allow timing injected-clock default; lease TTL bookkeeping only, never evidence
-	}
 	c := &Coordinator{
 		cfg:       cfg,
 		job:       cfg.Job,
 		ledger:    dataset.NewLaneLedger(cfg.Job.Lanes()),
 		staged:    make(map[uint64]stagedLane),
 		conns:     make(map[net.Conn]struct{}),
-		laneSpans: make(map[uint64]laneGrant),
+		laneSpans: make(map[uint64]*obs.Span),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// The root span opens here, not in Run: Serve starts answering workers
@@ -281,10 +270,10 @@ func (c *Coordinator) Shutdown(reason string) {
 func (c *Coordinator) Close() {
 	c.Shutdown("coordinator closed")
 	c.mu.Lock()
-	for lane, g := range c.laneSpans {
+	for lane, span := range c.laneSpans {
 		//rc4lint:allow maporder shutdown span flush; End order does not affect the journal's export sort
-		g.span.SetAttrs(obs.Str("outcome", "unresolved-at-close"))
-		g.span.End()
+		span.SetAttrs(obs.Str("outcome", "unresolved-at-close"))
+		span.End()
 		delete(c.laneSpans, lane)
 	}
 	c.runSpan.End()
@@ -324,12 +313,15 @@ func (p coordinatorPool) Observed() uint64 {
 }
 
 func (p coordinatorPool) Decode(max int) (recovery.CandidateSource, error) {
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
-	t0 := p.c.cfg.Now()
-	src, err := p.c.cfg.Pool.Decode(max)
-	if p.c.cfg.ObserveDecode != nil {
-		p.c.cfg.ObserveDecode(p.c.cfg.Now().Sub(t0))
+	c := p.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	span := c.cfg.Tracer.Start(c.runSpan.Context(), "fleet.decode",
+		obs.U64("observed", c.cfg.Pool.Observed()), obs.Int("max", int64(max)))
+	src, err := c.cfg.Pool.Decode(max)
+	d := span.End()
+	if c.cfg.ObserveDecode != nil {
+		c.cfg.ObserveDecode(d)
 	}
 	return src, err
 }
@@ -464,12 +456,12 @@ func (c *Coordinator) handleLease(lr LeaseRequest) wireReply {
 	if c.stopped {
 		return reply(kindStop, Stop{Reason: c.stopReason})
 	}
-	now := c.cfg.Now()
+	now := time.Now() //rc4lint:allow timing lease TTL bookkeeping only, never evidence
 	for _, lane := range c.ledger.Reclaim(now) {
 		c.logf("lease on lane %d expired; re-leasing", lane)
-		if g, ok := c.laneSpans[lane]; ok {
-			g.span.SetAttrs(obs.Str("outcome", "expired"))
-			g.span.End()
+		if span, ok := c.laneSpans[lane]; ok {
+			span.SetAttrs(obs.Str("outcome", "expired"))
+			span.End()
 			delete(c.laneSpans, lane)
 		}
 	}
@@ -494,9 +486,8 @@ func (c *Coordinator) handleLease(lr LeaseRequest) wireReply {
 		obs.U64("lane", lane), obs.Str("worker", lr.Worker), obs.U64("records", records))
 	span.SetTrack(int64(lane))
 	sc := span.Context()
-	// Stored even when untraced (span nil): the grant time still feeds the
-	// roundtrip histogram hook.
-	c.laneSpans[lane] = laneGrant{span: span, granted: now}
+	// Stored even when untraced: the span still times the roundtrip hook.
+	c.laneSpans[lane] = span
 	return reply(kindLease, Lease{
 		Lane:    lane,
 		Start:   start,
@@ -536,7 +527,6 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 	}
 	ingest := c.cfg.Tracer.Start(c.laneSpanContext(ev.Lane), "fleet.ingest",
 		obs.U64("lane", ev.Lane), obs.Str("worker", ev.Worker), obs.Int("bytes", int64(len(ev.Snapshot))))
-	t0 := c.cfg.Now()
 	// Unlocked: Validate only reads immutable pool configuration (see the
 	// Pool contract), so it can overlap other uploads, leases, and decode.
 	want := c.job.LaneStream(ev.Lane)
@@ -544,9 +534,8 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ingest.End()
-	if c.cfg.ObserveIngest != nil {
-		c.cfg.ObserveIngest(c.cfg.Now().Sub(t0))
+	if d := ingest.End(); c.cfg.ObserveIngest != nil {
+		c.cfg.ObserveIngest(d)
 	}
 	if err != nil {
 		return c.rejectLocked(ev, "lane snapshot invalid: %v", err)
@@ -563,12 +552,12 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 		c.logf("ledger complete lane %d: %v", ev.Lane, err)
 	}
 	c.uploads++
-	if g, ok := c.laneSpans[ev.Lane]; ok {
-		g.span.SetAttrs(obs.Str("outcome", "uploaded"), obs.Str("uploader", ev.Worker))
-		g.span.End()
+	if span, ok := c.laneSpans[ev.Lane]; ok {
+		span.SetAttrs(obs.Str("outcome", "uploaded"), obs.Str("uploader", ev.Worker))
+		d := span.End()
 		delete(c.laneSpans, ev.Lane)
 		if c.cfg.ObserveLaneRoundtrip != nil {
-			c.cfg.ObserveLaneRoundtrip(c.cfg.Now().Sub(g.granted))
+			c.cfg.ObserveLaneRoundtrip(d)
 		}
 	}
 	c.mergeStagedLocked()
@@ -581,8 +570,8 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 func (c *Coordinator) laneSpanContext(lane uint64) obs.SpanContext {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if g, ok := c.laneSpans[lane]; ok {
-		return g.span.Context()
+	if span, ok := c.laneSpans[lane]; ok {
+		return span.Context()
 	}
 	return c.runSpan.Context()
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -50,14 +52,14 @@ func TestFleetOneTraceAcrossProcesses(t *testing.T) {
 
 	journal := obs.NewJournal("coordinator", 1024)
 	var mu sync.Mutex
-	hookCounts := map[string]int{}
+	hookDurs := map[string][]int64{}
 	hook := func(name string) func(time.Duration) {
 		return func(d time.Duration) {
 			if d < 0 {
 				t.Errorf("%s observed negative duration %v", name, d)
 			}
 			mu.Lock()
-			hookCounts[name]++
+			hookDurs[name] = append(hookDurs[name], int64(d))
 			mu.Unlock()
 		}
 	}
@@ -137,7 +139,7 @@ func TestFleetOneTraceAcrossProcesses(t *testing.T) {
 	if len(byName["fleet.collect"]) != int(job.Lanes()) {
 		t.Fatalf("%d fleet.collect spans, want %d", len(byName["fleet.collect"]), job.Lanes())
 	}
-	for _, name := range []string{"fleet.run", "fleet.join", "fleet.ingest", "fleet.merge", "online.run", "online.decode", "online.walk"} {
+	for _, name := range []string{"fleet.run", "fleet.join", "fleet.ingest", "fleet.merge", "fleet.decode", "online.run", "online.decode", "online.walk"} {
 		if len(byName[name]) == 0 {
 			t.Fatalf("no %s spans in journal (have %v)", name, byName)
 		}
@@ -165,7 +167,36 @@ func TestFleetOneTraceAcrossProcesses(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if hookCounts["roundtrip"] != int(job.Lanes()) || hookCounts["ingest"] != int(job.Lanes()) || hookCounts["decode"] == 0 {
-		t.Fatalf("observe hooks fired %v, want %d roundtrips, %d ingests, >0 decodes", hookCounts, job.Lanes(), job.Lanes())
+	if len(hookDurs["roundtrip"]) != int(job.Lanes()) || len(hookDurs["ingest"]) != int(job.Lanes()) || len(hookDurs["decode"]) == 0 {
+		t.Fatalf("observe hooks fired %v, want %d roundtrips, %d ingests, >0 decodes", hookDurs, job.Lanes(), job.Lanes())
+	}
+	// The spans are the stage clock: each hook received exactly its span's
+	// duration.
+	spanDurs := func(name, outcome string) []int64 {
+		var ds []int64
+		for _, r := range byName[name] {
+			got := ""
+			for _, a := range r.Attrs {
+				if a.Key == "outcome" {
+					got = a.Value()
+				}
+			}
+			if got == outcome {
+				ds = append(ds, r.Dur)
+			}
+		}
+		sort.Slice(ds, func(i, k int) bool { return ds[i] < ds[k] })
+		return ds
+	}
+	for hook, span := range map[string][]int64{
+		"roundtrip": spanDurs("fleet.lane", "uploaded"),
+		"ingest":    spanDurs("fleet.ingest", ""),
+		"decode":    spanDurs("fleet.decode", ""),
+	} {
+		got := hookDurs[hook]
+		sort.Slice(got, func(i, k int) bool { return got[i] < got[k] })
+		if !reflect.DeepEqual(got, span) {
+			t.Fatalf("%s hook durations %v, span durations %v", hook, got, span)
+		}
 	}
 }

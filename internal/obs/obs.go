@@ -14,12 +14,23 @@
 // under one trace ID. The service job spec carries an optional trace ID the
 // same way.
 //
-// The hot-path contract: a disabled journal (a nil *Journal, which is what
-// every instrumented call site sees when tracing is off) costs one nil check
-// per call — no allocation, no clock read, no lock. dataset's
-// BenchmarkEngineTracedVsUntraced pins the end-to-end cost. Tracing never
-// feeds evidence, candidate ranks, or persisted attack state: journals
-// record wall-clock timing only, and every output of an instrumented run is
+// A span is also the stage clock. Span.End returns the elapsed time, and
+// the online runtime, the job server and the fleet coordinator feed their
+// result timing and latency histograms from it, so each stage reads the
+// clock once at its start and once at its end. Journal.Start therefore has
+// two modes:
+//
+//   - On a journal, the span is timed and recorded.
+//   - On a nil journal (tracing off), the span is timed but records
+//     nothing: its Context is zero and SetAttrs/SetTrack do nothing. It
+//     costs one small allocation and two clock reads per stage.
+//
+// The per-shard hot path uses StartSpan instead, which stays free when the
+// context carries no journal: it returns a nil span with no allocation, no
+// clock read and no lock, and every method on a nil span is a no-op.
+// dataset's BenchmarkEngineTracedVsUntraced pins that cost. Tracing never
+// feeds evidence, candidate ranks, or persisted attack state: spans carry
+// wall-clock timing only, and every output of an instrumented run is
 // bitwise-identical with tracing on or off.
 package obs
 
@@ -114,8 +125,8 @@ type Record struct {
 }
 
 // Journal is a fixed-capacity ring of completed spans. All methods are safe
-// for concurrent use, and every method is a no-op on a nil receiver — nil is
-// the disabled state every instrumented call site checks with one branch.
+// for concurrent use. A nil journal is the disabled state: it records
+// nothing, and its Start returns a span that only times.
 type Journal struct {
 	proc string
 
@@ -149,10 +160,11 @@ func (j *Journal) Proc() string {
 // Start opens a span under parent. An invalid parent starts a new root
 // trace; a parent with only the Trace half set (no span) roots the span in
 // that existing trace — the shape cross-process propagation produces when
-// only a trace ID was carried. Returns nil when the journal is nil.
+// only a trace ID was carried. On a nil journal the span only times: its
+// End returns the elapsed time and records nothing.
 func (j *Journal) Start(parent SpanContext, name string, attrs ...Attr) *Span {
 	if j == nil {
-		return nil
+		return &Span{start: time.Now()}
 	}
 	trace := parent.Trace
 	if trace == 0 {
@@ -246,17 +258,19 @@ func (j *Journal) Stats() (recorded, dropped uint64) {
 }
 
 // Span is one in-flight operation. Methods are safe on a nil receiver (the
-// disabled path) but not for concurrent use on the same span.
+// free disabled path StartSpan returns) but not for concurrent use on the
+// same span. A span with no journal (from a nil Journal's Start) only times.
 type Span struct {
-	j     *Journal
+	j     *Journal // nil: timing only, nothing is recorded
 	start time.Time
 	done  bool
 	rec   Record
 }
 
-// Context returns the span's propagatable context (zero for nil).
+// Context returns the span's propagatable context (zero for nil or a
+// timing-only span).
 func (s *Span) Context() SpanContext {
-	if s == nil {
+	if s == nil || s.j == nil {
 		return SpanContext{}
 	}
 	return SpanContext{Trace: TraceID(s.rec.Trace), Span: SpanID(s.rec.Span)}
@@ -264,7 +278,7 @@ func (s *Span) Context() SpanContext {
 
 // SetAttrs appends attributes to the span.
 func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
+	if s == nil || s.j == nil {
 		return
 	}
 	s.rec.Attrs = append(s.rec.Attrs, attrs...)
@@ -273,23 +287,26 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 // SetTrack assigns the span's rendering track — the Chrome trace-event tid,
 // used to lay concurrent siblings (shards, lanes, jobs) on separate rows.
 func (s *Span) SetTrack(t int64) {
-	if s == nil {
+	if s == nil || s.j == nil {
 		return
 	}
 	s.rec.Track = t
 }
 
-// End completes the span, appends it to the journal, and returns its
-// elapsed wall-clock time (zero for nil or double-End) — the duration
-// callers feed latency histograms without a second clock read.
+// End completes the span, appends it to its journal (if any), and returns
+// its elapsed wall-clock time — zero for nil or on a second End. That
+// duration is the stage's one timing: callers feed result fields and
+// latency histograms from it without reading the clock again.
 func (s *Span) End() time.Duration {
 	if s == nil || s.done {
 		return 0
 	}
 	s.done = true
 	d := time.Since(s.start)
-	s.rec.Dur = int64(d)
-	s.j.append(s.rec)
+	if s.j != nil {
+		s.rec.Dur = int64(d)
+		s.j.append(s.rec)
+	}
 	return d
 }
 

@@ -12,20 +12,27 @@ import (
 	"testing"
 )
 
-func TestNilJournalAndSpanAreNoOps(t *testing.T) {
+// TestNilJournalTimesButRecordsNothing pins the disabled-journal contract:
+// Start still returns a span that times its stage (End returns the elapsed
+// time once, then 0), but it has no context, attributes go nowhere, and the
+// nil journal itself holds nothing. A nil *Span — the free path StartSpan
+// takes without a journal — has only no-op methods.
+func TestNilJournalTimesButRecordsNothing(t *testing.T) {
 	var j *Journal
-	s := j.Start(SpanContext{}, "noop", Str("k", "v"))
-	if s != nil {
-		t.Fatalf("nil journal Start returned non-nil span")
+	s := j.Start(SpanContext{Trace: 1, Span: 2}, "timer", Str("k", "v"))
+	if s == nil {
+		t.Fatalf("nil journal Start returned a nil span; it must still time")
 	}
-	// Every nil-span method must be callable.
 	s.SetAttrs(Int("x", 1))
 	s.SetTrack(3)
-	if got := s.End(); got != 0 {
-		t.Fatalf("nil span End = %v, want 0", got)
+	if s.Context().Valid() || s.Context() != (SpanContext{}) {
+		t.Fatalf("timing-only span context = %+v, want zero", s.Context())
 	}
-	if s.Context().Valid() {
-		t.Fatalf("nil span context reported valid")
+	if d := s.End(); d < 0 {
+		t.Fatalf("timing-only span End = %v, want >= 0", d)
+	}
+	if d := s.End(); d != 0 {
+		t.Fatalf("second End = %v, want 0", d)
 	}
 	if j.Snapshot() != nil || j.Drain() != nil {
 		t.Fatalf("nil journal snapshot/drain returned records")
@@ -36,6 +43,16 @@ func TestNilJournalAndSpanAreNoOps(t *testing.T) {
 	}
 	if j.Proc() != "" {
 		t.Fatalf("nil journal proc = %q", j.Proc())
+	}
+
+	var nilSpan *Span
+	nilSpan.SetAttrs(Int("x", 1))
+	nilSpan.SetTrack(3)
+	if got := nilSpan.End(); got != 0 {
+		t.Fatalf("nil span End = %v, want 0", got)
+	}
+	if nilSpan.Context().Valid() {
+		t.Fatalf("nil span context reported valid")
 	}
 }
 
@@ -173,6 +190,12 @@ func TestContextPropagation(t *testing.T) {
 	ctx2, s := StartSpan(plain, "off")
 	if s != nil || ctx2 != plain {
 		t.Fatalf("disabled StartSpan allocated (%v, %v)", ctx2, s)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_, s := StartSpan(plain, "off")
+		s.End()
+	}); n != 0 {
+		t.Fatalf("disabled StartSpan+End allocates %v times", n)
 	}
 
 	// WithParent injects an out-of-band position (RPC envelope shape).

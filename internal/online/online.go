@@ -152,9 +152,11 @@ type Config struct {
 	// Logf, when non-nil, receives one progress line per round.
 	Logf func(format string, args ...interface{})
 	// Tracer, when non-nil, records one online.run span plus per-round
-	// capture/decode/walk spans into the journal. A nil Tracer costs one
-	// nil check per span site; tracing never feeds evidence or candidate
-	// ranks, so outputs are bitwise identical either way.
+	// capture/decode/walk spans into the journal. The same spans time the
+	// run with or without a Tracer: Result's phase times and Elapsed are
+	// their End durations. A nil Tracer records nothing; tracing never
+	// feeds evidence or candidate ranks, so outputs are bitwise identical
+	// either way.
 	Tracer *obs.Journal
 	// TraceParent parents the online.run span — the coordinator's or job
 	// server's span context, so a distributed run renders as one trace.
@@ -178,7 +180,10 @@ type Result struct {
 	// cross-round reject cache (a candidate rejected once is not
 	// re-presented to the oracle).
 	Checks, Skipped uint64
-	// CaptureTime, DecodeTime and OracleTime split Elapsed by phase.
+	// CaptureTime, DecodeTime and OracleTime split Elapsed by phase: the
+	// summed durations of the online.capture, online.decode and
+	// online.walk spans. Elapsed is the online.run span's duration, set
+	// on success and on budget exhaustion.
 	CaptureTime, DecodeTime, OracleTime time.Duration
 	Elapsed                             time.Duration
 }
@@ -200,7 +205,6 @@ func Run(cfg Config) (Result, error) {
 	if maxC <= 0 {
 		maxC = DefaultMaxCandidates
 	}
-	start := time.Now() //rc4lint:allow timing attack-cost metric (Result timing fields), never feeds evidence
 	var res Result
 	runSpan := cfg.Tracer.Start(cfg.TraceParent, "online.run",
 		obs.U64("budget", cfg.Budget), obs.Str("cadence", cfg.Cadence.String()))
@@ -214,15 +218,13 @@ func Run(cfg Config) (Result, error) {
 		}
 		if target > cfg.Decoder.Observed() {
 			capSpan := cfg.Tracer.Start(runCtx, "online.capture", obs.U64("target", target))
-			t0 := time.Now() //rc4lint:allow timing capture-time metric
 			if err := cfg.Feed.AdvanceTo(target); err != nil {
 				capSpan.End()
 				res.Observed = cfg.Decoder.Observed()
 				return res, err
 			}
-			res.CaptureTime += time.Since(t0) //rc4lint:allow timing capture-time metric
 			capSpan.SetAttrs(obs.U64("observed", cfg.Decoder.Observed()))
-			capSpan.End()
+			res.CaptureTime += capSpan.End()
 			if got := cfg.Decoder.Observed(); got < target {
 				res.Observed = got
 				return res, fmt.Errorf("online: capture stopped at %d of %d observations", got, target)
@@ -237,26 +239,22 @@ func Run(cfg Config) (Result, error) {
 		res.Rounds++
 		decSpan := cfg.Tracer.Start(runCtx, "online.decode",
 			obs.Int("round", int64(res.Rounds)), obs.U64("observed", res.Observed))
-		t0 := time.Now() //rc4lint:allow timing decode-time metric
 		src, err := cfg.Decoder.Decode(maxC)
 		if err != nil {
 			decSpan.End()
 			return res, err
 		}
-		res.DecodeTime += time.Since(t0) //rc4lint:allow timing decode-time metric
-		decSpan.End()
+		res.DecodeTime += decSpan.End()
 
 		walkSpan := cfg.Tracer.Start(runCtx, "online.walk", obs.Int("round", int64(res.Rounds)))
-		t0 = time.Now() //rc4lint:allow timing oracle-time metric
 		hit, rank, walked := res.walk(src, cfg.Oracle, maxC, rejected, !last)
-		res.OracleTime += time.Since(t0) //rc4lint:allow timing oracle-time metric
 		walkSpan.SetAttrs(obs.Int("walked", int64(walked)), obs.U64("checks", res.Checks))
-		walkSpan.End()
+		res.OracleTime += walkSpan.End()
 		if hit != nil {
 			res.Plaintext = hit
 			res.Rank = rank
-			res.Elapsed = time.Since(start) //rc4lint:allow timing total-elapsed metric
 			runSpan.SetAttrs(obs.Int("rank", int64(rank)), obs.U64("observed", res.Observed))
+			res.Elapsed = runSpan.End()
 			return res, nil
 		}
 		if cfg.Logf != nil {
@@ -268,7 +266,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 		if last {
-			res.Elapsed = time.Since(start) //rc4lint:allow timing total-elapsed metric
+			res.Elapsed = runSpan.End()
 			return res, ErrBudgetExhausted
 		}
 	}

@@ -2,6 +2,7 @@ package online_test
 
 import (
 	"testing"
+	"time"
 
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
@@ -9,7 +10,8 @@ import (
 
 // TestRunEmitsRoundSpans checks the per-round span structure: one
 // online.run root under the supplied parent, and capture/decode/walk spans
-// per round all parented under it — plus result parity with an untraced run.
+// per round all parented under it — plus result parity with an untraced run,
+// and Result timing equal to the span durations.
 func TestRunEmitsRoundSpans(t *testing.T) {
 	truth := []byte("the-secret!")
 	run := func(j *obs.Journal, parent obs.SpanContext) online.Result {
@@ -54,6 +56,28 @@ func TestRunEmitsRoundSpans(t *testing.T) {
 	} {
 		if got := len(byName[name]); got != want {
 			t.Fatalf("%s spans = %d, want %d (journal: %v)", name, got, want, byName)
+		}
+	}
+	// The spans are the stage clock: Result's phase times are exactly the
+	// summed span durations, and Elapsed is the run span's.
+	sum := func(name string) time.Duration {
+		var d time.Duration
+		for _, r := range byName[name] {
+			d += time.Duration(r.Dur)
+		}
+		return d
+	}
+	for _, c := range []struct {
+		name string
+		got  time.Duration
+	}{
+		{"online.capture", traced.CaptureTime},
+		{"online.decode", traced.DecodeTime},
+		{"online.walk", traced.OracleTime},
+		{"online.run", traced.Elapsed},
+	} {
+		if want := sum(c.name); c.got != want {
+			t.Fatalf("%s: result time %v, span durations sum to %v", c.name, c.got, want)
 		}
 	}
 	runRec := byName["online.run"][0]

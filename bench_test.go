@@ -1,6 +1,7 @@
 // Package rc4break's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (see DESIGN.md §3 for the index), plus
-// the §5.4/§6.3 throughput microbenchmarks. Benchmarks run the experiment
+// figure of the paper's evaluation (README "Paper fidelity" gives their
+// scale against the paper), plus the §5.4/§6.3 throughput
+// microbenchmarks. Benchmarks run the experiment
 // drivers at laptop scale; cmd/repro exposes the same drivers with flags
 // for larger runs. Custom metrics (success rates, probabilities) are
 // attached with b.ReportMetric so `go test -bench` output doubles as a

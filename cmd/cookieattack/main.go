@@ -68,7 +68,7 @@ import (
 
 func main() {
 	ciphertexts := flag.Uint64("ciphertexts", 9<<27, "total request copies this shard should hold, including resumed ones (paper: 9 x 2^27 for 94%); the online budget")
-	candidates := flag.Int("candidates", 1<<16, "brute-force list depth (paper: 2^23)")
+	candidates := flag.Int("candidates", 1<<16, "brute-force list depth, per decode round with -online (paper: 2^23)")
 	secret := flag.String("secret", "Secur3C00kieVal+", "the 16-character secure cookie to recover")
 	mode := flag.String("mode", "model", "collection mode: model (sampled sufficient statistics) | exact (real TLS records; slow beyond ~2^22)")
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
@@ -81,7 +81,6 @@ func main() {
 	onlineMode := flag.Bool("online", false, "closed-loop mode: decode while capturing, stop at the first server-confirmed cookie")
 	decodeEvery := flag.Uint64("decode-every", 0, "online: records between decode attempts (0 = geometric cadence from -first-decode)")
 	firstDecode := flag.Uint64("first-decode", 1<<20, "online: records at the first decode attempt")
-	maxPerRound := flag.Int("max-candidates-per-round", 0, "online: candidate list depth per decode round (0 = -candidates)")
 	fleetWorker := flag.String("fleet-worker", "", "join the cmd/fleetd coordinator at this address as a capture worker")
 	workerID := flag.String("worker-id", "", "fleet worker name (default hostname-pid)")
 	pcapIn := flag.String("pcap", "", "ingest record evidence from capture files (comma-separated paths/globs, pcap or pcapng; streamed, never slurped); with -fleet-worker, serve exact-mode lanes from the files")
@@ -129,7 +128,7 @@ func main() {
 	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", slices.Min(anchors), slices.Max(anchors))
 
 	err = job.CLI{
-		Budget: *ciphertexts, Depth: *candidates, RoundDepth: *maxPerRound,
+		Budget: *ciphertexts, Depth: *candidates,
 		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
 		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
 		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},

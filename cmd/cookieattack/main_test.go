@@ -54,7 +54,7 @@ func TestCheckpointMatchesSoloRun(t *testing.T) {
 			} else {
 				first = c.first
 				args = append(args, "-online", "-first-decode", strconv.FormatUint(c.first, 10),
-					"-max-candidates-per-round", "1")
+					"-candidates", "1")
 			}
 			runCLI(t, bin, c.first != 0, args...)
 			got, err := os.ReadFile(snap)

@@ -37,6 +37,23 @@ type options struct {
 	json               bool
 }
 
+// register defines the scale flags on fs, writing into o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.Uint64Var(&o.keys, "keys", 1<<20, "random keys for short-term bias experiments")
+	fs.IntVar(&o.ltKeys, "ltkeys", 32, "keys for long-term experiments (each generates -ltblocks*256 bytes)")
+	fs.IntVar(&o.ltBlocks, "ltblocks", 4096, "256-byte blocks per long-term key")
+	fs.IntVar(&o.trials, "trials", 16, "simulation trials per point (paper: 256-2048)")
+	fs.IntVar(&o.candidates, "candidates", 1<<12, "cookie candidate list depth (paper: 2^23)")
+	fs.Uint64Var(&o.tkipKeys, "tkipkeys", 0, "training keys per TSC class (paper: 2^32); 0 runs fig89 on the calibrated synthetic model and placement on 2^10")
+	fs.BoolVar(&o.json, "json", false, "append machine-readable JSON result lines for experiments that produce them (trace)")
+}
+
+// tkipParams is the Figures 8–9 configuration the options select: a model
+// trained on -tkipkeys keys per TSC class, or the synthetic model when 0.
+func (o options) tkipParams(ctx context.Context) experiments.TKIPParams {
+	return experiments.TKIPParams{KeysPerTSC: o.tkipKeys, Trials: o.trials, Seed: 1, Ctx: ctx}
+}
+
 // experiment is one -only key and the driver that prints its table.
 type experiment struct {
 	key string
@@ -92,9 +109,7 @@ var experimentTable = []experiment{
 		return show(w)(experiments.Figure7(7, nil, o.trials, 128), nil)
 	}},
 	{"fig89", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Figures8and9(experiments.TKIPParams{
-			KeysPerTSC: o.tkipKeys, Trials: o.trials, Seed: 1, Ctx: ctx,
-		}))
+		return show(w)(experiments.Figures8and9(o.tkipParams(ctx)))
 	}},
 	{"fig10", func(ctx context.Context, o options, w io.Writer) error {
 		return show(w)(experiments.Figure10(experiments.CookieParams{
@@ -172,16 +187,10 @@ func selectExperiments(only string) ([]experiment, error) {
 
 func main() {
 	var o options
-	flag.Uint64Var(&o.keys, "keys", 1<<20, "random keys for short-term bias experiments")
-	flag.IntVar(&o.ltKeys, "ltkeys", 32, "keys for long-term experiments (each generates -ltblocks*256 bytes)")
-	flag.IntVar(&o.ltBlocks, "ltblocks", 4096, "256-byte blocks per long-term key")
-	flag.IntVar(&o.trials, "trials", 16, "simulation trials per point (paper: 256-2048)")
-	flag.IntVar(&o.candidates, "candidates", 1<<12, "cookie candidate list depth (paper: 2^23)")
-	flag.Uint64Var(&o.tkipKeys, "tkipkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
+	o.register(flag.CommandLine)
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "report keystream-generation progress on stderr")
 	only := flag.String("only", "", "comma-separated subset: "+strings.Join(experimentKeys(), ","))
-	flag.BoolVar(&o.json, "json", false, "append machine-readable JSON result lines for experiments that produce them (trace)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (one span per experiment, engine shard spans nested) to this file")
 	flag.Parse()
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,5 +45,21 @@ func TestSelectExperiments(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `fleet`) || !strings.Contains(err.Error(), strings.Join(all, ",")) {
 		t.Fatalf("error %q does not name the bad key and list the valid ones", err)
+	}
+}
+
+// TestFig89DefaultsToSyntheticModel pins the default fig89 model to the
+// calibrated synthetic one: a model trained at the default scale is
+// sampled and scored against itself, so its estimation noise reads as bias
+// and every point succeeds.
+func TestFig89DefaultsToSyntheticModel(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	o.register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.tkipParams(context.Background()).KeysPerTSC; got != 0 {
+		t.Fatalf("default fig89 KeysPerTSC = %d, want 0 (synthetic model)", got)
 	}
 }

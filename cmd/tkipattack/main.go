@@ -61,7 +61,7 @@ import (
 func main() {
 	keysPerTSC := flag.Uint64("trainkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
 	copies := flag.Uint64("copies", 9<<20, "total ciphertext copies this shard should hold, including resumed ones (paper: ~9.5 x 2^20 per hour); the online budget")
-	maxDepth := flag.Int("maxdepth", 1<<20, "candidate list search bound (paper: nearly 2^30)")
+	maxDepth := flag.Int("maxdepth", 1<<20, "candidate list search bound, per decode round with -online (paper: nearly 2^30)")
 	mode := flag.String("mode", "model", "capture mode: model (sampled from trained distributions) | exact (real frames; needs deep training)")
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
 	workers := flag.Int("workers", 0, "parallel workers for training, model-mode capture, and decoding (0 = GOMAXPROCS)")
@@ -74,7 +74,6 @@ func main() {
 	onlineMode := flag.Bool("online", false, "closed-loop mode: decode while capturing, stop at the first oracle-confirmed trailer")
 	decodeEvery := flag.Uint64("decode-every", 0, "online: frames between decode attempts (0 = geometric cadence from -first-decode)")
 	firstDecode := flag.Uint64("first-decode", 1<<20, "online: frames at the first decode attempt")
-	maxPerRound := flag.Int("max-candidates-per-round", 0, "online: candidate walk depth per decode round (0 = -maxdepth)")
 	fleetWorker := flag.String("fleet-worker", "", "join the cmd/fleetd coordinator at this address as a capture worker")
 	workerID := flag.String("worker-id", "", "fleet worker name (default hostname-pid)")
 	pcapIn := flag.String("pcap", "", "ingest frame evidence from monitor-mode capture files (comma-separated paths/globs, pcap or pcapng; streamed, never slurped); with -fleet-worker, serve exact-mode lanes from the files")
@@ -124,7 +123,7 @@ func main() {
 		fatal(err)
 	}
 	err = job.CLI{
-		Budget: *copies, Depth: *maxDepth, RoundDepth: *maxPerRound,
+		Budget: *copies, Depth: *maxDepth,
 		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
 		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
 		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},

@@ -11,8 +11,9 @@ import (
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/cookiejar"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	rc4pkg "rc4break/internal/rc4"
 	"rc4break/internal/tkip"
 	"rc4break/internal/tlsrec"
@@ -119,7 +120,7 @@ func TestHTTPSNarrative(t *testing.T) {
 	}
 
 	// Phase 2 (§6.3): the aligned request over a real TLS connection.
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
+	cfg, req, err := job.CookieLayout(secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +130,7 @@ func TestHTTPSNarrative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack, err := cookieattack.New(cookieattack.Config{
-		CookieLen:   len(secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	})
+	attack, err := cookieattack.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,31 +141,28 @@ func TestHTTPSNarrative(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// ...and model mode supplies paper-scale statistics on top. Build a
-	// fresh attack so the tiny exact sample doesn't skew the evidence.
-	attack2, err := cookieattack.New(cookieattack.Config{
-		CookieLen:   len(secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
+	// ...and model mode supplies paper-scale statistics on top: a fresh
+	// model-mode job, so the tiny exact sample doesn't skew the evidence,
+	// recovered in one online round against the server.
+	rt, err := job.New(job.Spec{Attack: "cookie", Mode: "model", Seed: 8, Secret: secret}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := online.Run(online.Config{
+		Decoder:       rt.Decoder,
+		Oracle:        rt.Oracle,
+		Cadence:       online.Cadence{First: 1 << 31},
+		Budget:        1 << 31,
+		MaxCandidates: 1 << 13,
+		Feed:          online.FeedFunc(rt.CaptureTo),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := attack2.SimulateStatistics(rand.New(rand.NewSource(8)), []byte(secret), 1<<31); err != nil {
-		t.Fatal(err)
+	if string(res.Plaintext) != secret {
+		t.Fatalf("recovered %q at rank %d", res.Plaintext, res.Rank)
 	}
-	server := &netsim.CookieServer{Secret: []byte(secret)}
-	cookie, rank, err := attack2.BruteForce(1<<13, server.Check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cookie) != secret {
-		t.Fatalf("recovered %q at rank %d", cookie, rank)
-	}
-	if server.Attempts != uint64(rank) {
+	if server := rt.Oracle.(*netsim.CookieServer); server.Attempts != uint64(res.Rank) {
 		t.Fatal("server attempt accounting wrong")
 	}
 }

@@ -444,31 +444,6 @@ func (a *Attack) Decode(max int) (recovery.CandidateSource, error) {
 	return recovery.SliceSource(cands), nil
 }
 
-// WalkCandidates walks an already-generated candidate list, calling check
-// until it accepts; it returns the accepted value and its 1-based list
-// position. This is the oracle half of BruteForce, split from candidate
-// generation so one enumeration can serve several oracle passes (the
-// online loop decodes once per round and walks the result).
-func WalkCandidates(cands []recovery.Candidate, check func([]byte) bool) ([]byte, int, error) {
-	for i, c := range cands {
-		if check(c.Plaintext) {
-			return c.Plaintext, i + 1, nil
-		}
-	}
-	return nil, 0, errors.New("cookieattack: cookie not in candidate list")
-}
-
-// BruteForce generates the n most likely cookies and walks them against
-// check (e.g. an HTTPS request presenting the cookie) — the §6.2
-// negligible-time brute-force, composed from Candidates and WalkCandidates.
-func (a *Attack) BruteForce(n int, check func([]byte) bool) ([]byte, int, error) {
-	cands, err := a.Candidates(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return WalkCandidates(cands, check)
-}
-
 // SimulateStatistics fills the evidence tables by drawing sufficient
 // statistics for nRecords model-mode records directly, instead of
 // constructing each record (the paper's Figures 7 and 10 are simulations in

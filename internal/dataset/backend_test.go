@@ -76,21 +76,3 @@ func TestEngineBackendEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineBackendEnv checks that Engine resolves RC4_BACKEND, and that an
-// unknown value fails the run instead of silently picking a default.
-func TestEngineBackendEnv(t *testing.T) {
-	st := Stream{BlockLen: 4}
-	t.Setenv(rc4.BackendEnv, "scalar")
-	base := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	t.Setenv(rc4.BackendEnv, "soa")
-	soa := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	if base.sum != soa.sum || base.windows != soa.windows {
-		t.Fatal("env-forced backends disagree")
-	}
-	t.Setenv(rc4.BackendEnv, "quantum")
-	if _, err := (Engine{}).Run(context.Background(), st, SplitKeys(4, 1, 0),
-		func(int) Sink { return &digestSink{} }); err == nil {
-		t.Fatal("invalid RC4_BACKEND did not fail the run")
-	}
-}

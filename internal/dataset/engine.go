@@ -135,8 +135,8 @@ type Engine struct {
 	// only bounds parallelism — results are identical for any value.
 	Workers int
 	// Backend selects the rc4 kernel family shard workers generate with.
-	// The zero value (rc4.BackendAuto) resolves via the RC4_BACKEND
-	// environment variable and the compile-time default; see rc4.Backend.
+	// The zero value (rc4.BackendAuto) is the batched multi-state kernel;
+	// rc4.BackendScalar is the reference the equivalence tests compare.
 	// Keystream bytes are identical across backends — only the cross-key
 	// window interleaving differs (see Sink).
 	Backend rc4.Backend

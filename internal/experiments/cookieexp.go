@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 )
 
 // CookieParams controls the Figure 10 simulation.
@@ -17,7 +19,7 @@ type CookieParams struct {
 	// Trials per point (the paper uses 256).
 	Trials int
 	// Candidates is the brute-force list depth (the paper uses 2^23; the
-	// default is smaller — shape is preserved, see EXPERIMENTS.md).
+	// default is smaller — see README "Paper fidelity").
 	Candidates int
 	Seed       int64
 }
@@ -39,6 +41,9 @@ func (p CookieParams) withDefaults() CookieParams {
 // count, the probability that a 16-character cookie is recovered within the
 // candidate list, and within the single most likely candidate (the paper's
 // two curves). Also reported: hours of traffic at the §6.3 request rate.
+// Each trial is a model-mode cookie job (a fresh random cookie, its own
+// seed) whose list is walked against the job's server in one online.Run
+// round.
 func Figure10(p CookieParams) (Result, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -54,29 +59,27 @@ func Figure10(p CookieParams) (Result, error) {
 		var okList, okTop1 int
 		for t := 0; t < p.Trials; t++ {
 			secret := randomCookie(rng, charset, 16)
-			cfg, _, err := job.CookieLayout(string(secret))
+			rt, err := job.New(job.Spec{Attack: "cookie", Mode: "model", Seed: rng.Int63(), Secret: string(secret)}, nil)
 			if err != nil {
 				return Result{}, err
 			}
-			attack, err := cookieattack.New(cfg)
+			got, err := online.Run(online.Config{
+				Decoder:       rt.Decoder,
+				Oracle:        rt.Oracle,
+				Cadence:       online.Cadence{First: n},
+				Budget:        n,
+				MaxCandidates: p.Candidates,
+				Feed:          online.FeedFunc(rt.CaptureTo),
+			})
+			if errors.Is(err, online.ErrBudgetExhausted) {
+				continue
+			}
 			if err != nil {
 				return Result{}, err
 			}
-			if err := attack.SimulateStatistics(rng, secret, n); err != nil {
-				return Result{}, err
-			}
-			cands, err := attack.Candidates(p.Candidates)
-			if err != nil {
-				return Result{}, err
-			}
-			for i, c := range cands {
-				if bytes.Equal(c.Plaintext, secret) {
-					okList++
-					if i == 0 {
-						okTop1++
-					}
-					break
-				}
+			okList++
+			if got.Rank == 1 {
+				okTop1++
 			}
 		}
 		hours := float64(n) / netsim.HTTPSRequestsPerSecond / 3600
@@ -102,7 +105,8 @@ func randomCookie(rng *rand.Rand, charset []byte, n int) []byte {
 
 // CharsetAblation is the §6.2 ablation: candidate-list success with the
 // RFC 6265 90-character restriction versus the full 256-value byte space,
-// at a fixed ciphertext count.
+// at a fixed ciphertext count. It builds cookieattack directly rather than
+// through job, because it varies the charset that job.CookieLayout fixes.
 func CharsetAblation(seed int64, n uint64, trials, candidates int) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	charset := httpmodel.CookieCharset()

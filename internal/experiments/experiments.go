@@ -2,8 +2,8 @@
 // paper's evaluation, each parameterized by sample counts so the same code
 // runs at laptop scale (the defaults) and at paper scale (flags on
 // cmd/repro). Every driver returns structured rows plus a formatted text
-// rendering that mirrors the paper's presentation; EXPERIMENTS.md records
-// paper-versus-measured values for the defaults.
+// rendering that mirrors the paper's presentation; README "Paper fidelity"
+// records scale, substitutions and paper-versus-measured values.
 package experiments
 
 import (

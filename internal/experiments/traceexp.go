@@ -86,12 +86,13 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err := victim.WriteTrace(fw, p.Frames); err != nil {
 		return Result{}, nil, err
 	}
-	// The capture is the exact stream, so the ingest carries its identity.
-	ingested, err := tkip.NewAttack(model, tkip.TrailerPositions(msduLen))
+	// The capture is the exact stream, so the ingest folds into a second,
+	// empty runtime of the same job and carries its identity.
+	ingestRT, err := job.New(job.Spec{Attack: "tkip", Mode: "exact", Model: model}, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	ingested.Stream = direct.Decoder.(*tkip.Attack).Stream
+	ingested := ingestRT.Decoder.(*tkip.Attack)
 	start := time.Now()
 	stats, err := tkip.CollectTraceReaders(ingested, victim.FrameLen(),
 		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false)
@@ -142,7 +143,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err := directC.CaptureTo(p.Records); err != nil {
 		return Result{}, nil, err
 	}
-	cfg, req, err := job.CookieLayout(secret)
+	_, req, err := job.CookieLayout(secret)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -162,11 +163,11 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err := wv.WriteTrace(sw, p.Records); err != nil {
 		return Result{}, nil, err
 	}
-	ingestedC, err := cookieattack.New(cfg)
+	ingestRTC, err := job.New(job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: secret}, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	ingestedC.Stream = directC.Decoder.(*cookieattack.Attack).Stream
+	ingestedC := ingestRTC.Decoder.(*cookieattack.Attack)
 	start = time.Now()
 	statsC, err := cookieattack.CollectTraceReaders(ingestedC, wv.RecordPlaintextLen(),
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false)

@@ -28,9 +28,8 @@ type CLI struct {
 	// Budget is the observations this shard should hold, resumed ones
 	// included; online, it is the loop's budget.
 	Budget uint64
-	// Depth bounds the candidate walk; RoundDepth, when nonzero, replaces
-	// it for online rounds.
-	Depth, RoundDepth int
+	// Depth bounds every round's candidate walk.
+	Depth int
 	// Checkpoint, when set, receives the shard's snapshot: after offline
 	// collection (before any merge), and after every online round.
 	Checkpoint      string
@@ -78,9 +77,6 @@ func (c CLI) Run(rt *Runtime) error {
 			return errors.New("-online captures live; -pcap is an offline/fleet ingest path")
 		case c.Budget <= rt.Observed():
 			return fmt.Errorf("online: budget %d already reached by resumed evidence (%d %s)", c.Budget, rt.Observed(), rt.Unit)
-		}
-		if c.RoundDepth > 0 {
-			cfg.MaxCandidates = c.RoundDepth
 		}
 		fmt.Printf("[2/4] online closed loop: budget %d %s, first decode at %d, %s cadence, %d candidates/round...\n",
 			c.Budget, rt.Unit, c.Cadence.First, c.Cadence, cfg.MaxCandidates)

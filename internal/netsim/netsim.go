@@ -38,8 +38,8 @@ const (
 
 // WiFiVictim is a TKIP station that retransmits one identical TCP packet —
 // the §5.2 injection target. The TSC increments per transmission, TSC1
-// pinned to the attack's trained class space (see DESIGN.md on the scaled
-// TSC space).
+// pinned to the attack's trained class space (see README "Paper fidelity"
+// on TSC classes).
 type WiFiVictim struct {
 	Session *tkip.Session
 	MSDU    []byte

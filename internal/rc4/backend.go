@@ -1,9 +1,6 @@
 package rc4
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Backend names a keystream kernel family for batch consumers (the dataset
 // engine's shard workers). The scalar backend runs one Cipher per key with
@@ -11,24 +8,18 @@ import (
 // MultiLanes independent states in lockstep through MultiCipher. Outputs are
 // bitwise identical — the choice is purely a throughput/footprint trade, and
 // the cross-backend tests and FuzzKeystreamBackends hold the two families to
-// byte equality.
+// byte equality. BackendScalar stays selectable as the reference those
+// tests compare the batched kernels against.
 type Backend int
 
 const (
-	// BackendAuto defers the choice to Resolve: the RC4_BACKEND
-	// environment variable if set, else the compile-time default
-	// (BackendMulti, or BackendScalar under the rc4_purego build tag).
+	// BackendAuto defers the choice to Resolve, which picks BackendMulti.
 	BackendAuto Backend = iota
 	// BackendScalar forces the per-key scalar Cipher path.
 	BackendScalar
 	// BackendMulti forces the batched multi-state path.
 	BackendMulti
 )
-
-// BackendEnv is the environment variable Resolve consults when the backend
-// is BackendAuto. Recognized values: "scalar", "multi" (alias "soa"), and
-// "" / "auto" for the compile-time default.
-const BackendEnv = "RC4_BACKEND"
 
 func (b Backend) String() string {
 	switch b {
@@ -42,37 +33,12 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// ParseBackend maps a backend name to its Backend. "soa" is accepted as an
-// alias for "multi" (the batched kernels' state is laid out per lane, but
-// the backend grew out of — and is documented as — the SoA design; both
-// names appear in docs and CI).
-func ParseBackend(name string) (Backend, error) {
-	switch name {
-	case "", "auto":
-		return BackendAuto, nil
-	case "scalar":
-		return BackendScalar, nil
-	case "multi", "soa":
-		return BackendMulti, nil
-	}
-	return BackendAuto, fmt.Errorf("rc4: unknown backend %q (want auto, scalar, multi, or soa)", name)
-}
-
 // Resolve turns a possibly-auto Backend into a concrete one: an explicit
-// choice resolves to itself; BackendAuto consults RC4_BACKEND and falls back
-// to the compile-time default. An unparseable RC4_BACKEND value is an error
-// rather than a silent fallback — a benchmark or CI matrix leg that thinks
-// it forced a backend must never quietly measure the wrong one.
+// choice resolves to itself, and BackendAuto to BackendMulti. It never
+// fails; the error result keeps the signature callers already check.
 func (b Backend) Resolve() (Backend, error) {
 	if b != BackendAuto {
 		return b, nil
 	}
-	env, err := ParseBackend(os.Getenv(BackendEnv))
-	if err != nil {
-		return BackendAuto, err
-	}
-	if env != BackendAuto {
-		return env, nil
-	}
-	return defaultBackend, nil
+	return BackendMulti, nil
 }

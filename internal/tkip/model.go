@@ -222,7 +222,7 @@ func LoadModel(r io.Reader) (*PerTSCModel, error) {
 // magnitudes); reproducing that regime by training is CPU-years, so the
 // figure drivers instead use a synthetic model with the bias strength
 // calibrated to land the success curve in the paper's 2^20–2^24 window.
-// See DESIGN.md's substitution table. strength is the RMS relative
+// See README "Paper fidelity". strength is the RMS relative
 // per-cell deviation (the TKIP per-TSC biases at the trailer positions are
 // of order 2^-9..2^-11).
 func SyntheticModel(positions int, strength float64, seed int64) *PerTSCModel {

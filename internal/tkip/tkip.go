@@ -11,7 +11,7 @@
 // mandated structure of its first three bytes (§2.2), and bases the attack
 // solely on that structure. We implement KM the same way — an AES-based PRF
 // for bytes 3..15 plus the mandated K0..K2 — which preserves exactly the
-// property the attack exploits. See DESIGN.md.
+// property the attack exploits. See README "Paper fidelity".
 package tkip
 
 import (

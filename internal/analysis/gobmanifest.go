@@ -25,8 +25,10 @@ var GobManifest = map[string]string{
 
 	// Attack-service job manifests (the attackd store's jobs/<id> records).
 	// Spec gained TraceID (span-context propagation from the submitter) —
-	// gob-compatible: old manifests decode with an empty TraceID.
-	"rc4break/internal/service.Manifest": "struct{Evidence string; ID string; Model string; Observed uint64; Result struct{Checks uint64; Error string; Plaintext []byte; Rank int; Skipped uint64; Success bool}; Rounds int; Spec struct{Attack string; Budget uint64; CaptureChunk uint64; CheckpointRounds int; DecodeEvery uint64; FirstDecode uint64; MaxCandidates int; Mode string; Secret string; Seed int64; TraceID string; TrainKeys uint64; Workers int}; State string; Tenant string}",
+	// gob-compatible: old manifests decode with an empty TraceID. Model (the
+	// key of a TKIP model blob nothing read) was dropped — also compatible:
+	// gob skips the field when decoding an old manifest.
+	"rc4break/internal/service.Manifest": "struct{Evidence string; ID string; Observed uint64; Result struct{Checks uint64; Error string; Plaintext []byte; Rank int; Skipped uint64; Success bool}; Rounds int; Spec struct{Attack string; Budget uint64; CaptureChunk uint64; CheckpointRounds int; DecodeEvery uint64; FirstDecode uint64; MaxCandidates int; Mode string; Secret string; Seed int64; TraceID string; TrainKeys uint64; Workers int}; State string; Tenant string}",
 
 	// Fleet RPC messages (coordinator/worker wire protocol).
 	"rc4break/internal/fleet.Hello":        "struct{Fingerprint [16]byte; Worker string}",

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
+	"rc4break/internal/obs"
 	"rc4break/internal/packet"
 	"rc4break/internal/tkip"
 	"rc4break/internal/trace"
@@ -93,10 +93,11 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, err
 	}
 	ingested := ingestRT.Decoder.(*tkip.Attack)
-	start := time.Now()
+	// Each pass is timed by a nil journal's span, which records nothing.
+	span := (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.ingest")
 	stats, err := tkip.CollectTraceReaders(ingested, victim.FrameLen(),
 		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false)
-	ingestTime := time.Since(start)
+	ingestTime := span.End()
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -112,12 +113,12 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	}
 	// Parse-only pass over the same capture: the ceiling the pipeline hits
 	// with no attack to fold into.
-	start = time.Now()
+	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
 	if _, err := tkip.CollectTraceReaders(nil, victim.FrameLen(),
 		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false); err != nil {
 		return Result{}, nil, err
 	}
-	parseTime := time.Since(start)
+	parseTime := span.End()
 	mb := float64(capture.Len()) / (1 << 20)
 	rows = append(rows, Row{Label: "tkip (radiotap pcap)", Values: []float64{
 		float64(p.Frames), mb, mb / parseTime.Seconds(), mb / ingestTime.Seconds(), 1,
@@ -168,10 +169,10 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, err
 	}
 	ingestedC := ingestRTC.Decoder.(*cookieattack.Attack)
-	start = time.Now()
+	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.ingest")
 	statsC, err := cookieattack.CollectTraceReaders(ingestedC, wv.RecordPlaintextLen(),
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false)
-	ingestTimeC := time.Since(start)
+	ingestTimeC := span.End()
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -185,12 +186,12 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if !equal {
 		return Result{}, nil, errors.New("trace: cookie evidence ingested from pcapng differs from direct capture")
 	}
-	start = time.Now()
+	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
 	if _, err := cookieattack.CollectTraceReaders(nil, wv.RecordPlaintextLen(),
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false); err != nil {
 		return Result{}, nil, err
 	}
-	parseTimeC := time.Since(start)
+	parseTimeC := span.End()
 	mbC := float64(captureC.Len()) / (1 << 20)
 	rows = append(rows, Row{Label: "cookie (ethernet pcapng)", Values: []float64{
 		float64(p.Records), mbC, mbC / parseTimeC.Seconds(), mbC / ingestTimeC.Seconds(), 1,

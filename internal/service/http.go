@@ -65,9 +65,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError maps a service error to its status code; an error the service
+// did not classify (a failed store write) is the server's fault, 500.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrBadSpec):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrTenantBusy), errors.Is(err, ErrQueueFull):
@@ -92,12 +96,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.Submit(req.Tenant, req.Spec)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrTenantBusy), errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-			writeError(w, err)
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		}
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)

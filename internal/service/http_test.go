@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,6 +137,20 @@ func TestHTTPEndpoints(t *testing.T) {
 	code, metricsBody := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK || !bytes.Contains(metricsBody, []byte("attackd_jobs")) {
 		t.Fatalf("/metrics: http %d", code)
+	}
+
+	// A submit the store cannot persist is the server's fault: 500, not
+	// 400. Replacing jobs/ with a file makes every manifest write fail, even
+	// for root.
+	jobsDir := filepath.Join(store.Dir(), "jobs")
+	if err := os.RemoveAll(jobsDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobsDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, code, _ := submitHTTP(ts.URL, "alpha", spec); code != http.StatusInternalServerError {
+		t.Fatalf("unwritable-store submit: http %d, want 500", code)
 	}
 
 	// Drain flips /healthz and rejects submissions with 503.

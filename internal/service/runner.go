@@ -15,8 +15,15 @@ import (
 // newRuntime builds spec's job.Runtime, resuming from evidence bytes (a prior
 // checkpoint blob) when non-nil. The service and SoloRun both build jobs
 // here, so the two can only differ in scheduling, never in evidence. TKIP
-// jobs need their trained model passed in; cookie jobs ignore it.
-func newRuntime(spec JobSpec, evidence []byte, model *tkip.PerTSCModel) (*job.Runtime, error) {
+// jobs get the shared model for their TrainKeys.
+func newRuntime(spec JobSpec, evidence []byte) (*job.Runtime, error) {
+	var model *tkip.PerTSCModel
+	if spec.Attack == "tkip" {
+		var err error
+		if model, err = SharedModel(spec.TrainKeys); err != nil {
+			return nil, err
+		}
+	}
 	return job.New(job.Spec{
 		Attack:  spec.Attack,
 		Mode:    spec.Mode,
@@ -126,9 +133,9 @@ func (d *gatedDecoder) Decode(max int) (src recovery.CandidateSource, err error)
 
 // sharedModels caches the deterministic demo-session per-TSC model by
 // training size. The model is a pure function of (positions, keys, master)
-// — Train is Workers-independent — so every job, every restart, and the
-// solo reference share one instance per TrainKeys and the store holds one
-// model blob.
+// — Train is Workers-independent — so every job and the solo reference
+// share one instance per TrainKeys, and a restarted process retrains the
+// same model instead of loading it from the store.
 var sharedModels struct {
 	mu sync.Mutex
 	m  map[uint64]*tkip.PerTSCModel
@@ -163,13 +170,7 @@ func SoloRun(spec JobSpec) (online.Result, []byte, error) {
 	if err != nil {
 		return online.Result{}, nil, err
 	}
-	var model *tkip.PerTSCModel
-	if spec.Attack == "tkip" {
-		if model, err = SharedModel(spec.TrainKeys); err != nil {
-			return online.Result{}, nil, err
-		}
-	}
-	rt, err := newRuntime(spec, nil, model)
+	rt, err := newRuntime(spec, nil)
 	if err != nil {
 		return online.Result{}, nil, err
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"rc4break/internal/metrics"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
-	"rc4break/internal/tkip"
 )
 
 // Config configures a job server.
@@ -61,6 +59,22 @@ func newJob(man Manifest) *Job {
 	return j
 }
 
+// manifest returns a copy of the job's manifest.
+func (j *Job) manifest() Manifest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.man
+}
+
+// update applies edit to the job's manifest and returns the edited copy.
+// Only the job's own goroutine edits its manifest; readers take copies.
+func (j *Job) update(edit func(*Manifest)) Manifest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	edit(&j.man)
+	return j.man
+}
+
 // Server multiplexes concurrent online attack jobs over shared capacity.
 // Lock order: Server.mu before Job.mu; neither is held across capture or
 // decode work.
@@ -78,12 +92,11 @@ type Server struct {
 	granuleSeconds *metrics.Histogram
 	httpSeconds    *metrics.Histogram
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string // admission order; every listing iterates this, never the map
-	nextID    int
-	modelKeys map[uint64]string // TrainKeys -> persisted model blob key (hex)
-	stopped   error
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	order   []*Job // admission order; every listing iterates this, never the map
+	nextID  int
+	stopped error
 
 	resultsMu sync.Mutex
 	wg        sync.WaitGroup
@@ -100,12 +113,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.Capacity = 2
 	}
 	s := &Server{
-		cfg:       cfg,
-		store:     cfg.Store,
-		sched:     NewScheduler(cfg.Capacity),
-		reg:       metrics.NewRegistry(),
-		jobs:      make(map[string]*Job),
-		modelKeys: make(map[uint64]string),
+		cfg:   cfg,
+		store: cfg.Store,
+		sched: NewScheduler(cfg.Capacity),
+		reg:   metrics.NewRegistry(),
+		jobs:  make(map[string]*Job),
 	}
 
 	mans, err := s.store.Manifests()
@@ -113,14 +125,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	for _, man := range mans {
-		s.jobs[man.ID] = newJob(man)
-		s.order = append(s.order, man.ID)
-		var n int
-		if _, err := fmt.Sscanf(man.ID, "j-%d", &n); err == nil && n >= s.nextID {
+		j := newJob(man)
+		s.jobs[man.ID] = j
+		s.order = append(s.order, j)
+		if n, _ := jobNumber(man.ID); n >= s.nextID {
 			s.nextID = n + 1
-		}
-		if man.Spec.Attack == "tkip" && man.Model != "" {
-			s.modelKeys[man.Spec.TrainKeys] = man.Model
 		}
 	}
 
@@ -179,12 +188,8 @@ func (s *Server) Resume() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		state := j.man.State
-		j.mu.Unlock()
-		if state == StateDone || state == StateFailed {
+	for _, j := range s.order {
+		if finished(j.manifest().State) {
 			continue
 		}
 		n++
@@ -206,7 +211,7 @@ func (s *Server) launch(j *Job) {
 func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, badSpec{err}
 	}
 	if tenant == "" {
 		tenant = "default"
@@ -236,7 +241,7 @@ func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 	s.nextID++
 	j := newJob(man)
 	s.jobs[man.ID] = j
-	s.order = append(s.order, man.ID)
+	s.order = append(s.order, j)
 	s.eventf(j, StateQueued, 0, 0, "admitted")
 	s.cfg.Tracer.Start(traceParent(spec), "job.admit",
 		obs.Str("job", man.ID), obs.Str("tenant", tenant)).End()
@@ -248,36 +253,35 @@ func (s *Server) Submit(tenant string, spec JobSpec) (JobStatus, error) {
 // activeCounts reports unfinished jobs in total and for tenant; callers
 // hold s.mu.
 func (s *Server) activeCounts(tenant string) (total, mine int) {
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		state, t := j.man.State, j.man.Tenant
-		j.mu.Unlock()
-		if state == StateDone || state == StateFailed {
+	for _, j := range s.order {
+		man := j.manifest()
+		if finished(man.State) {
 			continue
 		}
 		total++
-		if t == tenant {
+		if man.Tenant == tenant {
 			mine++
 		}
 	}
 	return total, mine
 }
 
-func (s *Server) countState(state string) int {
+// finished reports whether a job in state never runs again.
+func finished(state string) bool { return state == StateDone || state == StateFailed }
+
+// admitted returns every job in admission order.
+func (s *Server) admitted() []*Job {
 	s.mu.Lock()
-	js := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return append([]*Job(nil), s.order...)
+}
+
+func (s *Server) countState(state string) int {
 	n := 0
-	for _, j := range js {
-		j.mu.Lock()
-		if j.man.State == state {
+	for _, j := range s.admitted() {
+		if j.manifest().State == state {
 			n++
 		}
-		j.mu.Unlock()
 	}
 	return n
 }
@@ -309,13 +313,7 @@ func (s *Server) stop(cause error) {
 	s.wg.Wait()
 	// Unblock any event-stream readers of jobs that never reached a
 	// terminal event (interrupted jobs write nothing).
-	s.mu.Lock()
-	js := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
-	for _, j := range js {
+	for _, j := range s.admitted() {
 		j.mu.Lock()
 		j.terminal = true
 		j.cond.Broadcast()
@@ -342,9 +340,7 @@ func traceParent(spec JobSpec) obs.SpanContext {
 
 // runJob drives one job's online loop end to end.
 func (s *Server) runJob(j *Job) {
-	j.mu.Lock()
-	man := j.man
-	j.mu.Unlock()
+	man := j.manifest()
 	spec := man.Spec
 
 	// The job-lifetime span brackets everything from first schedule to the
@@ -360,28 +356,14 @@ func (s *Server) runJob(j *Job) {
 	}()
 	jobCtx := jobSpan.Context()
 
-	var model *tkip.PerTSCModel
-	var err error
-	if spec.Attack == "tkip" {
-		if model, err = s.ensureModel(j, spec.TrainKeys); err != nil {
-			s.finishFailed(j, 0, 0, online.Result{}, err)
-			return
-		}
+	// Resume from the last evidence checkpoint, if any.
+	evidence, err := s.evidence(man.Evidence)
+	var rt *job.Runtime
+	if err == nil {
+		rt, err = newRuntime(spec, evidence)
 	}
-	var evidence []byte
-	if man.Evidence != "" {
-		key, err := ParseKey(man.Evidence)
-		if err == nil {
-			evidence, err = s.store.GetBlob(key)
-		}
-		if err != nil {
-			s.finishFailed(j, man.Observed, man.Rounds, online.Result{}, err)
-			return
-		}
-	}
-	rt, err := newRuntime(spec, evidence, model)
 	if err != nil {
-		s.finishFailed(j, man.Observed, man.Rounds, online.Result{}, err)
+		outcome = s.finish(j, StateFailed, nil, man.Observed, man.Rounds, online.Result{}, err)
 		return
 	}
 
@@ -439,179 +421,116 @@ func (s *Server) runJob(j *Job) {
 			return s.checkpoint(j, rt, dec.rounds, persist)
 		},
 	})
+	state := StateFailed
 	switch {
 	case runErr == nil, errors.Is(runErr, online.ErrBudgetExhausted):
-		outcome = StateDone
-		s.finishDone(j, rt, dec.rounds, res, runErr)
+		state = StateDone
 	case errors.Is(runErr, errDrained):
-		outcome = StateSuspended
-		s.suspend(j, rt, dec.rounds)
+		state = StateSuspended
 	case errors.Is(runErr, errInterrupted):
-		outcome = "interrupted"
 		// Crash simulation: no writes, no events — the process "died".
-	default:
-		s.finishFailed(j, rt.Observed(), dec.rounds, res, runErr)
+		outcome = "interrupted"
+		return
 	}
-}
-
-// ensureModel trains (or reuses) the shared model for trainKeys, persists
-// it content-addressed exactly once, and records its key in the job's
-// manifest. N tkip jobs against the same TrainKeys hold one blob.
-func (s *Server) ensureModel(j *Job, trainKeys uint64) (*tkip.PerTSCModel, error) {
-	model, err := SharedModel(trainKeys)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	keyHex, ok := s.modelKeys[trainKeys]
-	s.mu.Unlock()
-	if !ok {
-		var buf bytes.Buffer
-		if err := model.Save(&buf); err != nil {
-			return nil, err
-		}
-		key, _, err := s.store.PutBlob(buf.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		keyHex = hex.EncodeToString(key[:])
-		s.mu.Lock()
-		s.modelKeys[trainKeys] = keyHex
-		s.mu.Unlock()
-	}
-	j.mu.Lock()
-	j.man.Model = keyHex
-	j.mu.Unlock()
-	return model, nil
+	outcome = s.finish(j, state, rt, rt.Observed(), dec.rounds, res, runErr)
 }
 
 // markRunning flips a job to running on its first scheduler grant; the
 // manifest write makes a subsequent crash resume it as in-flight.
 func (s *Server) markRunning(j *Job, observed uint64) {
-	j.mu.Lock()
-	if j.man.State == StateRunning {
-		j.mu.Unlock()
+	if j.manifest().State == StateRunning {
 		return
 	}
-	j.man.State = StateRunning
-	man := j.man
-	j.mu.Unlock()
-	if err := s.store.PutManifest(man); err != nil {
+	man, err := s.save(j, nil, func(m *Manifest) { m.State = StateRunning })
+	if err != nil {
 		s.logf("job %s: manifest write failed: %v", man.ID, err)
 	}
 	s.eventf(j, StateRunning, observed, 0, "first slot granted")
 	s.logf("job %s (%s): running", man.ID, man.Tenant)
 }
 
-// checkpoint records round progress and, when persist is set, writes the
-// evidence blob + manifest so a crash from here resumes at this round.
+// checkpoint records round progress and, when persist is set, saves the
+// evidence so a crash from here resumes at this round.
 func (s *Server) checkpoint(j *Job, rt *job.Runtime, rounds int, persist bool) error {
 	observed := rt.Observed()
-	j.mu.Lock()
-	j.man.Observed = observed
-	j.man.Rounds = rounds
-	j.mu.Unlock()
-	if persist {
-		snap, err := rt.Evidence()
-		if err != nil {
-			return err
-		}
-		key, _, err := s.store.PutBlob(snap)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.man.Evidence = hex.EncodeToString(key[:])
-		man := j.man
-		j.mu.Unlock()
-		if err := s.store.PutManifest(man); err != nil {
-			return err
-		}
+	progress := func(m *Manifest) { m.Observed, m.Rounds = observed, rounds }
+	if !persist {
+		j.update(progress)
+	} else if _, err := s.save(j, rt, progress); err != nil {
+		return err
 	}
 	s.eventf(j, StateRunning, observed, rounds, "round complete, no confirmed hit")
 	return nil
 }
 
-// persistFinal writes the job's final evidence blob (always, regardless of
-// CheckpointRounds) and its terminal manifest.
-func (s *Server) persistFinal(j *Job, rt *job.Runtime) error {
-	snap, err := rt.Evidence()
+// save is the one durable write of a job transition: it applies edit to the
+// job's manifest, then — when rt is set — writes rt's evidence blob and
+// points the manifest at it, then writes the manifest. The blob lands before
+// the manifest that names it, so a crash between the two leaves the previous
+// manifest and a blob nothing references yet.
+func (s *Server) save(j *Job, rt *job.Runtime, edit func(*Manifest)) (Manifest, error) {
+	man := j.update(edit)
+	if rt != nil {
+		snap, err := rt.Evidence()
+		if err != nil {
+			return man, err
+		}
+		key, _, err := s.store.PutBlob(snap)
+		if err != nil {
+			return man, err
+		}
+		man = j.update(func(m *Manifest) { m.Evidence = hex.EncodeToString(key[:]) })
+	}
+	return man, s.store.PutManifest(man)
+}
+
+// finish ends a job run as done, failed or suspended and returns the state
+// it reached. Done and suspended jobs save their final evidence regardless
+// of CheckpointRounds (a drained job resumes from exactly where the
+// scheduler stopped granting, a granule boundary); a failed job writes only
+// its manifest. A done job whose save fails becomes failed.
+func (s *Server) finish(j *Job, state string, rt *job.Runtime, observed uint64, rounds int, res online.Result, runErr error) string {
+	if state == StateFailed {
+		rt = nil
+	}
+	man, err := s.save(j, rt, func(m *Manifest) {
+		m.State, m.Observed, m.Rounds = state, observed, rounds
+		switch state {
+		case StateDone:
+			m.Result = JobResult{Success: runErr == nil, Plaintext: res.Plaintext,
+				Rank: res.Rank, Checks: res.Checks, Skipped: res.Skipped}
+			if runErr != nil {
+				m.Result.Error = runErr.Error()
+			}
+		case StateFailed:
+			m.Result.Error = runErr.Error()
+		}
+	})
 	if err != nil {
-		return err
+		if state == StateDone {
+			return s.finish(j, StateFailed, nil, observed, rounds, res, err)
+		}
+		s.logf("job %s: %s save failed: %v", man.ID, state, err)
 	}
-	key, _, err := s.store.PutBlob(snap)
-	if err != nil {
-		return err
+	var msg string
+	switch state {
+	case StateDone:
+		msg = "budget exhausted without a confirmed hit"
+		if runErr == nil {
+			msg = fmt.Sprintf("confirmed at rank %d", res.Rank)
+		}
+	case StateSuspended:
+		msg = "drained; resumable from checkpoint"
+	default:
+		msg = runErr.Error()
 	}
-	j.mu.Lock()
-	j.man.Evidence = hex.EncodeToString(key[:])
-	man := j.man
-	j.mu.Unlock()
-	return s.store.PutManifest(man)
-}
-
-func (s *Server) finishDone(j *Job, rt *job.Runtime, rounds int, res online.Result, runErr error) {
-	j.mu.Lock()
-	j.man.State = StateDone
-	j.man.Observed = rt.Observed()
-	j.man.Rounds = rounds
-	j.man.Result = JobResult{
-		Success:   runErr == nil,
-		Plaintext: res.Plaintext,
-		Rank:      res.Rank,
-		Checks:    res.Checks,
-		Skipped:   res.Skipped,
+	s.eventf(j, state, observed, rounds, msg)
+	s.logf("job %s (%s): %s — %s after %d observations, %d rounds",
+		man.ID, man.Tenant, state, msg, observed, rounds)
+	if state != StateSuspended {
+		s.emitResult(man, res, runErr)
 	}
-	if runErr != nil {
-		j.man.Result.Error = runErr.Error()
-	}
-	man := j.man
-	j.mu.Unlock()
-	if err := s.persistFinal(j, rt); err != nil {
-		s.finishFailed(j, man.Observed, rounds, res, err)
-		return
-	}
-	msg := "budget exhausted without a confirmed hit"
-	if runErr == nil {
-		msg = fmt.Sprintf("confirmed at rank %d", res.Rank)
-	}
-	s.terminalEvent(j, StateDone, man.Observed, rounds, msg)
-	s.logf("job %s (%s): done — %s after %d observations, %d rounds",
-		man.ID, man.Tenant, msg, man.Observed, rounds)
-	s.emitResult(man, res, runErr)
-}
-
-func (s *Server) finishFailed(j *Job, observed uint64, rounds int, res online.Result, cause error) {
-	j.mu.Lock()
-	j.man.State = StateFailed
-	j.man.Observed = observed
-	j.man.Rounds = rounds
-	j.man.Result.Error = cause.Error()
-	man := j.man
-	j.mu.Unlock()
-	if err := s.store.PutManifest(man); err != nil {
-		s.logf("job %s: terminal manifest write failed: %v", man.ID, err)
-	}
-	s.terminalEvent(j, StateFailed, observed, rounds, cause.Error())
-	s.logf("job %s (%s): failed: %v", man.ID, man.Tenant, cause)
-	s.emitResult(man, res, cause)
-}
-
-// suspend is the drain path: checkpoint the evidence exactly where the
-// scheduler stopped granting (a granule boundary) and mark the job
-// suspended; Resume on a restarted server picks it up from here.
-func (s *Server) suspend(j *Job, rt *job.Runtime, rounds int) {
-	j.mu.Lock()
-	j.man.State = StateSuspended
-	j.man.Observed = rt.Observed()
-	j.man.Rounds = rounds
-	man := j.man
-	j.mu.Unlock()
-	if err := s.persistFinal(j, rt); err != nil {
-		s.logf("job %s: suspend checkpoint failed: %v", man.ID, err)
-	}
-	s.terminalEvent(j, StateSuspended, man.Observed, rounds, "drained; resumable from checkpoint")
-	s.logf("job %s (%s): suspended at %d observations", man.ID, man.Tenant, man.Observed)
+	return state
 }
 
 func (s *Server) emitResult(man Manifest, res online.Result, runErr error) {
@@ -628,7 +547,8 @@ func (s *Server) emitResult(man Manifest, res online.Result, runErr error) {
 	}
 }
 
-// eventf appends one progress event to the job's stream.
+// eventf appends one progress event to the job's stream; a done, failed
+// or suspended event ends the stream.
 func (s *Server) eventf(j *Job, state string, observed uint64, round int, msg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -637,15 +557,10 @@ func (s *Server) eventf(j *Job, state string, observed uint64, round int, msg st
 		Seq: len(j.events) + 1, State: state,
 		Observed: observed, Round: round, Msg: msg,
 	})
+	if finished(state) || state == StateSuspended {
+		j.terminal = true
+	}
 	j.cond.Broadcast()
-}
-
-func (s *Server) terminalEvent(j *Job, state string, observed uint64, round int, msg string) {
-	s.eventf(j, state, observed, round, msg)
-	j.mu.Lock()
-	j.terminal = true
-	j.cond.Broadcast()
-	j.mu.Unlock()
 }
 
 func (s *Server) logf(format string, args ...interface{}) {
@@ -669,7 +584,6 @@ func statusOf(man Manifest) JobStatus {
 		Skipped:  man.Result.Skipped,
 		Error:    man.Result.Error,
 		Evidence: man.Evidence,
-		Model:    man.Model,
 	}
 	if len(man.Result.Plaintext) > 0 {
 		st.Plaintext = hex.EncodeToString(man.Result.Plaintext)
@@ -685,26 +599,17 @@ func (s *Server) Status(id string) (JobStatus, error) {
 	if j == nil {
 		return JobStatus{}, ErrNotFound
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return statusOf(j.man), nil
+	return statusOf(j.manifest()), nil
 }
 
 // List reports every job in admission order, optionally filtered by tenant.
 func (s *Server) List(tenant string) []JobStatus {
-	s.mu.Lock()
-	js := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
-	}
-	s.mu.Unlock()
+	js := s.admitted()
 	out := make([]JobStatus, 0, len(js))
 	for _, j := range js {
-		j.mu.Lock()
-		if tenant == "" || j.man.Tenant == tenant {
-			out = append(out, statusOf(j.man))
+		if man := j.manifest(); tenant == "" || man.Tenant == tenant {
+			out = append(out, statusOf(man))
 		}
-		j.mu.Unlock()
 	}
 	return out
 }
@@ -738,7 +643,16 @@ func (s *Server) EvidenceBytes(id string) ([]byte, error) {
 	if st.Evidence == "" {
 		return nil, ErrNotDone
 	}
-	key, err := ParseKey(st.Evidence)
+	return s.evidence(st.Evidence)
+}
+
+// evidence loads the evidence blob under a manifest's hex key; a job with
+// no checkpoint yet has an empty key and no evidence.
+func (s *Server) evidence(keyHex string) ([]byte, error) {
+	if keyHex == "" {
+		return nil, nil
+	}
+	key, err := ParseKey(keyHex)
 	if err != nil {
 		return nil, err
 	}

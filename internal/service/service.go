@@ -47,14 +47,22 @@ const (
 var JobStates = []string{StateQueued, StateRunning, StateSuspended, StateDone, StateFailed}
 
 // Admission and lifecycle errors surfaced by Submit; the HTTP layer maps
-// them to status codes (429 for admission limits, 503 for draining).
+// them to status codes (400 for a bad spec, 429 for admission limits, 503
+// for draining).
 var (
+	ErrBadSpec    = errors.New("service: invalid job spec")
 	ErrDraining   = errors.New("service: draining, not accepting jobs")
 	ErrTenantBusy = errors.New("service: tenant active-job limit reached")
 	ErrQueueFull  = errors.New("service: active-job capacity reached")
 	ErrNotFound   = errors.New("service: no such job")
 	ErrNotDone    = errors.New("service: job has not finished")
 )
+
+// badSpec is Submit's error for a spec Normalize refused: it reads as the
+// refusal and matches ErrBadSpec.
+type badSpec struct{ error }
+
+func (badSpec) Is(target error) bool { return target == ErrBadSpec }
 
 // JobSpec is the submitted attack configuration — the complete identity of
 // a job's capture stream and decode schedule. Everything a job produces is
@@ -92,8 +100,7 @@ type JobSpec struct {
 	// persist.
 	CheckpointRounds int `json:"checkpoint_rounds,omitempty"`
 	// TrainKeys sizes the TKIP per-TSC model (keys per TSC0 class). All
-	// jobs with equal TrainKeys share one trained model and one model
-	// blob.
+	// jobs with equal TrainKeys share one trained model.
 	TrainKeys uint64 `json:"train_keys,omitempty"`
 	// Workers bounds per-job capture parallelism (0 = GOMAXPROCS); it
 	// never affects the evidence bytes.
@@ -207,18 +214,17 @@ type JobResult struct {
 
 // Manifest is a job's durable record in the store — everything a restarted
 // server needs to resume (or report) the job: the resolved spec, the
-// lifecycle state, and the content addresses of its evidence and shared
-// model blobs. It is written through the snapshot envelope (atomic
-// temp+rename), so a crash never leaves a torn manifest.
+// lifecycle state, and the content address of its evidence blob. It is
+// written through the snapshot envelope (atomic temp+rename), so a crash
+// never leaves a torn manifest.
 type Manifest struct {
 	ID     string
 	Tenant string
 	Spec   JobSpec
 	State  string
-	// Evidence and Model are hex BlobKeys into the store; empty when not
-	// yet persisted (Evidence) or not applicable (Model, cookie jobs).
+	// Evidence is a hex BlobKey into the store; empty until the first
+	// checkpoint.
 	Evidence string
-	Model    string
 	// Observed and Rounds mirror the checkpointed evidence (informational;
 	// the evidence blob is authoritative on resume).
 	Observed uint64
@@ -253,5 +259,4 @@ type JobStatus struct {
 	Skipped   uint64 `json:"skipped,omitempty"`
 	Error     string `json:"error,omitempty"`
 	Evidence  string `json:"evidence,omitempty"`
-	Model     string `json:"model,omitempty"`
 }

@@ -7,15 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"rc4break/internal/snapshot"
 )
 
 // Envelope kinds for the store's two artifact classes. Blob payloads are
-// themselves complete snapshot envelopes (an attack's WriteSnapshot bytes,
-// a model's Save bytes), so every consumer revalidates the inner envelope's
-// kind, CRC and fingerprint on load — the store adds content addressing on
-// top without reinventing the integrity layer.
+// themselves complete snapshot envelopes (an attack's WriteSnapshot bytes),
+// so every consumer revalidates the inner envelope's kind, CRC and
+// fingerprint on load — the store adds content addressing on top without
+// reinventing the integrity layer.
 const (
 	blobKind     = "rc4break.service.blob.v1"
 	manifestKind = "rc4break.service.job.v1"
@@ -24,11 +26,11 @@ const (
 // Store is the content-addressed snapshot store behind the job server.
 // Blobs live at blobs/<hex-key> where the key is snapshot.BlobKey over the
 // payload — so equal payloads occupy one file no matter how many jobs
-// reference them (N jobs against one trained model hold one model blob, and
-// equal-spec jobs share evidence checkpoints). Job manifests live at
-// jobs/<id>. All writes go through the envelope's atomic temp+fsync+rename
-// path, so a crash at any instant leaves either the old or the new bytes,
-// never a torn file.
+// reference them (equal-spec jobs share evidence checkpoints). Job
+// manifests live at jobs/<id>. All writes go through the envelope's atomic
+// temp+fsync+rename path, so a crash at any instant leaves either the old
+// or the new bytes, never a torn file; the listings skip the temp files a
+// crash between write and rename leaves behind.
 type Store struct {
 	dir string
 }
@@ -95,18 +97,27 @@ func (st *Store) HasBlob(key [16]byte) bool {
 
 // BlobKeys lists the stored content addresses in sorted hex order.
 func (st *Store) BlobKeys() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(st.dir, "blobs"))
+	return st.list("blobs", func(name string) bool {
+		_, err := ParseKey(name)
+		return err == nil
+	})
+}
+
+// list returns the sorted names of the regular files in sub that valid
+// accepts; anything else — a crash's leftover temp file — is ignored.
+func (st *Store) list(sub string, valid func(name string) bool) ([]string, error) {
+	ents, err := os.ReadDir(filepath.Join(st.dir, sub))
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(ents))
+	var names []string
 	for _, e := range ents {
-		if !e.IsDir() {
-			keys = append(keys, e.Name())
+		if !e.IsDir() && valid(e.Name()) {
+			names = append(names, e.Name())
 		}
 	}
-	sort.Strings(keys)
-	return keys, nil
+	sort.Strings(names)
+	return names, nil
 }
 
 // BlobCount reports the number of stored blobs.
@@ -132,26 +143,40 @@ func (st *Store) GetManifest(id string) (Manifest, error) {
 }
 
 // Manifests loads every job manifest, sorted by job ID — the restart scan.
+// A manifest must carry the ID it is filed under.
 func (st *Store) Manifests() ([]Manifest, error) {
-	ents, err := os.ReadDir(filepath.Join(st.dir, "jobs"))
+	ids, err := st.list("jobs", func(name string) bool {
+		_, ok := jobNumber(name)
+		return ok
+	})
 	if err != nil {
 		return nil, err
 	}
-	var out []Manifest
-	for _, e := range ents { // ReadDir sorts by name
-		if e.IsDir() {
-			continue
+	out := make([]Manifest, 0, len(ids))
+	for _, id := range ids {
+		m, err := st.GetManifest(id)
+		if err == nil && m.ID != id {
+			err = fmt.Errorf("holds job %q", m.ID)
 		}
-		m, err := st.GetManifest(e.Name())
 		if err != nil {
-			return nil, fmt.Errorf("service: manifest %s: %w", e.Name(), err)
+			return nil, fmt.Errorf("service: manifest %s: %w", id, err)
 		}
 		out = append(out, m)
 	}
 	return out, nil
 }
 
-// ParseKey decodes a hex blob key (the Manifest.Evidence/Model encoding).
+// jobNumber parses a job ID of the form j-<decimal>.
+func jobNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "j-")
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
+}
+
+// ParseKey decodes a hex blob key (the Manifest.Evidence encoding).
 func ParseKey(s string) ([16]byte, error) {
 	var key [16]byte
 	b, err := hex.DecodeString(s)

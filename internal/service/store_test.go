@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -22,6 +24,11 @@ func TestStoreBlobDedupAndRoundTrip(t *testing.T) {
 	k2, existed, err := st.PutBlob(payload)
 	if err != nil || !existed || k2 != k1 {
 		t.Fatalf("second put: key=%x existed=%v err=%v, want key=%x existed=true", k2, existed, err, k1)
+	}
+	// A kill -9 between the temp write and the rename leaves
+	// <key>.tmp<random> beside the blob; it is not a blob.
+	if err := os.WriteFile(st.blobPath(k1)+".tmp789", []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if n, _ := st.BlobCount(); n != 1 {
 		t.Fatalf("BlobCount after dedup = %d, want 1", n)
@@ -106,6 +113,17 @@ func TestStoreManifests(t *testing.T) {
 			t.Fatalf("manifest %s round-trip:\n got %+v\nwant %+v", m.ID, got, m)
 		}
 	}
+	// Leftovers of a kill -9 between a manifest's temp write and its
+	// rename: a torn temp file and a complete one. Neither is a manifest.
+	raw, err := os.ReadFile(filepath.Join(st.Dir(), "jobs", "j-0000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"j-0001.tmp123": raw[:len(raw)/2], "j-0000.tmp456": raw} {
+		if err := os.WriteFile(filepath.Join(st.Dir(), "jobs", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	all, err := st.Manifests()
 	if err != nil {
 		t.Fatal(err)
@@ -125,4 +143,59 @@ func TestStoreManifests(t *testing.T) {
 	if err := st.PutManifest(Manifest{}); err == nil {
 		t.Fatal("PutManifest accepted an empty job ID")
 	}
+	// A manifest filed under another job's ID would load that job twice.
+	if err := os.WriteFile(filepath.Join(st.Dir(), "jobs", "j-0003"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Manifests(); err == nil {
+		t.Fatal("Manifests accepted j-0000's manifest filed as j-0003")
+	}
+}
+
+// FuzzStoreManifest fuzzes the restart scan over an on-disk store: any
+// payload in a valid manifest envelope at jobs/j-0000 must give New a
+// server or an error, never a panic, and a server must answer List,
+// Status and EvidenceBytes for what it loaded. Resume is not called: a
+// decoded spec can carry any budget.
+func FuzzStoreManifest(f *testing.F) {
+	for _, m := range []Manifest{
+		{ID: "j-0000", Tenant: "t", State: StateQueued,
+			Spec: JobSpec{Attack: "tkip", Mode: "model", TrainKeys: 1 << 10}},
+		{ID: "j-0000", Tenant: "t", State: StateDone, Evidence: "deadbeef",
+			Spec:   JobSpec{Attack: "cookie", Mode: "model", Secret: "C00kie"},
+			Result: JobResult{Success: true, Plaintext: []byte("C00kie"), Rank: 3}},
+		{ID: "j-0001", State: StateRunning},
+	} {
+		b, err := snapshot.EncodeGob(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	st, err := OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(st.Dir(), "jobs", "j-0000")
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var env bytes.Buffer
+		if err := snapshot.Write(&env, manifestKind, payload); err != nil {
+			t.Fatal(err)
+		}
+		// A plain write, not the fsynced WriteFile: each input replaces
+		// the one manifest, and New only reads the store.
+		if err := os.WriteFile(path, env.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Store: st})
+		if err != nil {
+			return
+		}
+		for _, js := range s.List("") {
+			if _, err := s.Status(js.ID); err != nil {
+				t.Fatalf("listed job %q has no status: %v", js.ID, err)
+			}
+			_, _ = s.EvidenceBytes(js.ID)
+		}
+	})
 }

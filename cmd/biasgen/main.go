@@ -214,8 +214,8 @@ func main() {
 // mergeDatasets combines shard files into one dataset; shapes must match,
 // and shards whose generation parameters show they drew the same key
 // population (identical seed and lane base) are rejected rather than
-// double-counted. Files without metadata (legacy or already-merged) carry
-// no lineage and are merged as-is.
+// double-counted. Files without metadata (plain saves or earlier merges)
+// carry no lineage and are merged as-is.
 func mergeDatasets(paths []string, out string) {
 	var merged dataset.Observer
 	var total uint64

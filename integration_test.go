@@ -6,11 +6,9 @@ package rc4break
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/cookiejar"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
@@ -19,7 +17,7 @@ import (
 	"rc4break/internal/tlsrec"
 )
 
-// TestTKIPNarrative runs §5 front to back: injector retransmits, sniffer
+// TestTKIPNarrative runs §5 front to back: the victim retransmits, sniffer
 // filters, attack accumulates, candidate list is ICV-pruned, Michael
 // inverts, and the forged packet is accepted. Model-mode captures keep it
 // fast; the exact-mode pipeline is covered in internal/tkip's tests.
@@ -37,14 +35,13 @@ func TestTKIPNarrative(t *testing.T) {
 	victim := netsim.NewWiFiVictim(session, []byte("PAYLOAD"))
 	positions := tkip.TrailerPositions(len(victim.MSDU))
 
-	// Sanity: the injector and sniffer plumbing carries real frames.
-	inj := netsim.NewTCPInjector(victim)
+	// Sanity: the retransmission and sniffer plumbing carries real frames.
 	sniffer := netsim.NewSniffer(victim.FrameLen())
-	inj.Burst(64, func(f tkip.Frame) {
-		if !sniffer.Filter(f) {
+	for i := 0; i < 64; i++ {
+		if !sniffer.Filter(victim.Transmit()) {
 			t.Fatal("sniffer rejected an injected frame")
 		}
-	})
+	}
 
 	// Model-mode capture against the calibrated synthetic distributions.
 	model := tkip.SyntheticModel(positions[len(positions)-1], 1.0/768, 5)
@@ -90,36 +87,17 @@ func referenceTrailer(s *tkip.Session, msdu []byte) []byte {
 	return plain[len(msdu):]
 }
 
-// TestHTTPSNarrative runs §6 front to back: the MiTM manipulates the
-// victim's cookie jar into the Listing-3 layout, the browser's jar renders
-// exactly the Cookie header the attack models, requests flow over a real
-// TLS RC4 connection, and the model-mode statistics recover the cookie.
+// TestHTTPSNarrative runs §6.3 onward: the Listing-3 aligned request
+// flows over a real TLS RC4 connection, and the model-mode statistics
+// recover the cookie. The §6.1 cookie-jar manipulation that produces the
+// layout is not simulated; job.CookieLayout builds the request directly.
 func TestHTTPSNarrative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration narrative is slow")
 	}
 	const secret = "JarManipulated16"
 
-	// Phase 1 (§6.1): cookie-jar manipulation over plaintext HTTP.
-	jar := &cookiejar.Jar{}
-	for _, h := range []string{"tracking=zzz", "auth=" + secret + "; Secure", "theme=light"} {
-		if err := jar.SetCookie(h, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cookiejar.ManipulateForAttack(jar, "auth", [][2]string{
-		{"injected1", strings.Repeat("k", 60)},
-		{"injected2", strings.Repeat("k", 80)},
-		{"injected3", strings.Repeat("k", 100)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	header := jar.Header(true)
-	if !strings.HasPrefix(header, "auth="+secret+"; injected1=") {
-		t.Fatalf("jar did not produce the Listing-3 layout: %q", header)
-	}
-
-	// Phase 2 (§6.3): the aligned request over a real TLS connection.
+	// The aligned request over a real TLS connection.
 	cfg, req, err := job.CookieLayout(secret)
 	if err != nil {
 		t.Fatal(err)

@@ -229,24 +229,10 @@ func TestZ1Z2SetCells(t *testing.T) {
 	if a != 1 || x != 157 || b != 100 || y != 0 {
 		t.Errorf("set 1 cell = (%d,%d,%d,%d)", a, x, b, y)
 	}
-	// Signs per §3.3.2.
-	if SetZ1_257mI_Zi257m.PositiveRelativeBias() {
-		t.Error("set 3 should be negative")
-	}
-	if !SetZ1_Im1_Zi1.PositiveRelativeBias() {
-		t.Error("set 4 should be positive")
-	}
-	if SetZ2_0_Zi0.PositiveRelativeBias() || SetZ2_0_ZiI.PositiveRelativeBias() {
-		t.Error("Z2 sets should be negative")
-	}
 }
 
 func TestKeyLengthBiases(t *testing.T) {
-	pos, val := KeyLengthBiasPosition(16)
-	if pos != 16 || val != 240 {
-		t.Errorf("KeyLengthBiasPosition(16) = (%d,%d)", pos, val)
-	}
-	pos, val = SingleByteKeyLengthBias(1)
+	pos, val := SingleByteKeyLengthBias(1)
 	if pos != 272 || val != 32 {
 		t.Errorf("SingleByteKeyLengthBias(1) = (%d,%d)", pos, val)
 	}
@@ -326,7 +312,7 @@ func TestFMSamplerFrequencies(t *testing.T) {
 	// sample can resolve — so here we only check the sampler's plumbing:
 	// the (0,0) frequency at i=1 must sit within generous bounds of its
 	// model probability, and draws must cover the full digraph range.
-	s := FMSampler(1)
+	s := NewSampler(FMDistribution(1))
 	rng := rand.New(rand.NewSource(7))
 	const n = 1 << 21
 	var zz int

@@ -3,9 +3,9 @@ package biases
 import "math/rand"
 
 // Sampler draws values from an arbitrary discrete distribution using the
-// Walker/Vose alias method: O(n) setup, O(1) per draw. Model-mode attack
-// simulations draw billions of keystream digraphs, so constant-time
-// sampling matters.
+// Walker/Vose alias method: O(n) setup, O(1) per draw. The recovery and
+// biases statistical tests draw their synthetic keystream histograms with
+// it; model-mode capture uses the normal approximation instead.
 type Sampler struct {
 	prob  []float64
 	alias []int32
@@ -73,10 +73,4 @@ func (s *Sampler) Draw(rng *rand.Rand) int {
 		return i
 	}
 	return int(s.alias[i])
-}
-
-// FMSampler returns a sampler over the 65536 digraph values at PRGA
-// counter i, following the Fluhrer–McGrew model.
-func FMSampler(i int) *Sampler {
-	return NewSampler(FMDistribution(i))
 }

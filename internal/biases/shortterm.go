@@ -18,13 +18,6 @@ var PaulPreneelZ1Z2 = exp2p(-8, -1, -8)
 // IsobeZ1Z2Zero is Pr[Z1 = Z2 = 0] ≈ 3·2^-16.
 const IsobeZ1Z2Zero = 3.0 / 65536
 
-// KeyLengthBiasPosition reports the key-length dependent bias of Sen Gupta
-// et al.: for key length l, keystream byte Z_l has a positive bias toward
-// 256-l. With the paper's 16-byte keys that is Z16 toward 240.
-func KeyLengthBiasPosition(keyLen int) (pos int, value byte) {
-	return keyLen, byte(256 - keyLen)
-}
-
 // PairBias is one row of Table 2: a biased pair of keystream byte values at
 // two (1-indexed) positions. The table expresses probabilities as
 // 2^BaseLog2 (1 + RelSign·2^RelLog2): the base is the probability expected
@@ -129,18 +122,6 @@ func (s Z1Z2Set) Cell(i int) (a int, x byte, b int, y byte) {
 		return 2, 0, i, bi
 	}
 	panic("biases: unknown Z1Z2Set")
-}
-
-// PositiveRelativeBias reports the typical sign of the family's relative
-// bias (§3.3.2: pairs involving Z1 are generally positive except set 3;
-// pairs involving Z2 are generally negative).
-func (s Z1Z2Set) PositiveRelativeBias() bool {
-	switch s {
-	case SetZ1_257mI_Zi257m, SetZ2_0_Zi0, SetZ2_0_ZiI:
-		return false
-	default:
-		return true
-	}
 }
 
 // SingleByteKeyLengthBias describes the §3.3.3 single-byte biases beyond

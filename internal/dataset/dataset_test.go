@@ -302,46 +302,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	buf.Reset()
-	if err := Save(&buf, &Multi{}); err == nil {
-		t.Error("Multi save accepted")
+	// Only single and digraph datasets are saved: TargetedPairs and
+	// EqualityCounts keep their keystream length unexported, so a loaded
+	// copy would report KeystreamLen 0.
+	tp, err := NewTargetedPairs([]PairCell{{A: 1, B: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := NewEqualityCounts([]int{1}, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obs := range []Observer{&Multi{}, tp, eq} {
+		buf.Reset()
+		if err := Save(&buf, obs); err == nil {
+			t.Errorf("%T save accepted", obs)
+		}
 	}
 	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage load accepted")
 	}
-}
-
-func TestCollectLongTermMechanics(t *testing.T) {
-	lt, err := CollectLongTerm(context.Background(), [16]byte{7}, 4, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPairs := uint64(4 * 16 * 256)
-	if lt.Pairs != wantPairs {
-		t.Fatalf("Pairs = %d, want %d", lt.Pairs, wantPairs)
-	}
-	// Counts must conserve the total.
-	var total uint64
-	for _, c := range lt.Counts {
-		total += c
-	}
-	if total != wantPairs {
-		t.Fatalf("count sum %d, want %d", total, wantPairs)
-	}
-	// Per-class totals must be exactly Pairs/256.
-	for i := 0; i < 256; i++ {
-		var classTotal uint64
-		for c := 0; c < 65536; c++ {
-			classTotal += lt.Counts[i*65536+c]
-		}
-		if classTotal != wantPairs/256 {
-			t.Fatalf("class %d total %d, want %d", i, classTotal, wantPairs/256)
-		}
-	}
-	if p := lt.Probability(0, 0, 0); p < 0 || p > 1 {
-		t.Fatalf("probability out of range: %v", p)
-	}
-	_ = lt.Count(3, 1, 2)
 }
 
 func TestTargetedLongTermMatchesFullTable(t *testing.T) {

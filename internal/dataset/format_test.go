@@ -42,8 +42,8 @@ func TestSaveWritesVersionedEnvelope(t *testing.T) {
 }
 
 func TestLoadLegacyPreEnvelopeStream(t *testing.T) {
-	// Files written before the version marker were bare gob streams; they
-	// must keep loading.
+	// Files written before the version marker were bare gob streams with
+	// no checksum; Load refuses them.
 	obs, err := Run(Config{Keys: 32}, func() Observer { return NewDigraphCounts(4) })
 	if err != nil {
 		t.Fatal(err)
@@ -56,13 +56,75 @@ func TestLoadLegacyPreEnvelopeStream(t *testing.T) {
 	if err := enc.Encode(obs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&legacy)
-	if err != nil {
+	if _, err := Load(&legacy); !errors.Is(err, snapshot.ErrNotSnapshot) {
+		t.Fatalf("legacy gob stream: want ErrNotSnapshot, got %v", err)
+	}
+}
+
+// observerPayload gob-encodes an observer record (type name, then value)
+// in Save's layout, bypassing Save's own checks.
+func observerPayload(t testing.TB, name string, obs any) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	enc := gob.NewEncoder(&payload)
+	if err := enc.Encode(name); err != nil {
 		t.Fatal(err)
 	}
-	if KeysObserved(got) != 32 {
-		t.Fatalf("legacy load keys = %d", KeysObserved(got))
+	if err := enc.Encode(obs); err != nil {
+		t.Fatal(err)
 	}
+	return payload.Bytes()
+}
+
+// loadPayload wraps payload in a valid observer envelope and loads it.
+func loadPayload(t testing.TB, payload []byte) (Observer, error) {
+	t.Helper()
+	var env bytes.Buffer
+	if err := snapshot.Write(&env, ObserverSnapshotKind, payload); err != nil {
+		t.Fatal(err)
+	}
+	return Load(&env)
+}
+
+// TestLoadRejectsMisshapenObserver pins the shape check: counts that do not
+// match Positions used to load and then panic in Distribution or
+// Probability.
+func TestLoadRejectsMisshapenObserver(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		obs  any
+	}{
+		{"single", &SingleByteCounts{Positions: 4, Counts: make([]uint64, 3), Keys: 1}},
+		{"digraph", &DigraphCounts{Positions: 4, Keys: 1}},
+	} {
+		if got, err := loadPayload(t, observerPayload(t, c.name, c.obs)); err == nil {
+			t.Errorf("%s: misshapen observer loaded as %T", c.name, got)
+		}
+	}
+}
+
+// FuzzLoadObserver fuzzes the observer payload inside a valid envelope:
+// Load must return an error or an observer whose last cell reads without a
+// panic.
+func FuzzLoadObserver(f *testing.F) {
+	f.Add(observerPayload(f, "single", NewSingleByteCounts(2)))
+	f.Add(observerPayload(f, "digraph", NewDigraphCounts(1)))
+	f.Add(observerPayload(f, "single", &SingleByteCounts{Positions: 4, Counts: make([]uint64, 3), Keys: 1}))
+	f.Add(observerPayload(f, "digraph", &DigraphCounts{Positions: 4, Keys: 1}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		obs, err := loadPayload(t, payload)
+		if err != nil {
+			return
+		}
+		switch o := obs.(type) {
+		case *SingleByteCounts:
+			_ = o.Distribution(o.Positions)
+		case *DigraphCounts:
+			_ = o.Probability(o.Positions, 255, 255)
+		default:
+			t.Fatalf("Load returned %T", obs)
+		}
+	})
 }
 
 func TestLoadRejectsFutureVersionClearly(t *testing.T) {
@@ -103,7 +165,7 @@ func TestSaveFileLoadFileRoundTripMatchesStream(t *testing.T) {
 	if err := SaveFile(path, obs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, _, err := LoadFileMeta(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +261,7 @@ func TestSaveFileMetaRoundTripAndDeterminism(t *testing.T) {
 	if noMeta != nil {
 		t.Fatalf("plain file yielded meta %v", noMeta)
 	}
-	if _, err := LoadFile(p1); err != nil {
+	if _, err := Load(bytes.NewReader(b1)); err != nil {
 		t.Fatalf("plain load of meta-carrying file: %v", err)
 	}
 }

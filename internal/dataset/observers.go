@@ -384,8 +384,8 @@ func SaveFile(path string, obs Observer) error {
 // the payload. Checkpointed generation (cmd/biasgen) stores its seed, lane
 // base, and chunking there so a resume under different flags is rejected
 // instead of silently mixing incompatible key populations. Files written
-// with meta stay readable by Load/LoadFile — the trailing record is simply
-// not consumed.
+// with meta stay readable by Load — the trailing record is simply not
+// consumed.
 func SaveFileMeta(path string, obs Observer, meta map[string]uint64) error {
 	payload, err := encodeObserverPayload(obs, meta)
 	if err != nil {
@@ -394,15 +394,23 @@ func SaveFileMeta(path string, obs Observer, meta map[string]uint64) error {
 	return snapshot.WriteFile(path, ObserverSnapshotKind, payload)
 }
 
+// encodeObserverPayload accepts the two kinds cmd/biasgen writes. Other
+// observers keep their keystream length in an unexported field
+// (TargetedPairs, EqualityCounts) that a gob round trip would silently
+// lose.
 func encodeObserverPayload(obs Observer, meta map[string]uint64) ([]byte, error) {
+	var name string
 	switch obs.(type) {
-	case *SingleByteCounts, *DigraphCounts, *TargetedPairs, *EqualityCounts:
+	case *SingleByteCounts:
+		name = "single"
+	case *DigraphCounts:
+		name = "digraph"
 	default:
 		return nil, fmt.Errorf("dataset: cannot save observer type %T", obs)
 	}
 	var payload bytes.Buffer
 	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(typeName(obs)); err != nil {
+	if err := enc.Encode(name); err != nil {
 		return nil, err
 	}
 	if err := enc.Encode(obs); err != nil {
@@ -430,23 +438,17 @@ type metaPair struct {
 	V uint64
 }
 
-// Load deserializes an observer written by Save. Enveloped files are
-// checksum-verified and version-checked; legacy pre-envelope gob streams
-// (written before the format marker existed) still load.
+// Load deserializes an observer written by Save. The envelope is
+// checksum-verified and version-checked; a bare gob stream, as written
+// before the envelope existed, fails with snapshot.ErrNotSnapshot.
 func Load(r io.Reader) (Observer, error) {
 	obs, _, err := loadWithMeta(r)
 	return obs, err
 }
 
-// LoadFile loads an observer dataset from path (enveloped or legacy).
-func LoadFile(path string) (Observer, error) {
-	obs, _, err := LoadFileMeta(path)
-	return obs, err
-}
-
 // LoadFileMeta loads an observer dataset plus the generation-parameter
 // record written by SaveFileMeta. meta is nil when the file carries none
-// (plain Save/SaveFile output or legacy streams).
+// (plain Save/SaveFile output).
 func LoadFileMeta(path string) (Observer, map[string]uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -456,34 +458,25 @@ func LoadFileMeta(path string) (Observer, map[string]uint64, error) {
 	return loadWithMeta(f)
 }
 
-// loadWithMeta is the single format-dispatch path behind Load and
-// LoadFileMeta: sniff for the envelope, verify kind, then decode the
-// observer and the optional trailing parameter record.
+// loadWithMeta is the single read path behind Load and LoadFileMeta: verify
+// the envelope and its kind, then decode the observer and the optional
+// trailing parameter record.
 func loadWithMeta(r io.Reader) (Observer, map[string]uint64, error) {
-	replay, isEnvelope, err := snapshot.Sniff(r)
+	kind, payload, err := snapshot.Read(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	var dec *gob.Decoder
-	if isEnvelope {
-		kind, payload, err := snapshot.Read(replay)
-		if err != nil {
-			return nil, nil, err
-		}
-		if kind != ObserverSnapshotKind {
-			return nil, nil, fmt.Errorf("dataset: file holds %q, not an observer dataset", kind)
-		}
-		dec = gob.NewDecoder(bytes.NewReader(payload))
-	} else {
-		dec = gob.NewDecoder(replay)
+	if kind != ObserverSnapshotKind {
+		return nil, nil, fmt.Errorf("dataset: file holds %q, not an observer dataset", kind)
 	}
+	dec := gob.NewDecoder(bytes.NewReader(payload))
 	obs, err := decodeObserver(dec)
 	if err != nil {
 		return nil, nil, err
 	}
 	var pairs []metaPair
 	if err := dec.Decode(&pairs); err != nil {
-		return obs, nil, nil // absent or legacy: not an error
+		return obs, nil, nil // absent: not an error
 	}
 	meta := make(map[string]uint64, len(pairs))
 	for _, p := range pairs {
@@ -492,6 +485,8 @@ func loadWithMeta(r io.Reader) (Observer, map[string]uint64, error) {
 	return obs, meta, nil
 }
 
+// decodeObserver decodes one observer and refuses a shape its accessors
+// would index out of range.
 func decodeObserver(dec *gob.Decoder) (Observer, error) {
 	var name string
 	if err := dec.Decode(&name); err != nil {
@@ -503,15 +498,22 @@ func decodeObserver(dec *gob.Decoder) (Observer, error) {
 		obs = &SingleByteCounts{}
 	case "digraph":
 		obs = &DigraphCounts{}
-	case "pairs":
-		obs = &TargetedPairs{}
-	case "equality":
-		obs = &EqualityCounts{}
 	default:
 		return nil, fmt.Errorf("dataset: unknown observer type %q", name)
 	}
 	if err := dec.Decode(obs); err != nil {
 		return nil, err
+	}
+	var positions, counts, cells int
+	switch o := obs.(type) {
+	case *SingleByteCounts:
+		positions, counts, cells = o.Positions, len(o.Counts), 256
+	case *DigraphCounts:
+		positions, counts, cells = o.Positions, len(o.Counts), 65536
+	}
+	// By division: a crafted Positions must not overflow Positions·cells.
+	if positions <= 0 || counts%cells != 0 || counts/cells != positions {
+		return nil, fmt.Errorf("dataset: corrupt %s observer (%d positions, %d counts)", name, positions, counts)
 	}
 	return obs, nil
 }
@@ -525,24 +527,6 @@ func KeysObserved(obs Observer) uint64 {
 		return o.Keys
 	case *DigraphCounts:
 		return o.Keys
-	case *TargetedPairs:
-		return o.Keys
-	case *EqualityCounts:
-		return o.Keys
 	}
 	return 0
-}
-
-func typeName(obs Observer) string {
-	switch obs.(type) {
-	case *SingleByteCounts:
-		return "single"
-	case *DigraphCounts:
-		return "digraph"
-	case *TargetedPairs:
-		return "pairs"
-	case *EqualityCounts:
-		return "equality"
-	}
-	return "unknown"
 }

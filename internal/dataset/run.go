@@ -13,7 +13,6 @@ import (
 // repository bitwise-reproducible across the refactor.
 const (
 	runLaneOffset      = 0
-	longTermLaneOffset = 1000
 	targetedLaneOffset = 2000
 	// Offsets 3000-5000 are used by the experiments package's long-term
 	// scans (eq. 8, ABSAB, eq. 9).
@@ -100,38 +99,20 @@ func Run(cfg Config, factory func() Observer) (Observer, error) {
 	return sink.(observerSink).obs, nil
 }
 
-// LongTermDigraphs estimates the long-term digraph distribution by i-value:
-// cell (i, x, y) counts occurrences of (Z_r, Z_r+1) = (x, y) at PRGA counter
-// i = r+1 mod 256, far from the start of the keystream. This is the dataset
-// behind Table 1 verification and the eq. 8 long-term biases. It is an
-// engine Sink that consumes long runs of a few keystreams (257-byte windows:
-// one carry byte plus a 256-byte block) rather than short prefixes of many.
+// LongTermDigraphs is the full long-term digraph table by i-value: cell
+// (i, x, y) counts occurrences of (Z_r, Z_r+1) = (x, y) at PRGA counter
+// i = r+1 mod 256, far from the start of the keystream. Counting into its
+// 128 MiB table is cache-miss bound, so Table 1 and eq. 8 count through
+// TargetedLongTerm instead; tests fill this table by hand as the
+// independent reference the targeted counter must match.
 type LongTermDigraphs struct {
 	Counts [256 * 65536]uint64 // [i][x*256+y]
 	Pairs  uint64              // digraphs observed per i-class in total/256
 }
 
-// Window implements Sink. win[0] is the byte before the current 256-byte
-// block (Z at PRGA counter 255 of the previous block), so digraph r within
-// the block starts at counter i = r.
-func (lt *LongTermDigraphs) Window(win []byte) {
-	for r := 0; r < 256; r++ {
-		lt.Counts[r*65536+int(win[r])*256+int(win[r+1])]++
-	}
-	lt.Pairs += 256
-}
-
-// Merge implements Sink.
-func (lt *LongTermDigraphs) Merge(other Sink) error {
-	o, ok := other.(*LongTermDigraphs)
-	if !ok {
-		return errIncompatibleSink
-	}
-	for i := range lt.Counts {
-		lt.Counts[i] += o.Counts[i]
-	}
-	lt.Pairs += o.Pairs
-	return nil
+// Count returns the raw count for (i, x, y).
+func (lt *LongTermDigraphs) Count(i int, x, y byte) uint64 {
+	return lt.Counts[i*65536+int(x)*256+int(y)]
 }
 
 // longTermStream is the §3.4 long-term generation shape: drop 1023 bytes so
@@ -139,38 +120,6 @@ func (lt *LongTermDigraphs) Merge(other Sink) error {
 // 256-byte blocks with a one-byte carry for boundary-spanning digraphs.
 func longTermStream(master [16]byte, blocks int) Stream {
 	return Stream{Master: master, Skip: 1023, Overlap: 1, BlockLen: 256, Blocks: blocks}
-}
-
-// CollectLongTerm generates `keys` RC4 keystreams of `blocks` * 256 bytes
-// each (after dropping the first 1023 bytes, §3.4) and counts digraphs by
-// i-value in parallel. Zero (or negative) keys or blocks yield an empty
-// result.
-func CollectLongTerm(ctx context.Context, master [16]byte, keys, blocks, workers int) (*LongTermDigraphs, error) {
-	if keys <= 0 || blocks <= 0 {
-		return &LongTermDigraphs{}, nil
-	}
-	shards := SplitKeys(uint64(keys), workers, longTermLaneOffset)
-	sink, err := Engine{Workers: workers}.Run(ctx, longTermStream(master, blocks), shards,
-		func(int) Sink { return &LongTermDigraphs{} })
-	if err != nil {
-		return nil, err
-	}
-	return sink.(*LongTermDigraphs), nil
-}
-
-// Probability estimates Pr[(Z_r, Z_r+1) = (x, y) | i = r+1 mod 256].
-// Each i-class receives Pairs/256 digraph observations.
-func (lt *LongTermDigraphs) Probability(i int, x, y byte) float64 {
-	perClass := float64(lt.Pairs) / 256
-	if perClass == 0 {
-		return 0
-	}
-	return float64(lt.Counts[i*65536+int(x)*256+int(y)]) / perClass
-}
-
-// Count returns the raw count for (i, x, y).
-func (lt *LongTermDigraphs) Count(i int, x, y byte) uint64 {
-	return lt.Counts[i*65536+int(x)*256+int(y)]
 }
 
 // LongTermCell is one targeted long-term digraph event: the digraph (X, Y)
@@ -234,10 +183,12 @@ func (tt *TargetedLongTerm) prepare() {
 	tt.prepared = true
 }
 
-// Window implements Sink; the window layout matches LongTermDigraphs. The
-// walk is the targeted-counting bound: each position costs one bitmap test
-// (8 KB of masks, cache-resident), and only the ~1% of positions whose
-// first byte matches some cell's reach the short resolved-cell scan.
+// Window implements Sink. win[0] is the byte before the current 256-byte
+// block (Z at PRGA counter 255 of the previous block), so digraph r within
+// the block starts at counter i = r. The walk is the targeted-counting
+// bound: each position costs one bitmap test (8 KB of masks,
+// cache-resident), and only the ~1% of positions whose first byte matches
+// some cell's reach the short resolved-cell scan.
 func (tt *TargetedLongTerm) Window(win []byte) {
 	if !tt.prepared {
 		tt.prepare()

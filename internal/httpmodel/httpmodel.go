@@ -100,15 +100,6 @@ func AlignCookie(r Request, wantMod int) (Request, error) {
 	return r, nil
 }
 
-// KnownPlaintext reports the known bytes around the cookie: the tail of the
-// prefix before the value and the padding after it. The §6 attack uses
-// these as the ABSAB anchor pairs.
-func (r Request) KnownPlaintext() (before, after []byte) {
-	m := r.Marshal()
-	off := r.CookieOffset()
-	return m[:off], m[off+len(r.Cookie):]
-}
-
 // DefaultFixedHeaders mirror the Listing-3 browser headers.
 func DefaultFixedHeaders() []string {
 	return []string{

@@ -70,9 +70,16 @@ func NewWiFiVictim(s *tkip.Session, payload []byte) *WiFiVictim {
 	return &WiFiVictim{Session: s, MSDU: m.Marshal()}
 }
 
-// Transmit encrypts and "sends" the next retransmission. The full TSC
-// increments (fresh per-packet key) while TSC1 stays 0 and TSC0 cycles, so
-// captures stay inside the trained per-TSC class space.
+// Transmit encrypts and "sends" the next retransmission, modelling the
+// §5.2 identical-packet generator: the attacker's server holds a TCP
+// connection to the victim open and repeatedly retransmits one segment.
+// Retransmissions are valid TCP (same sequence number, same payload), so
+// they traverse NATs and firewalls, and every copy crosses the Wi-Fi link
+// as a fresh TKIP frame: the MSDU is byte-identical each time while the
+// ciphertext differs per TSC. At the paper's 2500 packets/s a one-hour
+// capture is ~9.5·2^20 frames. The full TSC increments (fresh per-packet
+// key) while TSC1 stays 0 and TSC0 cycles, so captures stay inside the
+// trained per-TSC class space.
 func (v *WiFiVictim) Transmit() tkip.Frame {
 	i := v.next
 	v.next++
@@ -123,41 +130,6 @@ func (sn *Sniffer) Filter(f tkip.Frame) bool {
 	sn.seen[f.TSC] = struct{}{}
 	sn.Captured++
 	return true
-}
-
-// TCPInjector models the §5.2 identical-packet generator: the attacker's
-// server holds a TCP connection to the victim open and repeatedly
-// retransmits one segment. Retransmissions are valid TCP (same sequence
-// number, same payload), so they traverse NATs and firewalls, and the
-// victim's stack acknowledges each copy — every retransmission crosses the
-// Wi-Fi link as a fresh TKIP frame with an incremented TSC.
-type TCPInjector struct {
-	Victim *WiFiVictim
-	// Retransmissions counts segment copies sent by the server.
-	Retransmissions uint64
-}
-
-// NewTCPInjector wires an injector to the victim's Wi-Fi side.
-func NewTCPInjector(v *WiFiVictim) *TCPInjector {
-	return &TCPInjector{Victim: v}
-}
-
-// Retransmit delivers one server-side retransmission: the victim's stack
-// forwards the identical MSDU over the air (one frame). The MSDU is
-// byte-identical every time — the property the whole §5 statistics
-// collection rests on — while the frame ciphertext differs per TSC.
-func (inj *TCPInjector) Retransmit() tkip.Frame {
-	inj.Retransmissions++
-	return inj.Victim.Transmit()
-}
-
-// Burst performs n retransmissions, invoking capture for each resulting
-// frame. At the paper's 2500 packets/s a one-hour capture is ~9.5·2^20
-// frames; Burst is the in-process equivalent.
-func (inj *TCPInjector) Burst(n uint64, capture func(tkip.Frame)) {
-	for i := uint64(0); i < n; i++ {
-		capture(inj.Retransmit())
-	}
 }
 
 // ForgeryConfirm returns a Confirm hook for tkip.TrailerOracle that

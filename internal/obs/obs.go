@@ -58,9 +58,6 @@ type SpanContext struct {
 	Span  SpanID
 }
 
-// Valid reports whether the context names a live span.
-func (sc SpanContext) Valid() bool { return sc.Trace != 0 && sc.Span != 0 }
-
 // AttrKind discriminates Attr payloads.
 type AttrKind uint8
 

@@ -26,7 +26,7 @@ const (
 )
 
 // Cipher is an RC4 instance. The zero value is not usable; construct with
-// New or NewFromState.
+// New.
 type Cipher struct {
 	s    [StateSize]byte
 	i, j uint8
@@ -69,15 +69,6 @@ func (c *Cipher) Rekey(key []byte) error {
 	}
 	c.ksa(key)
 	return nil
-}
-
-// NewFromState builds a cipher with an explicit internal state. It is used
-// by tests and by analyses that model RC4 mid-stream (e.g. checking the
-// Fluhrer–McGrew digraph model, which assumes a uniformly random internal
-// state). The permutation is copied; i and j are the PRGA indices as they
-// stand *before* the next round (the PRGA increments i first).
-func NewFromState(s [StateSize]byte, i, j uint8) *Cipher {
-	return &Cipher{s: s, i: i, j: j}
 }
 
 // ksa runs the Key Scheduling Algorithm. The key is first tiled into a

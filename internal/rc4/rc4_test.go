@@ -167,20 +167,6 @@ func TestStatePermutationInvariant(t *testing.T) {
 	}
 }
 
-func TestNewFromState(t *testing.T) {
-	key := []byte("statekey")
-	a := MustNew(key)
-	a.Skip(100)
-	s, i, j := a.State()
-	b := NewFromState(s, i, j)
-	ga, gb := make([]byte, 128), make([]byte, 128)
-	a.Keystream(ga)
-	b.Keystream(gb)
-	if !bytes.Equal(ga, gb) {
-		t.Fatal("NewFromState clone diverged")
-	}
-}
-
 func TestXORKeyStreamPanicsOnShortDst(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -151,8 +151,8 @@ func TestPairLikelihoodsSparseIntoOverwrites(t *testing.T) {
 		hist[i] = uint64(rng.Intn(50))
 	}
 	cells := []BiasedCell{{K1: 3, K2: 7, P: 2.0 / 65536}}
-	want, err := PairLikelihoodsSparse(hist, cells, 1.0/65536)
-	if err != nil {
+	want := new(PairLikelihoods)
+	if err := PairLikelihoodsSparseInto(want, hist, cells, 1.0/65536); err != nil {
 		t.Fatal(err)
 	}
 	got := new(PairLikelihoods)
@@ -163,6 +163,6 @@ func TestPairLikelihoodsSparseIntoOverwrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Fatal("Into path differs from allocating path")
+		t.Fatal("Into accumulated into a stale table")
 	}
 }

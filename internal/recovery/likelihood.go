@@ -51,28 +51,6 @@ func (p *PairLikelihoods) Best() (mu1, mu2 byte) {
 	return byte(bi >> 8), byte(bi & 0xff)
 }
 
-// AddByte folds single-byte log-likelihoods for one half of the pair into
-// the table (which = 0 for µ1, 1 for µ2) — how single-byte and double-byte
-// evidence are combined under eq. 25.
-func (p *PairLikelihoods) AddByte(l *ByteLikelihoods, which int) {
-	if which == 0 {
-		for m1 := 0; m1 < 256; m1++ {
-			v := l[m1]
-			row := p[m1*256 : m1*256+256]
-			for m2 := range row {
-				row[m2] += v
-			}
-		}
-		return
-	}
-	for m1 := 0; m1 < 256; m1++ {
-		row := p[m1*256 : m1*256+256]
-		for m2 := range row {
-			row[m2] += l[m2]
-		}
-	}
-}
-
 // Best returns the most likely byte.
 func (l *ByteLikelihoods) Best() byte {
 	best := math.Inf(-1)
@@ -195,22 +173,13 @@ type BiasedCell struct {
 	P      float64
 }
 
-// PairLikelihoodsSparse computes the eq. 15 optimized double-byte
+// PairLikelihoodsSparseInto computes the eq. 15 optimized double-byte
 // likelihood: only the biased cells contribute beyond a constant, so
 //
 //	log λ(µ1,µ2) = Σ_cells N_cell · (log p_cell - log u) + |C| log u
 //
 // and the constant |C| log u is dropped. With |cells| ≈ 10 this is the
-// paper's "roughly 2^19 operations instead of 2^32".
-func PairLikelihoodsSparse(hist []uint64, cells []BiasedCell, u float64) (*PairLikelihoods, error) {
-	out := new(PairLikelihoods)
-	if err := PairLikelihoodsSparseInto(out, hist, cells, u); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PairLikelihoodsSparseInto is PairLikelihoodsSparse writing into a
+// paper's "roughly 2^19 operations instead of 2^32". It writes into a
 // caller-owned table (overwritten, not accumulated) — the allocation-free
 // form for repeated decodes over growing evidence. Each 65536-cell table is
 // half a megabyte; the online runtime recomputes one per chain link at

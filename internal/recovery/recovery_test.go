@@ -94,7 +94,7 @@ func TestSingleByteLikelihoodsUniformIsFlat(t *testing.T) {
 // drawn from the FM distribution at counter i, returning the ciphertext
 // digraph histogram.
 func samplePairHistogram(pt1, pt2 byte, i, n int, seed int64) []uint64 {
-	s := biases.FMSampler(i)
+	s := biases.NewSampler(biases.FMDistribution(i))
 	rng := rand.New(rand.NewSource(seed))
 	hist := make([]uint64, 65536)
 	for j := 0; j < n; j++ {
@@ -161,8 +161,8 @@ func TestSparsePairLikelihoodRecoversAmplified(t *testing.T) {
 		v := s.Draw(rng)
 		hist[(int(v>>8)^truth1)*256+(int(v&0xff)^truth2)]++
 	}
-	lk, err := PairLikelihoodsSparse(hist, cells, biases.UPair)
-	if err != nil {
+	lk := new(PairLikelihoods)
+	if err := PairLikelihoodsSparseInto(lk, hist, cells, biases.UPair); err != nil {
 		t.Fatal(err)
 	}
 	m1, m2 := lk.Best()
@@ -178,13 +178,13 @@ func TestPairLikelihoodErrors(t *testing.T) {
 	if _, err := PairLikelihoodsNaive(make([]uint64, 65536), make([]float64, 65536)); err == nil {
 		t.Error("zero distribution accepted")
 	}
-	if _, err := PairLikelihoodsSparse(make([]uint64, 3), nil, biases.UPair); err == nil {
+	if err := PairLikelihoodsSparseInto(new(PairLikelihoods), make([]uint64, 3), nil, biases.UPair); err == nil {
 		t.Error("short histogram accepted")
 	}
-	if _, err := PairLikelihoodsSparse(make([]uint64, 65536), nil, 0); err == nil {
+	if err := PairLikelihoodsSparseInto(new(PairLikelihoods), make([]uint64, 65536), nil, 0); err == nil {
 		t.Error("zero uniform accepted")
 	}
-	if _, err := PairLikelihoodsSparse(make([]uint64, 65536), []BiasedCell{{P: -1}}, biases.UPair); err == nil {
+	if err := PairLikelihoodsSparseInto(new(PairLikelihoods), make([]uint64, 65536), []BiasedCell{{P: -1}}, biases.UPair); err == nil {
 		t.Error("negative cell accepted")
 	}
 	if _, err := ABSABPairLikelihoods(make([]uint64, 3), 0, 0, 0); err == nil {
@@ -252,21 +252,6 @@ func TestCombineLikelihoods(t *testing.T) {
 	m1, m2 := combined.Best()
 	if int(m1)*256+int(m2) != truth {
 		t.Errorf("combination failed to amplify the truth: got (%d,%d)", m1, m2)
-	}
-}
-
-func TestAddByte(t *testing.T) {
-	var p PairLikelihoods
-	var l ByteLikelihoods
-	l[7] = 5
-	p.AddByte(&l, 0)
-	if p.At(7, 3) != 5 || p.At(3, 7) != 0 {
-		t.Error("AddByte(which=0) wrong")
-	}
-	var p2 PairLikelihoods
-	p2.AddByte(&l, 1)
-	if p2.At(3, 7) != 5 || p2.At(7, 3) != 0 {
-		t.Error("AddByte(which=1) wrong")
 	}
 }
 

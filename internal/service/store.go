@@ -89,12 +89,6 @@ func (st *Store) GetBlob(key [16]byte) ([]byte, error) {
 	return payload, nil
 }
 
-// HasBlob reports whether key is present.
-func (st *Store) HasBlob(key [16]byte) bool {
-	_, err := os.Stat(st.blobPath(key))
-	return err == nil
-}
-
 // BlobKeys lists the stored content addresses in sorted hex order.
 func (st *Store) BlobKeys() ([]string, error) {
 	return st.list("blobs", func(name string) bool {

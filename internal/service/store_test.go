@@ -37,9 +37,6 @@ func TestStoreBlobDedupAndRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("GetBlob: %q err=%v", got, err)
 	}
-	if !st.HasBlob(k1) {
-		t.Fatal("HasBlob false for stored key")
-	}
 	k3, _, err := st.PutBlob([]byte("different payload"))
 	if err != nil || k3 == k1 {
 		t.Fatalf("distinct payload collided: %x err=%v", k3, err)

@@ -42,8 +42,8 @@ const MagicLen = len(Magic)
 // it can read.
 const Version = 1
 
-// Errors surfaced by Read. ErrNotSnapshot lets callers with legacy formats
-// (pre-envelope gob streams) fall back instead of failing hard.
+// Errors surfaced by Read. ErrNotSnapshot is also how a loader refuses a
+// bare gob stream written before the envelope existed.
 var (
 	ErrNotSnapshot = errors.New("snapshot: not a snapshot envelope (bad magic)")
 	ErrChecksum    = errors.New("snapshot: checksum mismatch (file corrupted)")
@@ -235,20 +235,6 @@ func ReadFileGob(path, wantKind string, v any) error {
 	}
 	defer f.Close()
 	return ReadGob(f, wantKind, v)
-}
-
-// Sniff reads just enough of r to decide whether it starts with the
-// envelope magic, returning a reader that replays the inspected bytes. It
-// lets loaders accept both enveloped files and legacy pre-envelope gob
-// streams.
-func Sniff(r io.Reader) (replay io.Reader, isEnvelope bool, err error) {
-	peek := make([]byte, MagicLen)
-	n, err := io.ReadFull(r, peek)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, false, err
-	}
-	peek = peek[:n]
-	return io.MultiReader(bytes.NewReader(peek), r), string(peek) == Magic, nil
 }
 
 // BlobKey is the content address of an envelope in a content-addressed

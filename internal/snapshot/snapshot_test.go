@@ -145,44 +145,6 @@ func TestWriteFileGobAtomicAndReadBack(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, "sniffed", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	replay, isEnv, err := Sniff(&buf)
-	if err != nil || !isEnv {
-		t.Fatalf("envelope not recognized: %v %v", isEnv, err)
-	}
-	if kind, _, err := Read(replay); err != nil || kind != "sniffed" {
-		t.Fatalf("replayed read failed: kind=%q err=%v", kind, err)
-	}
-
-	legacy := strings.NewReader("legacy gob bytes")
-	replay, isEnv, err = Sniff(legacy)
-	if err != nil || isEnv {
-		t.Fatalf("legacy stream misdetected: %v %v", isEnv, err)
-	}
-	all := new(bytes.Buffer)
-	if _, err := all.ReadFrom(replay); err != nil {
-		t.Fatal(err)
-	}
-	if all.String() != "legacy gob bytes" {
-		t.Fatalf("sniff lost bytes: %q", all.String())
-	}
-
-	// Streams shorter than the magic replay intact too.
-	replay, isEnv, err = Sniff(strings.NewReader("ab"))
-	if err != nil || isEnv {
-		t.Fatal("short stream misdetected")
-	}
-	all.Reset()
-	all.ReadFrom(replay)
-	if all.String() != "ab" {
-		t.Fatalf("short sniff lost bytes: %q", all.String())
-	}
-}
-
 func TestFingerprintStableAndDiscriminating(t *testing.T) {
 	type cfg struct {
 		A int

@@ -119,16 +119,6 @@ func ChiSquareSurvival(x float64, df int) (float64, error) {
 	return RegularizedGammaQ(float64(df)/2, x/2)
 }
 
-// NormalCDF is the standard normal cumulative distribution function.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalSurvival is 1 - NormalCDF(z), computed without cancellation.
-func NormalSurvival(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
 // TwoSidedNormalP converts a z statistic to a two-sided p-value. The paper
 // always uses two-sided tests since a bias can be positive or negative.
 func TwoSidedNormalP(z float64) float64 {

@@ -97,26 +97,6 @@ func TestChiSquareSurvivalKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ z, want float64 }{
-		{0, 0.5}, {1.6448536, 0.95}, {2.3263479, 0.99}, {-1.6448536, 0.05},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.z); math.Abs(got-c.want) > 1e-6 {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.z, got, c.want)
-		}
-	}
-	f := func(z float64) bool {
-		if math.Abs(z) > 30 {
-			return true
-		}
-		return math.Abs(NormalCDF(z)+NormalSurvival(z)-1) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestChiSquareUniformDetectsBias(t *testing.T) {
 	// Uniform data should not be rejected; strongly biased data should be.
 	rng := rand.New(rand.NewSource(42))
@@ -154,25 +134,6 @@ func TestChiSquareUniformErrors(t *testing.T) {
 	}
 	if _, err := ChiSquareUniform([]uint64{0, 0}); err == nil {
 		t.Error("all-zero accepted")
-	}
-}
-
-func TestChiSquareExpected(t *testing.T) {
-	// Observed drawn exactly proportional to expected: p should be ~1.
-	expected := []float64{0.5, 0.25, 0.25}
-	observed := []uint64{5000, 2500, 2500}
-	r, err := ChiSquareExpected(observed, expected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Statistic != 0 || r.P < 0.999 {
-		t.Errorf("perfect fit: chi2=%v p=%v", r.Statistic, r.P)
-	}
-	if _, err := ChiSquareExpected(observed, expected[:2]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := ChiSquareExpected([]uint64{1, 2}, []float64{1, 0}); err == nil {
-		t.Error("zero expected cell accepted")
 	}
 }
 

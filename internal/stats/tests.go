@@ -51,40 +51,6 @@ func ChiSquareUniform(observed []uint64) (TestResult, error) {
 	return TestResult{Statistic: chi2, DF: df, P: p}, nil
 }
 
-// ChiSquareExpected runs a chi-squared goodness-of-fit test against an
-// arbitrary expected distribution (probabilities summing to 1). Used to
-// check observed counts against an analytic bias model.
-func ChiSquareExpected(observed []uint64, expected []float64) (TestResult, error) {
-	if len(observed) != len(expected) {
-		return TestResult{}, errors.New("stats: observed/expected length mismatch")
-	}
-	if len(observed) < 2 {
-		return TestResult{}, errors.New("stats: need at least 2 cells")
-	}
-	var total uint64
-	for _, o := range observed {
-		total += o
-	}
-	if total == 0 {
-		return TestResult{}, errors.New("stats: no observations")
-	}
-	var chi2 float64
-	for i, o := range observed {
-		e := expected[i] * float64(total)
-		if e <= 0 {
-			return TestResult{}, errors.New("stats: non-positive expected cell")
-		}
-		d := float64(o) - e
-		chi2 += d * d / e
-	}
-	df := len(observed) - 1
-	p, err := ChiSquareSurvival(chi2, df)
-	if err != nil {
-		return TestResult{}, err
-	}
-	return TestResult{Statistic: chi2, DF: df, P: p}, nil
-}
-
 // MTest runs the Fuchs–Kenett M-test for outlying cells in a two-way
 // contingency table. The null hypothesis is that rows and columns are
 // independent (the paper's double-byte test, §3.1: single-byte biases make

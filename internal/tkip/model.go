@@ -2,7 +2,6 @@ package tkip
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
@@ -178,7 +177,7 @@ func (m *PerTSCModel) SaveFile(path string) error {
 	})
 }
 
-// LoadModelFile loads a model from path (enveloped or legacy).
+// LoadModelFile loads a model from path.
 func LoadModelFile(path string) (*PerTSCModel, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -188,31 +187,24 @@ func LoadModelFile(path string) (*PerTSCModel, error) {
 	return LoadModel(f)
 }
 
-// LoadModel reads a model written by Save and validates its shape. Legacy
-// pre-envelope models (bare gob streams) still load; new writes always carry
-// the envelope's version marker and checksum.
+// LoadModel reads a model written by Save and validates its shape. Only the
+// snapshot envelope loads: a bare gob stream, as written before the
+// envelope existed, fails with snapshot.ErrNotSnapshot.
 func LoadModel(r io.Reader) (*PerTSCModel, error) {
-	replay, isEnvelope, err := snapshot.Sniff(r)
-	if err != nil {
+	var st modelState
+	if err := snapshot.ReadGob(r, ModelSnapshotKind, &st); err != nil {
 		return nil, err
 	}
-	m := new(PerTSCModel)
-	if isEnvelope {
-		var st modelState
-		if err := snapshot.ReadGob(replay, ModelSnapshotKind, &st); err != nil {
-			return nil, err
-		}
-		m.Positions, m.TSC1, m.Counts, m.Keys = st.Positions, st.TSC1, st.Counts, st.Keys
-	} else if err := gob.NewDecoder(replay).Decode(m); err != nil {
-		return nil, err
-	}
-	if m.Positions <= 0 || len(m.Counts) != 256*m.Positions*256 {
+	// The shape is checked by division: the product 256·Positions·256
+	// wraps for a crafted Positions such as 1<<48 and would match an empty
+	// Counts.
+	if st.Positions <= 0 || len(st.Counts)%65536 != 0 || len(st.Counts)/65536 != st.Positions {
 		return nil, errors.New("tkip: corrupt model (shape mismatch)")
 	}
-	if m.Keys == 0 {
+	if st.Keys == 0 {
 		return nil, errors.New("tkip: corrupt model (zero key count)")
 	}
-	return m, nil
+	return &PerTSCModel{Positions: st.Positions, TSC1: st.TSC1, Counts: st.Counts, Keys: st.Keys}, nil
 }
 
 // SyntheticModel builds a per-TSC model whose class distributions deviate

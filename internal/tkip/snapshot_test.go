@@ -166,20 +166,43 @@ func TestAttackMergeShardsEqualSinglePool(t *testing.T) {
 }
 
 func TestLoadModelLegacyGobStream(t *testing.T) {
-	// Models written before the snapshot envelope were bare gob streams;
-	// LoadModel must still read them.
+	// Models written before the snapshot envelope were bare gob streams
+	// with no version or checksum; LoadModel refuses them.
 	m := SyntheticModel(4, 1.0/512, 5)
 	var legacy bytes.Buffer
 	if err := gob.NewEncoder(&legacy).Encode(m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&legacy)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := LoadModel(&legacy); !errors.Is(err, snapshot.ErrNotSnapshot) {
+		t.Fatalf("legacy gob stream: want ErrNotSnapshot, got %v", err)
 	}
-	if got.Positions != m.Positions || got.Keys != m.Keys || !equalCounts(got.Counts, m.Counts) {
-		t.Fatal("legacy model altered by load")
+}
+
+// FuzzLoadModel fuzzes the model payload inside a valid envelope: LoadModel
+// must return an error or a model whose last cell reads without a panic.
+func FuzzLoadModel(f *testing.F) {
+	for _, st := range []modelState{
+		{Positions: 1, Counts: make([]uint64, 65536), Keys: 1},
+		{Positions: 1 << 48, Keys: 1},
+	} {
+		b, err := snapshot.EncodeGob(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var env bytes.Buffer
+		if err := snapshot.Write(&env, ModelSnapshotKind, payload); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(&env)
+		if err != nil {
+			return
+		}
+		_ = m.Distribution(255, m.Positions)
+		_ = m.Count(255, m.Positions, 255)
+	})
 }
 
 func TestModelSaveLoadEnvelope(t *testing.T) {

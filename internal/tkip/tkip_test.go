@@ -359,6 +359,16 @@ func TestLoadModelRejectsCorrupt(t *testing.T) {
 	if _, err := LoadModel(&buf); err == nil {
 		t.Error("zero-keys model accepted")
 	}
+	// Overflowing shape: 256·(1<<48)·256 wraps to 0, which an empty Counts
+	// would match if the check multiplied.
+	bad3 := &PerTSCModel{Positions: 1 << 48, Keys: 1}
+	buf.Reset()
+	if err := bad3.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(&buf); err == nil {
+		t.Error("overflowing shape accepted")
+	}
 }
 
 func TestSyntheticModelShape(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 // the aggregated (0,0) family versus uniform (positive = bias confirmed).
 func BenchmarkTable1FluhrerMcGrew(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		res, err := experiments.Table1(context.Background(), [16]byte{1}, 8, 512, 0)
+		res, err := experiments.Table1(context.Background(), [16]byte{1}, 8, 512)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkTable1FluhrerMcGrew(b *testing.B) {
 // biases in the initial keystream bytes.
 func BenchmarkFigure4ShortTermFM(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.Figure4(context.Background(), 1<<16, 0, 96); err != nil {
+		if _, err := experiments.Figure4(context.Background(), 1<<16, 96); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkFigure4ShortTermFM(b *testing.B) {
 // Metric: the z statistic of the strongest row (Z15=Z16=240).
 func BenchmarkTable2PairBiases(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		res, err := experiments.Table2(context.Background(), 1<<18, 0)
+		res, err := experiments.Table2(context.Background(), 1<<18)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkTable2PairBiases(b *testing.B) {
 // BenchmarkFigure5Z1Z2Influence regenerates Figure 5's six Z1/Z2 bias sets.
 func BenchmarkFigure5Z1Z2Influence(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.Figure5(context.Background(), 1<<17, 0, nil); err != nil {
+		if _, err := experiments.Figure5(context.Background(), 1<<17, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkFigure5Z1Z2Influence(b *testing.B) {
 // beyond position 256 (the 256+16k key-length family).
 func BenchmarkFigure6SingleByte(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.Figure6(context.Background(), 1<<15, 0); err != nil {
+		if _, err := experiments.Figure6(context.Background(), 1<<15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkFigure6SingleByte(b *testing.B) {
 // BenchmarkEquality135 regenerates eqs. 3-5 (Z1=Z3, Z1=Z4, Z2=Z4).
 func BenchmarkEquality135(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.Equalities(context.Background(), 1<<18, 0); err != nil {
+		if _, err := experiments.Equalities(context.Background(), 1<<18); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func BenchmarkEquality135(b *testing.B) {
 // biases at positions that are multiples of 256, with a control cell.
 func BenchmarkLongTermZeroPairs(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.LongTermZeroPairs(context.Background(), [16]byte{2}, 8, 512, 0); err != nil {
+		if _, err := experiments.LongTermZeroPairs(context.Background(), [16]byte{2}, 8, 512); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func BenchmarkFigure10Cookie(b *testing.B) {
 // strength in the trailer window for 0-byte vs 7-byte payloads.
 func BenchmarkPayloadPlacement(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.PayloadPlacement(context.Background(), 1<<8, 0); err != nil {
+		if _, err := experiments.PayloadPlacement(context.Background(), 1<<8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,7 +361,7 @@ func BenchmarkTKIPTraining(b *testing.B) {
 // Metric: positions recovered out of 16.
 func BenchmarkBroadcastBaseline(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		res, err := experiments.BroadcastAttack(context.Background(), 1<<19, 1<<19, 16, 0)
+		res, err := experiments.BroadcastAttack(context.Background(), 1<<19, 1<<19, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func BenchmarkBroadcastBaseline(b *testing.B) {
 // BenchmarkABSABGapVerification regenerates the §4.2 gap measurement.
 func BenchmarkABSABGapVerification(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.ABSABGapVerification(context.Background(), [16]byte{4}, 8, 256, nil, 0); err != nil {
+		if _, err := experiments.ABSABGapVerification(context.Background(), [16]byte{4}, 8, 256, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +381,7 @@ func BenchmarkABSABGapVerification(b *testing.B) {
 // BenchmarkEquation9Search regenerates the eq. 9 long-term equality scan.
 func BenchmarkEquation9Search(b *testing.B) {
 	for n := 0; n < b.N; n++ {
-		if _, err := experiments.Equation9Search(context.Background(), [16]byte{5}, 8, 256, nil, 0); err != nil {
+		if _, err := experiments.Equation9Search(context.Background(), [16]byte{5}, 8, 256, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

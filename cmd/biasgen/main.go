@@ -2,8 +2,13 @@
 // them for later analysis by biastest — the repository's version of the
 // paper's §3.2 distributed worker system, including its operational
 // realities: multi-hour runs are generated in checkpointed chunks that
-// survive a kill, and shards generated on independent machines (disjoint
-// -lanebase ranges or different -seed values) merge into one dataset.
+// survive a kill, and shards generated on independent machines (different
+// -lanebase or -seed values) merge into one dataset.
+//
+// A dataset is keys 0..N-1 of the key lane -lanebase under the -seed master:
+// key k of a lane is fixed by (seed, lane, k), so the file's bytes do not
+// depend on -workers or -checkpoint-every, a chunk is simply the next key
+// range of the lane, and distinct lanes never share a key.
 //
 // Usage:
 //
@@ -18,7 +23,7 @@
 // Sharded generation across machines, then merge:
 //
 //	biasgen -kind single -positions 64 -keys 8388608 -lanebase 0     -out shard0.gob
-//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 65536 -out shard1.gob
+//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 1     -out shard1.gob
 //	biasgen -merge shard0.gob,shard1.gob -out all.gob
 package main
 
@@ -28,18 +33,17 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/dataset"
 )
 
-// chunkLaneStride spaces the lane ranges of consecutive chunks in the high
-// bits of the lane space, so chunk lanes can never walk into another
-// shard's -lanebase range (lane bases are validated to stay below the
-// stride) and no two chunks ever share an RC4 key sequence.
-const chunkLaneStride = 1 << 40
+// oldLayoutKeys are metadata pins only files from the earlier per-worker
+// key layout carry: there the key population depended on the worker count
+// and the chunking, so such a file can neither be extended nor merged with
+// lane-indexed shards without mixing unrelated keys.
+var oldLayoutKeys = []string{"workers", "checkpoint-every"}
 
 func main() {
 	kind := flag.String("kind", "single", "dataset kind: single | digraph")
@@ -48,9 +52,9 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "output file (required)")
 	seed := flag.Uint64("seed", 0, "master key seed (first 8 bytes of the AES master)")
-	laneBase := flag.Uint64("lanebase", 0, "key-lane base; give shards on different machines disjoint ranges")
+	laneBase := flag.Uint64("lanebase", 0, "key lane; give shards on different machines different lanes")
 	every := flag.Uint64("checkpoint-every", 0, "keys per chunk; > 0 writes -out after every chunk so a killed run can resume")
-	resume := flag.Bool("resume", false, "continue a checkpointed run from -out (flags must match the original run)")
+	resume := flag.Bool("resume", false, "continue a checkpointed run from -out (-seed and -lanebase must match the original run)")
 	merge := flag.String("merge", "", "comma-separated dataset files to merge into -out (no generation)")
 	flag.Parse()
 
@@ -81,33 +85,13 @@ func main() {
 	}
 
 	// The checkpoint metadata pins every flag the key sequence depends on:
-	// resuming under a different seed, lane base, chunking, or worker
-	// count (dataset.SplitKeys hands each worker its own key lane, so the
-	// key population varies with it — resolve the GOMAXPROCS default to a
-	// concrete count before pinning) would silently mix incompatible key
-	// populations, so it is rejected.
-	resolvedWorkers := *workers
-	if resolvedWorkers <= 0 {
-		resolvedWorkers = runtime.GOMAXPROCS(0)
-	}
-	// A chunk occupies lanes [lanebase + chunk·stride, … + workers); the
-	// base AND the worker span must stay inside one stride, or a shard's
-	// lanes would walk into another chunk's range and draw the same keys.
-	// Compared by subtraction so a lane base near 2^64 cannot wrap the sum
-	// past the check.
-	if uint64(resolvedWorkers) >= chunkLaneStride || *laneBase > chunkLaneStride-uint64(resolvedWorkers) {
-		fatal(fmt.Errorf("-lanebase %d + %d workers exceeds the per-chunk lane stride %d; shard bases (spaced at least a worker count apart) must stay below it", *laneBase, resolvedWorkers, uint64(chunkLaneStride)))
-	}
-	genMeta := map[string]uint64{
-		"seed":             *seed,
-		"lanebase":         *laneBase,
-		"checkpoint-every": *every,
-		"workers":          uint64(resolvedWorkers),
-	}
+	// resuming under a different seed or lane would silently mix unrelated
+	// key populations, so it is rejected.
+	genMeta := map[string]uint64{"seed": *seed, "lanebase": *laneBase}
 
-	// Resume: reload the checkpoint and skip the chunks it already holds.
-	// Chunk lanes are a fixed function of the chunk index, so the resumed
-	// run generates exactly the keys the uninterrupted run would have.
+	// Resume: reload the checkpoint and continue the lane at the first key
+	// it does not hold, so the resumed run generates exactly the keys the
+	// uninterrupted run would have.
 	var obs dataset.Observer
 	var done uint64
 	if *resume {
@@ -125,6 +109,9 @@ func main() {
 			if meta == nil {
 				fatal(fmt.Errorf("resume %s: file carries no generation parameters (not a biasgen checkpoint)", *out))
 			}
+			if err := checkLayout(meta); err != nil {
+				fatal(fmt.Errorf("resume %s: %w", *out, err))
+			}
 			for k, want := range genMeta {
 				got, ok := meta[k]
 				if !ok {
@@ -136,16 +123,9 @@ func main() {
 			}
 			obs = loaded
 			done = dataset.KeysObserved(loaded)
-			switch {
-			case done >= *keys:
+			if done >= *keys {
 				fmt.Printf("resume %s: already holds %d keys (target %d); nothing to do\n", *out, done, *keys)
 				return
-			case *every == 0:
-				// An every=0 run drew all its keys from chunk 0; extending it
-				// would re-draw those same lanes and double-count them.
-				fatal(fmt.Errorf("resume %s: run was generated without -checkpoint-every and cannot be extended", *out))
-			case done%*every != 0:
-				fatal(fmt.Errorf("checkpoint holds %d keys, which is not a multiple of -checkpoint-every %d", done, *every))
 			}
 			fmt.Printf("resuming from %s: %d/%d keys done\n", *out, done, *keys)
 		}
@@ -161,17 +141,14 @@ func main() {
 		chunkSize = *every
 	}
 	for done < *keys {
-		n := chunkSize
-		if remaining := *keys - done; n > remaining {
-			n = remaining
-		}
-		chunk := done / chunkSize
+		n := min(chunkSize, *keys-done)
 		chunkObs, err := dataset.Run(dataset.Config{
-			Keys:       n,
-			Workers:    resolvedWorkers,
-			Master:     master,
-			Ctx:        ctx,
-			LaneOffset: *laneBase + chunk*chunkLaneStride,
+			Keys:     n,
+			Workers:  *workers,
+			Master:   master,
+			Ctx:      ctx,
+			Lane:     *laneBase,
+			FirstKey: done,
 		}, factory)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -212,10 +189,10 @@ func main() {
 }
 
 // mergeDatasets combines shard files into one dataset; shapes must match,
-// and shards whose generation parameters show they drew the same key
-// population (identical seed and lane base) are rejected rather than
-// double-counted. Files without metadata (plain saves or earlier merges)
-// carry no lineage and are merged as-is.
+// and shards whose generation parameters show they drew overlapping keys
+// (identical seed and lane base) are rejected rather than double-counted,
+// as are old-layout files. Files without metadata (plain saves or earlier
+// merges) carry no lineage and are merged as-is.
 func mergeDatasets(paths []string, out string) {
 	var merged dataset.Observer
 	var total uint64
@@ -226,6 +203,9 @@ func mergeDatasets(paths []string, out string) {
 			fatal(fmt.Errorf("merge %s: %w", p, err))
 		}
 		if meta != nil {
+			if err := checkLayout(meta); err != nil {
+				fatal(fmt.Errorf("merge %s: %w", p, err))
+			}
 			id := [2]uint64{meta["seed"], meta["lanebase"]}
 			if prev, dup := seen[id]; dup {
 				fatal(fmt.Errorf("merge %s: same seed/lanebase as %s — the shards drew the same keys and would be double-counted", p, prev))
@@ -247,6 +227,16 @@ func mergeDatasets(paths []string, out string) {
 		fatal(err)
 	}
 	fmt.Printf("wrote merged dataset: %d keys -> %s\n", total, out)
+}
+
+// checkLayout refuses metadata written under the per-worker key layout.
+func checkLayout(meta map[string]uint64) error {
+	for _, k := range oldLayoutKeys {
+		if _, ok := meta[k]; ok {
+			return fmt.Errorf("file pins -%s, so its keys follow the old per-worker layout; regenerate it with this biasgen", k)
+		}
+	}
+	return nil
 }
 
 // validateResume checks that the checkpoint matches the requested dataset

@@ -73,37 +73,37 @@ func show(w io.Writer) func(experiments.Result, error) error {
 // experimentTable lists every experiment in run order.
 var experimentTable = []experiment{
 	{"table1", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Table1(ctx, [16]byte{1}, o.ltKeys, o.ltBlocks, 0))
+		return show(w)(experiments.Table1(ctx, [16]byte{1}, o.ltKeys, o.ltBlocks))
 	}},
 	{"table2", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Table2(ctx, o.keys, 0))
+		return show(w)(experiments.Table2(ctx, o.keys))
 	}},
 	{"eq2", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.ConsecutiveEq2(ctx, o.keys, 0))
+		return show(w)(experiments.ConsecutiveEq2(ctx, o.keys))
 	}},
 	{"eq35", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Equalities(ctx, o.keys, 0))
+		return show(w)(experiments.Equalities(ctx, o.keys))
 	}},
 	{"fig4", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Figure4(ctx, o.keys, 0, 96))
+		return show(w)(experiments.Figure4(ctx, o.keys, 96))
 	}},
 	{"fig5", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Figure5(ctx, o.keys, 0, nil))
+		return show(w)(experiments.Figure5(ctx, o.keys, nil))
 	}},
 	{"fig6", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Figure6(ctx, o.keys, 0))
+		return show(w)(experiments.Figure6(ctx, o.keys))
 	}},
 	{"eq8", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.LongTermZeroPairs(ctx, [16]byte{2}, o.ltKeys, o.ltBlocks, 0))
+		return show(w)(experiments.LongTermZeroPairs(ctx, [16]byte{2}, o.ltKeys, o.ltBlocks))
 	}},
 	{"broadcast", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.BroadcastAttack(ctx, o.keys, o.keys, 16, 0))
+		return show(w)(experiments.BroadcastAttack(ctx, o.keys, o.keys, 16))
 	}},
 	{"absab", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.ABSABGapVerification(ctx, [16]byte{4}, o.ltKeys, o.ltBlocks, nil, 0))
+		return show(w)(experiments.ABSABGapVerification(ctx, [16]byte{4}, o.ltKeys, o.ltBlocks, nil))
 	}},
 	{"eq9", func(ctx context.Context, o options, w io.Writer) error {
-		return show(w)(experiments.Equation9Search(ctx, [16]byte{5}, o.ltKeys, o.ltBlocks, nil, 0))
+		return show(w)(experiments.Equation9Search(ctx, [16]byte{5}, o.ltKeys, o.ltBlocks, nil))
 	}},
 	{"fig7", func(ctx context.Context, o options, w io.Writer) error {
 		return show(w)(experiments.Figure7(7, nil, o.trials, 128), nil)
@@ -138,7 +138,7 @@ var experimentTable = []experiment{
 		if trainKeys == 0 {
 			trainKeys = 1 << 10 // placement always measures a trained model
 		}
-		return show(w)(experiments.PayloadPlacement(ctx, trainKeys, 0))
+		return show(w)(experiments.PayloadPlacement(ctx, trainKeys))
 	}},
 	{"charset", func(ctx context.Context, o options, w io.Writer) error {
 		return show(w)(experiments.CharsetAblation(3, 9<<27, o.trials, o.candidates))

@@ -39,7 +39,7 @@ func (d *digestSink) Merge(other Sink) error {
 func runDigest(t *testing.T, backend rc4.Backend, st Stream, keys uint64, shards int) *digestSink {
 	t.Helper()
 	sink, err := Engine{Workers: 2, Backend: backend}.Run(context.Background(), st,
-		SplitKeys(keys, shards, 7), func(int) Sink { return &digestSink{} })
+		SplitKeys(7, 0, keys, shards), func(int) Sink { return &digestSink{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,12 @@ func runDigest(t *testing.T, backend rc4.Backend, st Stream, keys uint64, shards
 // KeyDeriver, so every scalar-path feature crosses the batched path too.
 func TestEngineBackendEquivalence(t *testing.T) {
 	st := Stream{
-		KeyLen:   16,
 		Skip:     5,
 		Overlap:  2,
 		BlockLen: 9,
 		Blocks:   4,
-		KeyDeriver: func(keyIndex uint64, key []byte) {
-			key[0] = byte(keyIndex) // fold the global index into the key
+		KeyDeriver: func(lane uint64, key []byte) {
+			key[0] ^= byte(lane) // fold the lane into the key
 		},
 	}
 	for _, keys := range []uint64{1, 3, 32, 70, 131} {

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"rc4break/internal/rc4"
@@ -157,33 +158,51 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Keys: 0}, func() Observer { return NewSingleByteCounts(1) }); err == nil {
 		t.Error("zero keys accepted")
 	}
-	if _, err := Run(Config{Keys: 10, KeyLen: 300}, func() Observer { return NewSingleByteCounts(1) }); err == nil {
-		t.Error("bad key length accepted")
+}
+
+// TestRunDeterministicAcrossWorkerCounts pins the default worker count:
+// Run sized by GOMAXPROCS gives the same counters whatever GOMAXPROCS is.
+func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
+	for name, factory := range runObservers() {
+		var want Observer
+		for _, workers := range workerCounts {
+			withGOMAXPROCS(workers, func() {
+				got, err := Run(Config{Keys: 2000}, factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: GOMAXPROCS=%d changed the counters", name, workers)
+				}
+			})
+		}
 	}
 }
 
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The per-lane key derivation means total counts are identical no
-	// matter how work is split... only if lanes are fixed per worker and
-	// key counts per lane match. With different worker counts the key sets
-	// differ, so instead check determinism for the same worker count.
-	cfg := Config{Keys: 2000, Workers: 4}
-	a, err := Run(cfg, func() Observer { return NewSingleByteCounts(8) })
+// TestRunKeyRangesConcatenate pins the chunking a checkpointed generation
+// relies on: keys [0, a) merged with keys [a, a+b) of the same lane equal
+// one run of a+b keys.
+func TestRunKeyRangesConcatenate(t *testing.T) {
+	factory := func() Observer { return NewSingleByteCounts(8) }
+	whole, err := Run(Config{Keys: 300, Lane: 3}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, func() Observer { return NewSingleByteCounts(8) })
+	head, err := Run(Config{Keys: 110, Lane: 3, Workers: 2}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, sb := a.(*SingleByteCounts), b.(*SingleByteCounts)
-	if sa.Keys != sb.Keys || sa.Keys != 2000 {
-		t.Fatalf("keys %d/%d, want 2000", sa.Keys, sb.Keys)
+	tail, err := Run(Config{Keys: 190, Lane: 3, FirstKey: 110, Workers: 3}, factory)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range sa.Counts {
-		if sa.Counts[i] != sb.Counts[i] {
-			t.Fatal("same config produced different counts")
-		}
+	if err := head.Merge(tail); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(head, whole) {
+		t.Fatal("chunked key ranges differ from one run")
 	}
 }
 
@@ -205,41 +224,6 @@ func TestRunFindsMantinShamirBias(t *testing.T) {
 	p := s.Probability(2, 0)
 	if p < 1.7/256 || p > 2.3/256 {
 		t.Errorf("Pr[Z2=0] = %v, want ≈ 2/256", p)
-	}
-}
-
-func TestRunSkip(t *testing.T) {
-	// With Skip=1, observed "Z1" is actually Z2, so the Mantin–Shamir bias
-	// appears at observed position 1.
-	obs, err := Run(Config{Keys: 1 << 17, Skip: 1}, func() Observer { return NewSingleByteCounts(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := obs.(*SingleByteCounts)
-	if p := s.Probability(1, 0); p < 1.7/256 {
-		t.Errorf("Skip not honored: Pr = %v, want ≈ 2/256", p)
-	}
-}
-
-func TestRunKeyDeriver(t *testing.T) {
-	// Force every key identical: every keystream identical, so the count
-	// of Z1's value must equal the number of keys.
-	fixed := []byte("0123456789abcdef")
-	obs, err := Run(Config{Keys: 100, KeyDeriver: func(_ uint64, key []byte) {
-		copy(key, fixed)
-	}}, func() Observer { return NewSingleByteCounts(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := obs.(*SingleByteCounts)
-	var max uint64
-	for _, c := range s.Position(1) {
-		if c > max {
-			max = c
-		}
-	}
-	if max != 100 {
-		t.Errorf("KeyDeriver not applied: max count %d, want 100", max)
 	}
 }
 
@@ -334,7 +318,7 @@ func TestTargetedLongTermMatchesFullTable(t *testing.T) {
 		{I: -1, X: 0, Y: 1, YPlusI: true},   // (0, i+1)
 		{I: -1, X: 1, Y: 255, XPlusI: true}, // (i+1, 255)
 	}
-	tt, err := CollectLongTermTargeted(context.Background(), master, 3, 8, 1, cells)
+	tt, err := CollectLongTermTargeted(context.Background(), master, 3, 8, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +340,11 @@ func TestTargetedLongTermMatchesFullTable(t *testing.T) {
 	}
 }
 
-// collectLongTermLanes mirrors CollectLongTermTargeted's lane numbering
-// (offset 2000) but fills the full table, so the two can be compared on
-// identical keystreams.
+// collectLongTermLanes draws CollectLongTermTargeted's lane but fills the
+// full table, so the two can be compared on identical keystreams.
 func collectLongTermLanes(master [16]byte, keys, blocks int) *LongTermDigraphs {
 	lt := &LongTermDigraphs{}
-	src := NewKeySource(master, 2000)
+	src := NewKeySource(master, targetedLane)
 	key := make([]byte, 16)
 	buf := make([]byte, 257)
 	for k := 0; k < keys; k++ {

@@ -15,11 +15,13 @@ import (
 // This file is the unified parallel keystream-generation engine. Every
 // fan-out loop in the repository — the short-term Observer datasets, the
 // long-term digraph collectors, the ABSAB/eq.9 window scans, and TKIP per-TSC
-// model training — used to hand-roll the same structure: split keys over
-// workers, give each worker a KeySource lane, run KSA + skip + generate per
-// key, and merge per-worker counters at the end. The Engine owns that
-// structure once, and adds what none of the copies had: context cancellation
-// and progress reporting for paper-scale runs.
+// model training — runs through it: keys are cut into shards of consecutive
+// key indices, each shard runs KSA + skip + generate per key into its own
+// sink, and the sinks merge at the end. A shard draws exactly the keys its
+// index range names, so a run's result depends on its shards' key ranges,
+// never on how many goroutines work them. The Engine adds what hand-rolled
+// loops lack: context cancellation and progress reporting for paper-scale
+// runs.
 //
 // The delivery model is block-windowed: each key's keystream is delivered as
 // Blocks windows of Overlap+BlockLen bytes, where the first Overlap bytes of
@@ -30,14 +32,13 @@ import (
 
 // Stream describes what to generate for every key of a run.
 type Stream struct {
-	// Master is the AES-128 master key all RC4 keys derive from (see
-	// KeySource). The zero value is valid and gives reproducible runs.
+	// Master is the AES-128 master key all 16-byte RC4 keys derive from
+	// (see KeySource). The zero value is valid and gives reproducible runs.
 	Master [16]byte
-	// KeyLen is the RC4 key length in bytes; 0 means 16.
-	KeyLen int
-	// KeyDeriver, when non-nil, post-processes each derived key before use.
-	// keyIndex is the global key index (shard.FirstKey + offset).
-	KeyDeriver func(keyIndex uint64, key []byte)
+	// KeyDeriver, when non-nil, post-processes each derived key before use;
+	// lane is the shard's lane. TKIP training stamps its per-packet key
+	// structure (K0..K2 from the TSC, §2.2) in here.
+	KeyDeriver func(lane uint64, key []byte)
 	// Skip discards this many initial keystream bytes per key.
 	Skip int
 	// Overlap is how many bytes of each window repeat the previous window's
@@ -51,9 +52,6 @@ type Stream struct {
 }
 
 func (st Stream) withDefaults() Stream {
-	if st.KeyLen == 0 {
-		st.KeyLen = 16
-	}
 	if st.Blocks == 0 {
 		st.Blocks = 1
 	}
@@ -61,9 +59,6 @@ func (st Stream) withDefaults() Stream {
 }
 
 func (st Stream) validate() error {
-	if st.KeyLen < rc4.MinKeyLen || st.KeyLen > rc4.MaxKeyLen {
-		return rc4.KeySizeError(st.KeyLen)
-	}
 	if st.Skip < 0 || st.Overlap < 0 || st.BlockLen < 0 || st.Blocks < 1 {
 		return fmt.Errorf("dataset: invalid stream (skip=%d overlap=%d blocklen=%d blocks=%d)",
 			st.Skip, st.Overlap, st.BlockLen, st.Blocks)
@@ -71,39 +66,40 @@ func (st Stream) validate() error {
 	return nil
 }
 
-// Shard is one unit of engine work: Keys consecutive keys drawn from the
-// KeySource lane Lane, with global key indices starting at FirstKey.
+// Shard is one unit of engine work: Keys consecutive keys of the KeySource
+// lane Lane, starting at key index FirstKey.
 type Shard struct {
 	Lane     uint64
 	FirstKey uint64
 	Keys     uint64
 }
 
-// SplitKeys builds the canonical shard layout every pre-Engine loop used:
-// keys split as evenly as possible over workers (the first keys%workers
-// shards get one extra), shard w drawing from lane laneOffset+w. Workers is
-// clamped to [1, keys] (GOMAXPROCS when <= 0); zero keys yields no shards.
-func SplitKeys(keys uint64, workers int, laneOffset uint64) []Shard {
+// SplitKeys cuts keys [first, first+keys) of one lane into parts shards of
+// consecutive index ranges, as evenly as possible (the first keys%parts
+// shards get one extra). Key k of a lane is fixed by (master, lane, k), so
+// the split only decides which goroutine draws a key: every split of a range
+// yields the same key population. parts is clamped to [1, keys] (GOMAXPROCS
+// when <= 0); zero keys yields no shards.
+func SplitKeys(lane, first, keys uint64, parts int) []Shard {
 	if keys == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if parts <= 0 {
+		parts = runtime.GOMAXPROCS(0)
 	}
-	if uint64(workers) > keys {
-		workers = int(keys)
+	if uint64(parts) > keys {
+		parts = int(keys)
 	}
-	shards := make([]Shard, workers)
-	per := keys / uint64(workers)
-	extra := keys % uint64(workers)
-	var start uint64
+	shards := make([]Shard, parts)
+	per := keys / uint64(parts)
+	extra := keys % uint64(parts)
 	for w := range shards {
 		n := per
 		if uint64(w) < extra {
 			n++
 		}
-		shards[w] = Shard{Lane: laneOffset + uint64(w), FirstKey: start, Keys: n}
-		start += n
+		shards[w] = Shard{Lane: lane, FirstKey: first, Keys: n}
+		first += n
 	}
 	return shards
 }
@@ -248,8 +244,8 @@ func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progres
 	if backend == rc4.BackendMulti {
 		return runShardMulti(ctx, st, sh, sink, prog)
 	}
-	src := NewKeySource(st.Master, sh.Lane)
-	key := make([]byte, st.KeyLen)
+	src := newKeySourceAt(st.Master, sh.Lane, sh.FirstKey)
+	key := make([]byte, keyLen)
 	win := make([]byte, st.Overlap+st.BlockLen)
 	var c rc4.Cipher
 	for k := uint64(0); k < sh.Keys; k++ {
@@ -258,7 +254,7 @@ func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progres
 		}
 		src.NextKey(key)
 		if st.KeyDeriver != nil {
-			st.KeyDeriver(sh.FirstKey+k, key)
+			st.KeyDeriver(sh.Lane, key)
 		}
 		if err := c.Rekey(key); err != nil {
 			return err
@@ -291,7 +287,7 @@ func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progres
 // delivered — so the keystream bytes any sink sees are bitwise identical to
 // the scalar path, merely interleaved across the batch (see Sink).
 func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter) error {
-	src := NewKeySource(st.Master, sh.Lane)
+	src := newKeySourceAt(st.Master, sh.Lane, sh.FirstKey)
 	m := rc4.NewMulti()
 	lanes := uint64(m.Lanes())
 	keys := make([][]byte, lanes)
@@ -300,7 +296,7 @@ func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *pr
 	winLen := st.Overlap + st.BlockLen
 	buf := make([]byte, int(lanes)*winLen)
 	for l := range keys {
-		keys[l] = make([]byte, st.KeyLen)
+		keys[l] = make([]byte, keyLen)
 		wins[l] = buf[l*winLen : (l+1)*winLen]
 		tails[l] = wins[l][st.Overlap:]
 	}
@@ -322,7 +318,7 @@ func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *pr
 		for b := uint64(0); b < n; b++ {
 			src.NextKey(keys[b])
 			if st.KeyDeriver != nil {
-				st.KeyDeriver(sh.FirstKey+k+b, keys[b])
+				st.KeyDeriver(sh.Lane, keys[b])
 			}
 		}
 		for b := n; b < lanes; b++ {

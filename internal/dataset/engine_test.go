@@ -2,85 +2,63 @@ package dataset
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"rc4break/internal/rc4"
 )
 
-// --- pre-Engine reference implementations -------------------------------
+// --- sequential reference implementations -------------------------------
 //
-// These replicate the hand-rolled fan-out loops the Engine replaced,
-// sequentially, shard by shard: same lane numbering, same per/extra key
-// split, same skip and window mechanics. The equivalence tests below pin the
-// refactor to them bitwise.
+// These generate each dataset in one plain loop over keys 0..N-1 of the
+// run's single lane, with the bare cipher: no engine, no shards, no
+// goroutines. Key k of a lane is fixed by (master, lane, k), so every worker
+// count must reproduce them bitwise; they also equal the output of the
+// per-worker layout the engine once used, at one worker.
 
-// refRun is the pre-Engine dataset.Run worker loop.
-func refRun(cfg Config, factory func() Observer) Observer {
-	cfg = cfg.withDefaults()
-	var merged Observer
-	for _, sh := range SplitKeys(cfg.Keys, cfg.Workers, runLaneOffset) {
-		obs := factory()
-		src := NewKeySource(cfg.Master, sh.Lane)
-		key := make([]byte, cfg.KeyLen)
-		ks := make([]byte, obs.KeystreamLen())
-		for i := uint64(0); i < sh.Keys; i++ {
-			src.NextKey(key)
-			if cfg.KeyDeriver != nil {
-				cfg.KeyDeriver(sh.FirstKey+i, key)
-			}
-			c := rc4.MustNew(key)
-			if cfg.Skip > 0 {
-				c.Skip(cfg.Skip)
-			}
-			c.Keystream(ks)
-			obs.Observe(ks)
-		}
-		if merged == nil {
-			merged = obs
-		} else if err := merged.Merge(obs); err != nil {
-			panic(err)
-		}
-	}
-	return merged
+// workerCounts are the worker counts every dataset must be independent of.
+var workerCounts = []int{1, 2, 3, 7}
+
+// withGOMAXPROCS runs fn with GOMAXPROCS set to n, the worker count of the
+// entry points that take none.
+func withGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
 }
 
-// refCollectLongTermTargeted is the pre-Engine CollectLongTermTargeted loop.
-func refCollectLongTermTargeted(master [16]byte, keys, blocks, workers int, cells []LongTermCell) *TargetedLongTerm {
+// refRun is dataset.Run as one sequential loop over the lane.
+func refRun(cfg Config, factory func() Observer) Observer {
+	obs := factory()
+	src := NewKeySource(cfg.Master, cfg.Lane)
+	key := make([]byte, 16)
+	ks := make([]byte, obs.KeystreamLen())
+	for i := uint64(0); i < cfg.Keys; i++ {
+		src.NextKey(key)
+		rc4.MustNew(key).Keystream(ks)
+		obs.Observe(ks)
+	}
+	return obs
+}
+
+// refCollectLongTermTargeted is CollectLongTermTargeted as one sequential
+// loop over its lane.
+func refCollectLongTermTargeted(master [16]byte, keys, blocks int, cells []LongTermCell) *TargetedLongTerm {
 	merged := &TargetedLongTerm{Cells: cells, Counts: make([]uint64, len(cells))}
-	for _, sh := range SplitKeys(uint64(keys), workers, targetedLaneOffset) {
-		src := NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 257)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			c := rc4.MustNew(key)
-			c.Skip(1023)
-			c.Keystream(buf[:1])
-			for b := 0; b < blocks; b++ {
-				c.Keystream(buf[1:])
-				for r := 0; r < 256; r++ {
-					x, y := buf[r], buf[r+1]
-					for ci := range cells {
-						cell := &cells[ci]
-						if cell.I >= 0 && cell.I != r {
-							continue
-						}
-						cx, cy := cell.X, cell.Y
-						if cell.XPlusI {
-							cx += byte(r)
-						}
-						if cell.YPlusI {
-							cy += byte(r)
-						}
-						if x == cx && y == cy {
-							merged.Counts[ci]++
-						}
-					}
-				}
-				merged.Pairs += 256
-				buf[0] = buf[256]
-			}
+	src := NewKeySource(master, targetedLane)
+	key := make([]byte, 16)
+	buf := make([]byte, 257)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		c := rc4.MustNew(key)
+		c.Skip(1023)
+		c.Keystream(buf[:1])
+		for b := 0; b < blocks; b++ {
+			c.Keystream(buf[1:])
+			referenceTargetedWindow(cells, merged.Counts, buf)
+			merged.Pairs += 256
+			buf[0] = buf[256]
 		}
 	}
 	merged.PerI = merged.Pairs / 256
@@ -89,44 +67,42 @@ func refCollectLongTermTargeted(master [16]byte, keys, blocks, workers int, cell
 
 // --- equivalence tests ---------------------------------------------------
 
-func TestRunMatchesPreEngineLoop(t *testing.T) {
-	master := [16]byte{0x11, 0x22}
-	for _, workers := range []int{1, 3, 4} {
-		cfg := Config{Keys: 500, Workers: workers, Master: master, Skip: 2}
-		got, err := Run(cfg, func() Observer { return NewSingleByteCounts(16) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refRun(cfg, func() Observer { return NewSingleByteCounts(16) })
-		g, w := got.(*SingleByteCounts), want.(*SingleByteCounts)
-		if g.Keys != w.Keys {
-			t.Fatalf("workers=%d: keys %d vs %d", workers, g.Keys, w.Keys)
-		}
-		for i := range g.Counts {
-			if g.Counts[i] != w.Counts[i] {
-				t.Fatalf("workers=%d: counts diverge at %d", workers, i)
-			}
-		}
+// runObservers are the observer kinds the worker-independence pins cover.
+func runObservers() map[string]func() Observer {
+	cells := []PairCell{{A: 1, X: 0, B: 2, Y: 0}, {A: 3, X: 7, B: 16, Y: 240}}
+	return map[string]func() Observer{
+		"single":  func() Observer { return NewSingleByteCounts(16) },
+		"digraph": func() Observer { return NewDigraphCounts(4) },
+		"pairs": func() Observer {
+			tp, _ := NewTargetedPairs(cells)
+			return tp
+		},
+		"equalities": func() Observer {
+			eq, _ := NewEqualityCounts([]int{1, 1, 2}, []int{3, 4, 4})
+			return eq
+		},
+		"multi": func() Observer {
+			tp, _ := NewTargetedPairs(cells)
+			return &Multi{Observers: []Observer{tp, NewSingleByteCounts(16)}}
+		},
 	}
 }
 
-func TestRunKeyDeriverMatchesPreEngineLoop(t *testing.T) {
-	// The deriver sees global key indices; mixing the index into the key
-	// makes any indexing drift change the counts.
-	deriver := func(keyIndex uint64, key []byte) {
-		key[0] = byte(keyIndex)
-		key[1] = byte(keyIndex >> 8)
-	}
-	cfg := Config{Keys: 300, Workers: 4, KeyDeriver: deriver}
-	got, err := Run(cfg, func() Observer { return NewSingleByteCounts(4) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refRun(cfg, func() Observer { return NewSingleByteCounts(4) })
-	g, w := got.(*SingleByteCounts), want.(*SingleByteCounts)
-	for i := range g.Counts {
-		if g.Counts[i] != w.Counts[i] {
-			t.Fatalf("counts diverge at %d", i)
+// TestRunMatchesPreEngineLoop pins Run, at every worker count, to the
+// sequential loop over the run's lane.
+func TestRunMatchesPreEngineLoop(t *testing.T) {
+	for name, factory := range runObservers() {
+		cfg := Config{Keys: 500, Master: [16]byte{0x11, 0x22}, Lane: 5}
+		want := refRun(cfg, factory)
+		for _, workers := range workerCounts {
+			cfg.Workers = workers
+			got, err := Run(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, workers=%d: counters differ from the sequential loop", name, workers)
+			}
 		}
 	}
 }
@@ -138,20 +114,22 @@ func TestCollectLongTermTargetedMatchesPreEngineLoop(t *testing.T) {
 		{I: 3, X: 255, Y: 255},
 		{I: -1, X: 0, Y: 1, YPlusI: true},
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := CollectLongTermTargeted(context.Background(), master, 6, 8, workers, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refCollectLongTermTargeted(master, 6, 8, workers, cells)
-		if got.Pairs != want.Pairs || got.PerI != want.PerI {
-			t.Fatalf("workers=%d: pairs %d/%d vs %d/%d", workers, got.Pairs, got.PerI, want.Pairs, want.PerI)
-		}
-		for i := range got.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("workers=%d: cell %d: %d vs %d", workers, i, got.Counts[i], want.Counts[i])
+	want := refCollectLongTermTargeted(master, 6, 8, cells)
+	for _, workers := range workerCounts {
+		withGOMAXPROCS(workers, func() {
+			got, err := CollectLongTermTargeted(context.Background(), master, 6, 8, cells)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if got.Pairs != want.Pairs || got.PerI != want.PerI {
+				t.Fatalf("workers=%d: pairs %d/%d vs %d/%d", workers, got.Pairs, got.PerI, want.Pairs, want.PerI)
+			}
+			for i := range got.Counts {
+				if got.Counts[i] != want.Counts[i] {
+					t.Fatalf("workers=%d: cell %d: %d vs %d", workers, i, got.Counts[i], want.Counts[i])
+				}
+			}
+		})
 	}
 }
 
@@ -159,7 +137,7 @@ func TestCollectLongTermTargetedMatchesPreEngineLoop(t *testing.T) {
 // panic: workers were clamped to the key count, so zero keys indexed
 // results[0] out of range.
 func TestCollectLongTermZeroKeys(t *testing.T) {
-	tt, err := CollectLongTermTargeted(context.Background(), [16]byte{1}, 0, 16, 4, []LongTermCell{{I: -1}})
+	tt, err := CollectLongTermTargeted(context.Background(), [16]byte{1}, 0, 16, []LongTermCell{{I: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +146,7 @@ func TestCollectLongTermZeroKeys(t *testing.T) {
 	}
 	// Zero blocks must also yield an empty result, matching the pre-Engine
 	// loops (whose block loop simply never ran).
-	tt, err = CollectLongTermTargeted(context.Background(), [16]byte{1}, 4, 0, 2, []LongTermCell{{I: -1}})
+	tt, err = CollectLongTermTargeted(context.Background(), [16]byte{1}, 4, 0, []LongTermCell{{I: -1}})
 	if err != nil || tt.Pairs != 0 || len(tt.Counts) != 1 {
 		t.Fatalf("zero blocks: pairs %d err %v", tt.Pairs, err)
 	}
@@ -177,33 +155,32 @@ func TestCollectLongTermZeroKeys(t *testing.T) {
 // --- engine behavior tests ----------------------------------------------
 
 func TestSplitKeys(t *testing.T) {
-	shards := SplitKeys(10, 4, 100)
+	shards := SplitKeys(100, 20, 10, 4)
 	if len(shards) != 4 {
 		t.Fatalf("%d shards", len(shards))
 	}
-	var total, next uint64
+	next := uint64(20)
 	for w, sh := range shards {
-		if sh.Lane != 100+uint64(w) {
-			t.Errorf("shard %d lane %d", w, sh.Lane)
+		if sh.Lane != 100 {
+			t.Errorf("shard %d lane %d, want the run's lane 100", w, sh.Lane)
 		}
 		if sh.FirstKey != next {
 			t.Errorf("shard %d first key %d, want %d", w, sh.FirstKey, next)
 		}
 		next += sh.Keys
-		total += sh.Keys
 	}
-	if total != 10 {
-		t.Errorf("total %d", total)
+	if next != 30 {
+		t.Errorf("shards end at key %d, want 30", next)
 	}
-	// First keys%workers shards get the extra key.
+	// First keys%parts shards get the extra key.
 	if shards[0].Keys != 3 || shards[1].Keys != 3 || shards[2].Keys != 2 || shards[3].Keys != 2 {
 		t.Errorf("split %v", shards)
 	}
-	// Workers clamp to the key count.
-	if got := SplitKeys(2, 8, 0); len(got) != 2 {
+	// Parts clamp to the key count.
+	if got := SplitKeys(0, 0, 2, 8); len(got) != 2 {
 		t.Errorf("clamp: %d shards", len(got))
 	}
-	if got := SplitKeys(0, 8, 0); got != nil {
+	if got := SplitKeys(0, 0, 0, 8); got != nil {
 		t.Errorf("zero keys: %v", got)
 	}
 }
@@ -211,7 +188,7 @@ func TestSplitKeys(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Engine{}.Run(ctx, Stream{BlockLen: 8}, SplitKeys(100, 2, 0),
+	_, err := Engine{}.Run(ctx, Stream{BlockLen: 8}, SplitKeys(0, 0, 100, 2),
 		func(int) Sink { return observerSink{NewSingleByteCounts(8)} })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -229,7 +206,7 @@ func TestEngineProgress(t *testing.T) {
 		}
 		calls = append(calls, done)
 	})
-	_, err := Engine{Workers: 2}.Run(ctx, Stream{BlockLen: 4}, SplitKeys(50, 2, 0),
+	_, err := Engine{Workers: 2}.Run(ctx, Stream{BlockLen: 4}, SplitKeys(0, 0, 50, 2),
 		func(int) Sink { return observerSink{NewSingleByteCounts(4)} })
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +221,7 @@ func TestEngineProgress(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	sink := func(int) Sink { return observerSink{NewSingleByteCounts(1)} }
-	shards := SplitKeys(4, 2, 0)
-	if _, err := (Engine{}).Run(context.Background(), Stream{KeyLen: 300, BlockLen: 1}, shards, sink); err == nil {
-		t.Error("bad key length accepted")
-	}
+	shards := SplitKeys(0, 0, 4, 2)
 	if _, err := (Engine{}).Run(context.Background(), Stream{BlockLen: -1}, shards, sink); err == nil {
 		t.Error("negative block length accepted")
 	}
@@ -270,7 +244,7 @@ func TestEngineOverlapCarry(t *testing.T) {
 	collector := collectSink{wins: &wins}
 	_, err := Engine{Workers: 1}.Run(context.Background(), Stream{
 		Skip: 7, Overlap: overlap, BlockLen: blockLen, Blocks: blocks,
-	}, SplitKeys(1, 1, 42), func(int) Sink { return collector })
+	}, SplitKeys(42, 0, 1, 1), func(int) Sink { return collector })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,8 +179,8 @@ func TestSaveFileLoadFileRoundTripMatchesStream(t *testing.T) {
 }
 
 func TestLaneOffsetSelectsDisjointKeySequences(t *testing.T) {
-	gen := func(laneOffset uint64) *SingleByteCounts {
-		obs, err := Run(Config{Keys: 128, Workers: 1, LaneOffset: laneOffset},
+	gen := func(lane uint64) *SingleByteCounts {
+		obs, err := Run(Config{Keys: 128, Workers: 1, Lane: lane},
 			func() Observer { return NewSingleByteCounts(16) })
 		if err != nil {
 			t.Fatal(err)
@@ -191,10 +191,10 @@ func TestLaneOffsetSelectsDisjointKeySequences(t *testing.T) {
 	same := gen(0)
 	shifted := gen(1 << 20)
 	if !equalCounts(base.Counts, same.Counts) {
-		t.Fatal("same lane offset not reproducible")
+		t.Fatal("same lane not reproducible")
 	}
 	if equalCounts(base.Counts, shifted.Counts) {
-		t.Fatal("shifted lane offset produced identical keys")
+		t.Fatal("another lane produced identical keys")
 	}
 	// Both draws carry the same shape and key count — only the keys differ.
 	if base.Keys != shifted.Keys {

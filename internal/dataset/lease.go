@@ -9,8 +9,8 @@ import (
 
 // LaneLedger tracks the lease state of a fixed set of disjoint work lanes —
 // the bookkeeping behind distributed capture. A lane is the fleet-level
-// sibling of Config.LaneOffset's key lanes: just as two generation runs with
-// different lane offsets draw disjoint key sequences, two capture workers
+// sibling of Config.Lane's key lanes: just as two generation runs on
+// different lanes draw disjoint key sequences, two capture workers
 // holding different ledger lanes observe disjoint slices of the evidence
 // stream, so no observation can ever be counted twice. The ledger hands out
 // the lowest available lane (deterministic assignment), expires leases whose

@@ -3,56 +3,35 @@ package dataset
 import (
 	"context"
 	"errors"
-
-	"rc4break/internal/rc4"
 )
 
-// Lane offsets keep the KeySource lane spaces of the different collectors
-// disjoint, so no two datasets ever share an RC4 key sequence. The values
-// match the pre-Engine hand-rolled loops, which keeps every dataset in this
-// repository bitwise-reproducible across the refactor.
-const (
-	runLaneOffset      = 0
-	targetedLaneOffset = 2000
-	// Offsets 3000-5000 are used by the experiments package's long-term
-	// scans (eq. 8, ABSAB, eq. 9).
-)
+// targetedLane is CollectLongTermTargeted's KeySource lane, apart from the
+// lanes Run draws (Config.Lane, 0 by default) and the experiments package's
+// long-term scans (lanes 3000-5000), so no two datasets ever share an RC4
+// key sequence.
+const targetedLane = 2000
 
-// Config controls a generation run.
+// Config controls a generation run: keys [FirstKey, FirstKey+Keys) of lane
+// Lane under Master, which fixes the result bitwise whatever the Workers.
 type Config struct {
 	// Keys is the total number of RC4 keys (keystreams) to generate.
 	Keys uint64
-	// KeyLen is the RC4 key length in bytes; 0 means 16 (the paper's
-	// setting for both random-key datasets and TKIP per-packet keys).
-	KeyLen int
-	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
+	// Workers bounds the parallel workers; 0 means GOMAXPROCS.
 	Workers int
 	// Master is the AES-128 master key from which all RC4 keys derive.
 	// The zero value is a valid (fixed) master, giving reproducible runs.
 	Master [16]byte
-	// Skip discards this many initial keystream bytes before Observe sees
-	// the rest — the long-term datasets drop the first 1023 bytes (§3.4).
-	Skip int
-	// KeyDeriver, when non-nil, post-processes each derived key before use.
-	// The TKIP per-packet key structure (K0..K2 from the TSC, §2.2) hooks
-	// in here.
-	KeyDeriver func(keyIndex uint64, key []byte)
 	// Ctx, when non-nil, cancels the run early; pair with WithProgress to
 	// observe long runs. nil means context.Background().
 	Ctx context.Context
-	// LaneOffset shifts the KeySource lane space of this run. Two runs with
-	// the same master but disjoint lane offsets draw disjoint RC4 key
-	// sequences, which is how independent capture shards and the chunks of
-	// a checkpointed generation stay non-overlapping. 0 preserves the
-	// repository's historical lane layout.
-	LaneOffset uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.KeyLen == 0 {
-		c.KeyLen = 16
-	}
-	return c
+	// Lane is the KeySource lane the run draws its keys from. Runs with the
+	// same master on different lanes draw disjoint key sequences, which is
+	// how independently generated shards stay non-overlapping.
+	Lane uint64
+	// FirstKey is the lane index of the run's first key. Consecutive key
+	// ranges of one lane are how the chunks of a checkpointed generation
+	// continue each other.
+	FirstKey uint64
 }
 
 // observerSink adapts the per-keystream Observer interface to the engine's
@@ -71,27 +50,20 @@ func (o observerSink) Merge(other Sink) error {
 }
 
 // Run generates cfg.Keys keystreams in parallel and folds them into
-// observers produced by factory (one set per worker), returning the merged
+// observers produced by factory (one per shard), returning the merged
 // result. factory must return a fresh, independent Observer on each call.
 func Run(cfg Config, factory func() Observer) (Observer, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Keys == 0 {
 		return nil, errors.New("dataset: zero keys requested")
 	}
-	if cfg.KeyLen < rc4.MinKeyLen || cfg.KeyLen > rc4.MaxKeyLen {
-		return nil, rc4.KeySizeError(cfg.KeyLen)
-	}
-	shards := SplitKeys(cfg.Keys, cfg.Workers, runLaneOffset+cfg.LaneOffset)
+	shards := SplitKeys(cfg.Lane, cfg.FirstKey, cfg.Keys, cfg.Workers)
 	observers := make([]Observer, len(shards))
 	for i := range observers {
 		observers[i] = factory()
 	}
 	sink, err := Engine{Workers: cfg.Workers}.Run(cfg.Ctx, Stream{
-		Master:     cfg.Master,
-		KeyLen:     cfg.KeyLen,
-		KeyDeriver: cfg.KeyDeriver,
-		Skip:       cfg.Skip,
-		BlockLen:   observers[0].KeystreamLen(),
+		Master:   cfg.Master,
+		BlockLen: observers[0].KeystreamLen(),
 	}, shards, func(i int) Sink { return observerSink{observers[i]} })
 	if err != nil {
 		return nil, err
@@ -224,15 +196,15 @@ func (tt *TargetedLongTerm) Merge(other Sink) error {
 // CollectLongTermTargeted generates `keys` keystreams of blocks*256 bytes
 // each (after the 1023-byte drop) and counts only the given cells. Zero (or
 // negative) keys or blocks yield an empty result.
-func CollectLongTermTargeted(ctx context.Context, master [16]byte, keys, blocks, workers int, cells []LongTermCell) (*TargetedLongTerm, error) {
+func CollectLongTermTargeted(ctx context.Context, master [16]byte, keys, blocks int, cells []LongTermCell) (*TargetedLongTerm, error) {
 	newSink := func(int) Sink {
 		return &TargetedLongTerm{Cells: cells, Counts: make([]uint64, len(cells))}
 	}
 	if keys <= 0 || blocks <= 0 {
 		return newSink(0).(*TargetedLongTerm), nil
 	}
-	shards := SplitKeys(uint64(keys), workers, targetedLaneOffset)
-	sink, err := Engine{Workers: workers}.Run(ctx, longTermStream(master, blocks), shards, newSink)
+	shards := SplitKeys(targetedLane, 0, uint64(keys), 0)
+	sink, err := Engine{}.Run(ctx, longTermStream(master, blocks), shards, newSink)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // the untraced run, and the journal holds the run/shard span structure.
 func TestEngineTracingBitwiseIdentical(t *testing.T) {
 	st := Stream{Skip: 3, Overlap: 1, BlockLen: 32, Blocks: 4}
-	shards := SplitKeys(200, 4, 7)
+	shards := SplitKeys(7, 0, 200, 4)
 	run := func(ctx context.Context) *SingleByteCounts {
 		sink, err := Engine{Workers: 2}.Run(ctx, st, shards,
 			func(int) Sink { return observerSink{NewSingleByteCounts(33)} })
@@ -66,7 +66,7 @@ func TestEngineTracingBitwiseIdentical(t *testing.T) {
 // scripts/benchdiff at a 2% threshold.
 func BenchmarkEngineTracedVsUntraced(b *testing.B) {
 	st := Stream{Skip: 256, BlockLen: 256, Blocks: 1}
-	shards := SplitKeys(2048, 4, 0)
+	shards := SplitKeys(0, 0, 2048, 4)
 	bench := func(b *testing.B, ctx context.Context) {
 		b.SetBytes(int64(2048 * 256))
 		for i := 0; i < b.N; i++ {

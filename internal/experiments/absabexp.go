@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strconv"
 
 	"rc4break/internal/biases"
 	"rc4break/internal/dataset"
@@ -55,7 +56,7 @@ func (t *absabTally) Merge(other dataset.Sink) error {
 // proportion-test z against uniform. The paper also notes the theoretical
 // estimate slightly underpredicts the true bias — visible here at larger
 // sample sizes.
-func ABSABGapVerification(ctx context.Context, master [16]byte, keys, blocks int, gaps []int, workers int) (Result, error) {
+func ABSABGapVerification(ctx context.Context, master [16]byte, keys, blocks int, gaps []int) (Result, error) {
 	if len(gaps) == 0 {
 		gaps = []int{0, 1, 2, 4, 8, 16, 32, 64, 128}
 	}
@@ -68,8 +69,8 @@ func ABSABGapVerification(ctx context.Context, master [16]byte, keys, blocks int
 
 	tot := &absabTally{gaps: gaps, hits: make([]uint64, len(gaps)), total: make([]uint64, len(gaps))}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, absabLaneOffset)
-		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
+		shards := dataset.SplitKeys(absabLane, 0, uint64(keys), 0)
+		sink, err := dataset.Engine{}.Run(ctx, dataset.Stream{
 			// The scanned block is the window head; the overlap supplies
 			// the second digraph of the largest gap (r+2+g+1 lookahead).
 			Master: master, Skip: 1023, Overlap: maxGap + 4, BlockLen: 256, Blocks: blocks,
@@ -95,7 +96,7 @@ func ABSABGapVerification(ctx context.Context, master [16]byte, keys, blocks int
 			z = r.Statistic
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:  "g=" + itoa(g),
+			Label:  "g=" + strconv.Itoa(g),
 			Values: []float64{meas * 65536, biases.ABSABAlpha(g) * 65536, z},
 		})
 	}
@@ -140,14 +141,14 @@ func (t *eqTally) Merge(other dataset.Sink) error {
 // below laptop-scale resolution — the paper itself calls reliably detecting
 // them an open direction — so the driver reports the measured probabilities
 // with their z statistics, demonstrating the methodology.
-func Equation9Search(ctx context.Context, master [16]byte, keys, blocks int, pairs [][2]int, workers int) (Result, error) {
+func Equation9Search(ctx context.Context, master [16]byte, keys, blocks int, pairs [][2]int) (Result, error) {
 	if len(pairs) == 0 {
 		pairs = [][2]int{{0, 2}, {0, 16}, {1, 129}, {5, 250}}
 	}
 	tot := &eqTally{pairs: pairs, hits: make([]uint64, len(pairs))}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, eq9LaneOffset)
-		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
+		shards := dataset.SplitKeys(eq9Lane, 0, uint64(keys), 0)
+		sink, err := dataset.Engine{}.Run(ctx, dataset.Stream{
 			// Skip 1024 so each block starts at Z_{256w+1}.
 			Master: master, Skip: 1024, BlockLen: 256, Blocks: blocks,
 		}, shards, func(int) dataset.Sink {
@@ -171,7 +172,7 @@ func Equation9Search(ctx context.Context, master [16]byte, keys, blocks int, pai
 			z = r.Statistic
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:  "a=" + itoa(p[0]) + " b=" + itoa(p[1]),
+			Label:  "a=" + strconv.Itoa(p[0]) + " b=" + strconv.Itoa(p[1]),
 			Values: []float64{meas * 256, z},
 		})
 	}

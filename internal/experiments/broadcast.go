@@ -20,12 +20,12 @@ import (
 //
 // This runs in exact mode end to end: both training and attack use the
 // real cipher.
-func BroadcastAttack(ctx context.Context, trainKeys, ciphertexts uint64, positions int, workers int) (Result, error) {
+func BroadcastAttack(ctx context.Context, trainKeys, ciphertexts uint64, positions int) (Result, error) {
 	if positions <= 0 {
 		positions = 32
 	}
 	// Train single-byte distributions.
-	obs, err := dataset.Run(dataset.Config{Keys: trainKeys, Workers: workers, Master: [16]byte{0x7a}, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: trainKeys, Master: [16]byte{0x7a}, Ctx: ctx},
 		func() dataset.Observer { return dataset.NewSingleByteCounts(positions) })
 	if err != nil {
 		return Result{}, err

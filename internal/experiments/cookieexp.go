@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strconv"
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
@@ -84,7 +85,7 @@ func Figure10(p CookieParams) (Result, error) {
 		}
 		hours := float64(n) / netsim.HTTPSRequestsPerSecond / 3600
 		res.Rows = append(res.Rows, Row{
-			Label: itoa(int(n>>27)) + "x2^27",
+			Label: strconv.Itoa(int(n>>27)) + "x2^27",
 			Values: []float64{
 				float64(okList) / float64(p.Trials),
 				float64(okTop1) / float64(p.Trials),

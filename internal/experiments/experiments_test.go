@@ -41,7 +41,7 @@ func TestLog2(t *testing.T) {
 }
 
 func TestTable2SmallScale(t *testing.T) {
-	res, err := Table2(context.Background(), 1<<14, 0)
+	res, err := Table2(context.Background(), 1<<14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestConsecutiveEq2Shape(t *testing.T) {
 	// The w=1 bias (Z15=Z16=240) is strong enough to verify directionally
 	// at moderate scale: its base is 2^-15.95 (ABOVE uniform because Z16
 	// is biased toward 240) and the dependency factor pushes it down ~3%.
-	res, err := ConsecutiveEq2(context.Background(), 1<<18, 0)
+	res, err := ConsecutiveEq2(context.Background(), 1<<18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestConsecutiveEq2Shape(t *testing.T) {
 }
 
 func TestEqualitiesRows(t *testing.T) {
-	res, err := Equalities(context.Background(), 1<<14, 0)
+	res, err := Equalities(context.Background(), 1<<14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEqualitiesRows(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	res, err := Figure5(context.Background(), 1<<16, 0, []int{16, 64})
+	res, err := Figure5(context.Background(), 1<<16, []int{16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Rows(t *testing.T) {
-	res, err := Figure6(context.Background(), 1<<13, 0)
+	res, err := Figure6(context.Background(), 1<<13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFigure6Rows(t *testing.T) {
 }
 
 func TestTable1SmallScale(t *testing.T) {
-	res, err := Table1(context.Background(), [16]byte{1}, 8, 64, 0)
+	res, err := Table1(context.Background(), [16]byte{1}, 8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTable1SmallScale(t *testing.T) {
 }
 
 func TestLongTermZeroPairsSmallScale(t *testing.T) {
-	res, err := LongTermZeroPairs(context.Background(), [16]byte{2}, 8, 128, 0)
+	res, err := LongTermZeroPairs(context.Background(), [16]byte{2}, 8, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestLongTermZeroPairsSmallScale(t *testing.T) {
 }
 
 func TestFigure4SmallScale(t *testing.T) {
-	res, err := Figure4(context.Background(), 1<<14, 0, 48)
+	res, err := Figure4(context.Background(), 1<<14, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPayloadPlacementSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training is slow")
 	}
-	res, err := PayloadPlacement(context.Background(), 1<<9, 0)
+	res, err := PayloadPlacement(context.Background(), 1<<9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCharsetAblationSmallScale(t *testing.T) {
 }
 
 func TestABSABGapVerificationMechanics(t *testing.T) {
-	res, err := ABSABGapVerification(context.Background(), [16]byte{4}, 16, 1024, []int{0, 8, 128}, 0)
+	res, err := ABSABGapVerification(context.Background(), [16]byte{4}, 16, 1024, []int{0, 8, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestABSABGapVerificationMechanics(t *testing.T) {
 }
 
 func TestEquation9SearchMechanics(t *testing.T) {
-	res, err := Equation9Search(context.Background(), [16]byte{5}, 16, 1024, nil, 0)
+	res, err := Equation9Search(context.Background(), [16]byte{5}, 16, 1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestBroadcastAttackRecoversEarlyBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("broadcast attack is slow")
 	}
-	res, err := BroadcastAttack(context.Background(), 1<<21, 1<<21, 16, 0)
+	res, err := BroadcastAttack(context.Background(), 1<<21, 1<<21, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

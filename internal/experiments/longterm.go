@@ -2,19 +2,19 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 
 	"rc4break/internal/biases"
 	"rc4break/internal/dataset"
 	"rc4break/internal/stats"
 )
 
-// Lane offsets for the experiments package's long-term scans, disjoint from
-// the dataset package's own lane spaces and preserved from the pre-engine
-// loops so the datasets stay bitwise-reproducible.
+// KeySource lanes of the experiments package's long-term scans, disjoint
+// from the dataset package's own lanes, so no two scans share a key.
 const (
-	zeroPairLaneOffset = 3000
-	absabLaneOffset    = 4000
-	eq9LaneOffset      = 5000
+	zeroPairLane = 3000
+	absabLane    = 4000
+	eq9Lane      = 5000
 )
 
 // Table1 verifies the generalized Fluhrer–McGrew digraph biases in the
@@ -24,7 +24,7 @@ const (
 // 2^-7/2^-8, so resolving every family at 3σ needs ~2^35+ digraphs; the
 // default laptop scale resolves the aggregate and the strongest families,
 // with the rest reported alongside their statistical error.
-func Table1(ctx context.Context, master [16]byte, keys, blocks, workers int) (Result, error) {
+func Table1(ctx context.Context, master [16]byte, keys, blocks int) (Result, error) {
 	type family struct {
 		name  string
 		cell  dataset.LongTermCell
@@ -48,7 +48,7 @@ func Table1(ctx context.Context, master [16]byte, keys, blocks, workers int) (Re
 	for i, f := range families {
 		cells[i] = f.cell
 	}
-	tt, err := dataset.CollectLongTermTargeted(ctx, master, keys, blocks, workers, cells)
+	tt, err := dataset.CollectLongTermTargeted(ctx, master, keys, blocks, cells)
 	if err != nil {
 		return Result{}, err
 	}
@@ -90,11 +90,11 @@ func Table1(ctx context.Context, master [16]byte, keys, blocks, workers int) (Re
 // expected probability, for the digraph families the paper plots. Output
 // rows are positions; columns the families; values -log2|q| (the paper's
 // y-axis scale, smaller = stronger).
-func Figure4(ctx context.Context, keys uint64, workers, positions int) (Result, error) {
+func Figure4(ctx context.Context, keys uint64, positions int) (Result, error) {
 	if positions <= 0 {
 		positions = 96
 	}
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer { return dataset.NewDigraphCounts(positions) })
 	if err != nil {
 		return Result{}, err
@@ -135,7 +135,7 @@ func Figure4(ctx context.Context, keys uint64, workers, positions int) (Result, 
 			q := stats.RelativeBias(meas, expected)
 			vals[fi] = stats.Log2RelativeBias(q)
 		}
-		res.Rows = append(res.Rows, Row{Label: "r=" + itoa(r), Values: vals})
+		res.Rows = append(res.Rows, Row{Label: "r=" + strconv.Itoa(r), Values: vals})
 	}
 	return res, nil
 }
@@ -177,13 +177,13 @@ func (z *zeroPairCounts) Merge(other dataset.Sink) error {
 // bias and the paper's new (128,0) companion (eq. 8): both have probability
 // 2^-16 (1 + 2^-8) at positions that are multiples of 256. A control cell
 // (64,0) is reported for comparison; it should sit at the uniform 2^-16.
-func LongTermZeroPairs(ctx context.Context, master [16]byte, keys, blocks, workers int) (Result, error) {
+func LongTermZeroPairs(ctx context.Context, master [16]byte, keys, blocks int) (Result, error) {
 	// Skip 1279 bytes so each window starts at a multiple of 256 (the
 	// first window's win[0] is Z_1280).
 	tot := &zeroPairCounts{}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, zeroPairLaneOffset)
-		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
+		shards := dataset.SplitKeys(zeroPairLane, 0, uint64(keys), 0)
+		sink, err := dataset.Engine{}.Run(ctx, dataset.Stream{
 			Master: master, Skip: 1279, BlockLen: 256, Blocks: blocks,
 		}, shards, func(int) dataset.Sink { return &zeroPairCounts{} })
 		if err != nil {

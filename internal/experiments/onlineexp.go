@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/job"
@@ -24,7 +25,6 @@ type OnlineCookieParams struct {
 	// Candidates is the per-round list depth; default 2^12.
 	Candidates int
 	Seed       int64
-	Workers    int
 }
 
 func (p OnlineCookieParams) withDefaults() OnlineCookieParams {
@@ -74,11 +74,10 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	for t := 0; t < p.Trials; t++ {
 		secret := randomCookie(rng, charset, 16)
 		rt, err := job.New(job.Spec{
-			Attack:  "cookie",
-			Mode:    "model",
-			Seed:    p.Seed + int64(t)*7919,
-			Secret:  string(secret),
-			Workers: p.Workers,
+			Attack: "cookie",
+			Mode:   "model",
+			Seed:   p.Seed + int64(t)*7919,
+			Secret: string(secret),
 		}, nil)
 		if err != nil {
 			return Result{}, err
@@ -117,7 +116,7 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	for i, pt := range points {
 		cum += perPoint[i]
 		res.Rows = append(res.Rows, Row{
-			Label: itoa(int(pt>>20)) + "x2^20",
+			Label: strconv.Itoa(int(pt>>20)) + "x2^20",
 			Values: []float64{
 				float64(cum) / float64(p.Trials),
 				float64(perPoint[i]),
@@ -142,8 +141,8 @@ func onlineNotes(succeededAt []uint64, ranks []int, p OnlineCookieParams) string
 		savedSum += float64(p.Budget - s)
 	}
 	sort.Ints(ranks)
-	return "median records-to-success " + itoa(int(med>>20)) + "x2^20 vs fixed budget " +
-		itoa(int(p.Budget>>20)) + "x2^20; mean saving " +
-		itoa(int(savedSum/float64(len(succeededAt)))/(1<<20)) + "x2^20 records; median rank at success " +
-		itoa(ranks[len(ranks)/2])
+	return "median records-to-success " + strconv.Itoa(int(med>>20)) + "x2^20 vs fixed budget " +
+		strconv.Itoa(int(p.Budget>>20)) + "x2^20; mean saving " +
+		strconv.Itoa(int(savedSum/float64(len(succeededAt)))/(1<<20)) + "x2^20 records; median rank at success " +
+		strconv.Itoa(ranks[len(ranks)/2])
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"math/rand"
+	"strconv"
 
 	"rc4break/internal/biases"
 	"rc4break/internal/recovery"
@@ -122,7 +123,7 @@ func Figure7(seed int64, ciphertexts []uint64, trials, maxGap int) Result {
 			}
 			vals[mi] = float64(succ) / float64(trials)
 		}
-		res.Rows = append(res.Rows, Row{Label: "2^" + itoa(log2int(n)), Values: vals})
+		res.Rows = append(res.Rows, Row{Label: "2^" + strconv.Itoa(log2int(n)), Values: vals})
 	}
 	return res
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"strconv"
 
 	"rc4break/internal/biases"
 	"rc4break/internal/dataset"
@@ -14,7 +15,7 @@ import (
 // measured probability against the paper's value. The paper used 2^44–2^45
 // keys; sign agreement and magnitude ordering are the reproducible shape at
 // laptop scale.
-func Table2(ctx context.Context, keys uint64, workers int) (Result, error) {
+func Table2(ctx context.Context, keys uint64) (Result, error) {
 	all := append(append([]biases.PairBias{}, biases.ConsecutiveKeyLengthBiases...),
 		biases.NonConsecutiveBiases...)
 	cells := make([]dataset.PairCell, len(all))
@@ -25,7 +26,7 @@ func Table2(ctx context.Context, keys uint64, workers int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer {
 			t, _ := dataset.NewTargetedPairs(cells)
 			return t
@@ -57,31 +58,19 @@ func Table2(ctx context.Context, keys uint64, workers int) (Result, error) {
 }
 
 func pairLabel(b biases.PairBias) string {
-	return "Z" + itoa(b.A) + "=" + itoa(int(b.X)) + " & Z" + itoa(b.B) + "=" + itoa(int(b.Y))
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
+	return "Z" + strconv.Itoa(b.A) + "=" + strconv.Itoa(int(b.X)) + " & Z" + strconv.Itoa(b.B) + "=" + strconv.Itoa(int(b.Y))
 }
 
 // Equalities reproduces eqs. 3–5: Pr[Z1=Z3], Pr[Z1=Z4], Pr[Z2=Z4].
 // The relative biases are 2^-8.59..2^-9.62, resolvable at ~2^30 keys; at
 // smaller scales the z column shows the direction of the evidence.
-func Equalities(ctx context.Context, keys uint64, workers int) (Result, error) {
+func Equalities(ctx context.Context, keys uint64) (Result, error) {
 	as := make([]int, len(biases.EqualityBiases))
 	bs := make([]int, len(biases.EqualityBiases))
 	for i, e := range biases.EqualityBiases {
 		as[i], bs[i] = e.A, e.B
 	}
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer {
 			e, _ := dataset.NewEqualityCounts(as, bs)
 			return e
@@ -102,7 +91,7 @@ func Equalities(ctx context.Context, keys uint64, workers int) (Result, error) {
 			z = r.Statistic
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:  "Z" + itoa(e.A) + " = Z" + itoa(e.B),
+			Label:  "Z" + strconv.Itoa(e.A) + " = Z" + strconv.Itoa(e.B),
 			Values: []float64{meas * 256, e.P * 256, z},
 		})
 	}
@@ -113,7 +102,7 @@ func Equalities(ctx context.Context, keys uint64, workers int) (Result, error) {
 // sample of target positions i, reporting the relative bias q of each pair
 // against its single-byte-expected probability (the paper's y-axis).
 // Positive q for families 1/2/4, negative for 3/5/6, is the shape.
-func Figure5(ctx context.Context, keys uint64, workers int, positions []int) (Result, error) {
+func Figure5(ctx context.Context, keys uint64, positions []int) (Result, error) {
 	if len(positions) == 0 {
 		positions = []int{16, 32, 64, 96, 128, 160, 192, 224, 256}
 	}
@@ -129,7 +118,7 @@ func Figure5(ctx context.Context, keys uint64, workers int, positions []int) (Re
 		}
 	}
 	maxPos := positions[len(positions)-1]
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer {
 			m := &dataset.Multi{}
 			t, _ := dataset.NewTargetedPairs(cells)
@@ -156,10 +145,9 @@ func Figure5(ctx context.Context, keys uint64, workers int, positions []int) (Re
 			a, x, b, y := s.Cell(i)
 			expected := sb.Probability(a, x) * sb.Probability(b, y)
 			vals[si] = stats.RelativeBias(tp.Probability(ci), expected)
-			_ = s
 			ci++
 		}
-		res.Rows = append(res.Rows, Row{Label: "i=" + itoa(i), Values: vals})
+		res.Rows = append(res.Rows, Row{Label: "i=" + strconv.Itoa(i), Values: vals})
 	}
 	return res, nil
 }
@@ -168,9 +156,9 @@ func Figure5(ctx context.Context, keys uint64, workers int, positions []int) (Re
 // key-length biases Z_{256+16k} toward 32k (k = 1..7) plus the positions
 // the paper plots (272, 304, 336, 368). Reported: Pr[Z_pos = 32k]·256 and
 // the chi-squared p-value for uniformity of the position.
-func Figure6(ctx context.Context, keys uint64, workers int) (Result, error) {
+func Figure6(ctx context.Context, keys uint64) (Result, error) {
 	const maxPos = 368
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer { return dataset.NewSingleByteCounts(maxPos) })
 	if err != nil {
 		return Result{}, err
@@ -190,7 +178,7 @@ func Figure6(ctx context.Context, keys uint64, workers int) (Result, error) {
 			logp = math.Log10(r.P)
 		}
 		res.Rows = append(res.Rows, Row{
-			Label:  "Z" + itoa(pos) + " -> " + itoa(int(val)),
+			Label:  "Z" + strconv.Itoa(pos) + " -> " + strconv.Itoa(int(val)),
 			Values: []float64{p * 256, 1, logp},
 		})
 	}
@@ -200,12 +188,12 @@ func Figure6(ctx context.Context, keys uint64, workers int) (Result, error) {
 // ConsecutiveEq2 verifies the eq. 2 family (Table 2's consecutive rows)
 // with direct targeted counting, reporting measured versus paper values of
 // Pr[Z_{16w-1} = Z_{16w} = 256-16w].
-func ConsecutiveEq2(ctx context.Context, keys uint64, workers int) (Result, error) {
+func ConsecutiveEq2(ctx context.Context, keys uint64) (Result, error) {
 	var cells []dataset.PairCell
 	for _, b := range biases.ConsecutiveKeyLengthBiases {
 		cells = append(cells, dataset.PairCell{A: b.A, B: b.B, X: b.X, Y: b.Y})
 	}
-	obs, err := dataset.Run(dataset.Config{Keys: keys, Workers: workers, Ctx: ctx},
+	obs, err := dataset.Run(dataset.Config{Keys: keys, Ctx: ctx},
 		func() dataset.Observer {
 			t, _ := dataset.NewTargetedPairs(cells)
 			return t
@@ -221,7 +209,7 @@ func ConsecutiveEq2(ctx context.Context, keys uint64, workers int) (Result, erro
 	}
 	for i, b := range biases.ConsecutiveKeyLengthBiases {
 		res.Rows = append(res.Rows, Row{
-			Label:  "w=" + itoa(i+1),
+			Label:  "w=" + strconv.Itoa(i+1),
 			Values: []float64{tp.Probability(i) * 65536, b.P() * 65536},
 		})
 	}

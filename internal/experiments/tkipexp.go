@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
@@ -34,7 +35,6 @@ type TKIPParams struct {
 	// the defaults search far enough to show the shape).
 	MaxDepth int
 	Seed     int64
-	Workers  int
 	// Ctx, when non-nil, cancels model training early (trained-model mode).
 	Ctx context.Context
 }
@@ -85,7 +85,6 @@ func Figures8and9(p TKIPParams) (Result, error) {
 		model, err = tkip.Train(tkip.TrainConfig{
 			Positions:  positions[len(positions)-1],
 			KeysPerTSC: p.KeysPerTSC,
-			Workers:    p.Workers,
 			Ctx:        p.Ctx,
 		})
 		if err != nil {
@@ -107,7 +106,7 @@ func Figures8and9(p TKIPParams) (Result, error) {
 		var okList, okTop2 int
 		var depths []int
 		for t := 0; t < p.Trials; t++ {
-			rt, err := job.New(job.Spec{Attack: "tkip", Mode: "model", Seed: rng.Int63(), Model: model, Workers: p.Workers}, nil)
+			rt, err := job.New(job.Spec{Attack: "tkip", Mode: "model", Seed: rng.Int63(), Model: model}, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -134,7 +133,7 @@ func Figures8and9(p TKIPParams) (Result, error) {
 		med := median(depths)
 		hours := float64(copies) / netsim.TKIPInjectionPerSecond / 3600
 		res.Rows = append(res.Rows, Row{
-			Label: itoa(int(copies>>20)) + "x2^20",
+			Label: strconv.Itoa(int(copies>>20)) + "x2^20",
 			Values: []float64{
 				float64(okList) / float64(p.Trials),
 				float64(okTop2) / float64(p.Trials),
@@ -163,12 +162,11 @@ func median(xs []int) float64 {
 // 7-byte TCP payload. Bias strength per position is measured from the
 // trained model as the mean L2 distance between per-class distributions and
 // the position's global distribution.
-func PayloadPlacement(ctx context.Context, keysPerTSC uint64, workers int) (Result, error) {
+func PayloadPlacement(ctx context.Context, keysPerTSC uint64) (Result, error) {
 	maxPos := packet.HeaderSize + 7 + tkip.TrailerSize // 67
 	model, err := tkip.Train(tkip.TrainConfig{
 		Positions:  maxPos,
 		KeysPerTSC: keysPerTSC,
-		Workers:    workers,
 		Ctx:        ctx,
 	})
 	if err != nil {

@@ -9,7 +9,7 @@
 //
 //   - Lanes. The observation budget is cut into fixed-size lanes
 //     (dataset.LaneLedger bookkeeping, the fleet sibling of
-//     dataset.Config.LaneOffset's disjoint key lanes). Each lane has one
+//     dataset.Config.Lane's disjoint key lanes). Each lane has one
 //     stream identity (snapshot.StreamInfo with the Lane field set) and its
 //     evidence is a pure function of (job, lane), so a lane can be captured
 //     by any worker, at any time, any number of times — always producing

@@ -44,7 +44,7 @@ type TrainConfig struct {
 }
 
 // trainLaneOffset keeps the training lane space (one KeySource lane per TSC0
-// class) disjoint from the dataset package's lane offsets. Lanes are a fixed
+// class) disjoint from the dataset package's lanes. Lanes are a fixed
 // function of the class, so training is deterministic for a fixed master —
 // the pre-engine worker pool seeded lanes by which goroutine happened to
 // grab a class, making every training run irreproducible.
@@ -73,8 +73,8 @@ func (cs classSink) Merge(other dataset.Sink) error {
 
 // Train estimates per-TSC keystream distributions by generating, for every
 // TSC0 class, KeysPerTSC random keys with the mandated K0..K2 structure.
-// Each class is one engine shard with its own KeySource lane, so the model
-// is deterministic for a fixed master.
+// Each class is one engine shard, keys 0..KeysPerTSC-1 of its own KeySource
+// lane, so the model is deterministic for a fixed master.
 func Train(cfg TrainConfig) (*PerTSCModel, error) {
 	if cfg.Positions <= 0 || cfg.KeysPerTSC == 0 {
 		return nil, errors.New("tkip: positions and keys per TSC must be positive")
@@ -90,21 +90,14 @@ func Train(cfg TrainConfig) (*PerTSCModel, error) {
 
 	shards := make([]dataset.Shard, 256)
 	for class := range shards {
-		shards[class] = dataset.Shard{
-			Lane:     trainLaneOffset + uint64(class),
-			FirstKey: uint64(class) * cfg.KeysPerTSC,
-			Keys:     cfg.KeysPerTSC,
-		}
+		shards[class] = dataset.Shard{Lane: trainLaneOffset + uint64(class), Keys: cfg.KeysPerTSC}
 	}
 	perClass := cfg.Positions * 256
 	_, err := dataset.Engine{Workers: cfg.Workers}.Run(cfg.Ctx, dataset.Stream{
 		Master:   cfg.Master,
 		BlockLen: cfg.Positions,
-		KeyDeriver: func(keyIndex uint64, key []byte) {
-			// The shard layout maps global key indices to classes in
-			// KeysPerTSC-sized runs.
-			class := byte(keyIndex / cfg.KeysPerTSC)
-			key[0], key[1], key[2] = k0, k1, class
+		KeyDeriver: func(lane uint64, key []byte) {
+			key[0], key[1], key[2] = k0, k1, byte(lane-trainLaneOffset)
 		},
 	}, shards, func(class int) dataset.Sink {
 		return classSink{counts: m.Counts[class*perClass : (class+1)*perClass], positions: cfg.Positions}

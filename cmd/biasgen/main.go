@@ -109,6 +109,9 @@ func main() {
 			if meta == nil {
 				fatal(fmt.Errorf("resume %s: file carries no generation parameters (not a biasgen checkpoint)", *out))
 			}
+			if _, isMerge := meta["sources"]; isMerge {
+				fatal(fmt.Errorf("resume %s: file is a merge of %d datasets, not one lane's checkpoint", *out, meta["sources"]))
+			}
 			if err := checkLayout(meta); err != nil {
 				fatal(fmt.Errorf("resume %s: %w", *out, err))
 			}
@@ -188,29 +191,34 @@ func main() {
 	fmt.Printf("wrote %s dataset: %d keys x %d positions -> %s\n", *kind, *keys, *positions, *out)
 }
 
-// mergeDatasets combines shard files into one dataset; shapes must match,
-// and shards whose generation parameters show they drew overlapping keys
-// (identical seed and lane base) are rejected rather than double-counted,
-// as are old-layout files. Files without metadata (plain saves or earlier
-// merges) carry no lineage and are merged as-is.
+// mergeDatasets combines dataset files into one; shapes must match. The
+// output's metadata lists the (seed, lanebase) of every source it holds, so
+// a file that overlaps one already merged — a shard twice, or a shard and an
+// earlier merge that contains it — is refused rather than double-counted, as
+// are old-layout files. Files without metadata carry no lineage and are
+// merged as-is.
 func mergeDatasets(paths []string, out string) {
 	var merged dataset.Observer
 	var total uint64
 	seen := make(map[[2]uint64]string)
+	outMeta := map[string]uint64{}
 	for _, p := range paths {
 		obs, meta, err := dataset.LoadFileMeta(p)
 		if err != nil {
 			fatal(fmt.Errorf("merge %s: %w", p, err))
 		}
-		if meta != nil {
-			if err := checkLayout(meta); err != nil {
-				fatal(fmt.Errorf("merge %s: %w", p, err))
-			}
-			id := [2]uint64{meta["seed"], meta["lanebase"]}
+		ids, err := lineage(meta)
+		if err != nil {
+			fatal(fmt.Errorf("merge %s: %w", p, err))
+		}
+		for _, id := range ids {
 			if prev, dup := seen[id]; dup {
-				fatal(fmt.Errorf("merge %s: same seed/lanebase as %s — the shards drew the same keys and would be double-counted", p, prev))
+				fatal(fmt.Errorf("merge %s: holds seed %d lanebase %d, as does %s — the same keys would be double-counted", p, id[0], id[1], prev))
 			}
+			i := len(seen)
 			seen[id] = p
+			outMeta[fmt.Sprintf("source%d.seed", i)] = id[0]
+			outMeta[fmt.Sprintf("source%d.lanebase", i)] = id[1]
 		}
 		if merged == nil {
 			merged = obs
@@ -223,10 +231,37 @@ func mergeDatasets(paths []string, out string) {
 	if merged == nil {
 		fatal(fmt.Errorf("no dataset files to merge"))
 	}
-	if err := dataset.SaveFile(out, merged); err != nil {
+	outMeta["sources"] = uint64(len(seen))
+	if err := dataset.SaveFileMeta(out, merged, outMeta); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote merged dataset: %d keys -> %s\n", total, out)
+}
+
+// lineage lists the (seed, lanebase) key lanes a dataset file holds: its
+// own for a generated file, every source's for a merge, none for a file
+// without metadata.
+func lineage(meta map[string]uint64) ([][2]uint64, error) {
+	if meta == nil {
+		return nil, nil
+	}
+	if err := checkLayout(meta); err != nil {
+		return nil, err
+	}
+	n, isMerge := meta["sources"]
+	if !isMerge {
+		return [][2]uint64{{meta["seed"], meta["lanebase"]}}, nil
+	}
+	var ids [][2]uint64
+	for i := uint64(0); i < n; i++ {
+		seed, okSeed := meta[fmt.Sprintf("source%d.seed", i)]
+		lane, okLane := meta[fmt.Sprintf("source%d.lanebase", i)]
+		if !okSeed || !okLane {
+			return nil, fmt.Errorf("merged file lists %d sources but not source %d", n, i)
+		}
+		ids = append(ids, [2]uint64{seed, lane})
+	}
+	return ids, nil
 }
 
 // checkLayout refuses metadata written under the per-worker key layout.

@@ -113,6 +113,43 @@ func TestOldLayoutRefused(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesOverlap pins merge lineage: a merged file records the
+// (seed, lanebase) of every source, so merging it with one of its own
+// shards — or resuming it — exits 1 instead of double-counting keys, while
+// a disjoint shard still merges on top of it.
+func TestMergeRefusesOverlap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	shard := func(lane string) string {
+		p := filepath.Join(dir, "lane"+lane+".gob")
+		run(t, bin, 0, "-positions", "4", "-keys", "1024", "-lanebase", lane, "-out", p)
+		return p
+	}
+	a, b, c := shard("0"), shard("1"), shard("2")
+	ab := filepath.Join(dir, "ab.gob")
+	run(t, bin, 0, "-merge", a+","+b, "-out", ab)
+
+	if out := run(t, bin, 1, "-merge", ab+","+a, "-out", filepath.Join(dir, "bad.gob")); !strings.Contains(out, "double-counted") {
+		t.Errorf("merge of a file with its own shard: want a double-count refusal, got:\n%s", out)
+	}
+	abc := filepath.Join(dir, "abc.gob")
+	run(t, bin, 0, "-merge", ab+","+c, "-out", abc)
+	if out := run(t, bin, 1, "-merge", b+","+abc, "-out", filepath.Join(dir, "bad.gob")); !strings.Contains(out, "double-counted") {
+		t.Errorf("merge of a shard with a merge holding it: want a double-count refusal, got:\n%s", out)
+	}
+	obs, _, err := dataset.LoadFileMeta(abc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dataset.KeysObserved(obs); n != 3072 {
+		t.Fatalf("three-shard merge holds %d keys, want 3072", n)
+	}
+	run(t, bin, 1, "-positions", "4", "-keys", "4096", "-checkpoint-every", "1024", "-out", ab, "-resume")
+}
+
 func buildCLI(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "biasgen")

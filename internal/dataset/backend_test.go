@@ -12,7 +12,7 @@ import (
 // per-window FNV hashes. Summation commutes, so two runs that deliver the
 // same multiset of windows — however interleaved across keys or shards —
 // produce the same digest, while any single flipped keystream byte changes
-// it. That is exactly the Sink ordering contract the batched backend is
+// it. That is exactly the Sink ordering contract the batched kernel is
 // allowed to relax, and no more.
 type digestSink struct {
 	sum     uint64
@@ -36,21 +36,38 @@ func (d *digestSink) Merge(other Sink) error {
 	return nil
 }
 
-func runDigest(t *testing.T, backend rc4.Backend, st Stream, keys uint64, shards int) *digestSink {
-	t.Helper()
-	sink, err := Engine{Workers: 2, Backend: backend}.Run(context.Background(), st,
-		SplitKeys(7, 0, keys, shards), func(int) Sink { return &digestSink{} })
-	if err != nil {
-		t.Fatal(err)
+// referenceDigest is the engine's delivery contract written out as one
+// sequential loop over per-key scalar ciphers: key k of the lane, the
+// KeyDeriver, the skip, then Blocks windows whose first Overlap bytes repeat
+// the previous window's tail.
+func referenceDigest(st Stream, lane, keys uint64) *digestSink {
+	d := &digestSink{}
+	src := NewKeySource(st.Master, lane)
+	key := make([]byte, keyLen)
+	win := make([]byte, st.Overlap+st.BlockLen)
+	for k := uint64(0); k < keys; k++ {
+		src.NextKey(key)
+		if st.KeyDeriver != nil {
+			st.KeyDeriver(lane, key)
+		}
+		c := rc4.MustNew(key)
+		c.Skip(st.Skip)
+		c.Keystream(win)
+		d.Window(win)
+		for b := 1; b < st.Blocks; b++ {
+			copy(win, win[st.BlockLen:])
+			c.Keystream(win[st.Overlap:])
+			d.Window(win)
+		}
 	}
-	return sink.(*digestSink)
+	return d
 }
 
-// TestEngineBackendEquivalence pins the batched backend against the scalar
-// one across batch-boundary shapes: shards bigger than one lane batch,
-// shards with ragged tails, and shards smaller than a single batch (all of
-// it padded). Covers skip, overlap carry, multi-block delivery, and a
-// KeyDeriver, so every scalar-path feature crosses the batched path too.
+// TestEngineBackendEquivalence pins the engine's batched kernel against a
+// sequential scalar reference across batch-boundary shapes: shards bigger
+// than one lane batch, shards with ragged tails, and shards smaller than a
+// single batch (all of it padded). Covers skip, overlap carry, multi-block
+// delivery, and a KeyDeriver.
 func TestEngineBackendEquivalence(t *testing.T) {
 	st := Stream{
 		Skip:     5,
@@ -61,17 +78,22 @@ func TestEngineBackendEquivalence(t *testing.T) {
 			key[0] ^= byte(lane) // fold the lane into the key
 		},
 	}
+	const lane = 7
 	for _, keys := range []uint64{1, 3, 32, 70, 131} {
-		scalar := runDigest(t, rc4.BackendScalar, st, keys, 2)
-		multi := runDigest(t, rc4.BackendMulti, st, keys, 2)
-		if scalar.windows != multi.windows {
-			t.Fatalf("keys=%d: window count %d (scalar) vs %d (multi)", keys, scalar.windows, multi.windows)
+		sink, err := Engine{Workers: 2}.Run(context.Background(), st,
+			SplitKeys(lane, 0, keys, 2), func(int) Sink { return &digestSink{} })
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := keys * uint64(st.Blocks); scalar.windows != want {
-			t.Fatalf("keys=%d: %d windows, want %d", keys, scalar.windows, want)
+		got, want := sink.(*digestSink), referenceDigest(st, lane, keys)
+		if got.windows != want.windows {
+			t.Fatalf("keys=%d: window count %d (engine) vs %d (reference)", keys, got.windows, want.windows)
 		}
-		if scalar.sum != multi.sum {
-			t.Fatalf("keys=%d: backend digests diverged", keys)
+		if n := keys * uint64(st.Blocks); got.windows != n {
+			t.Fatalf("keys=%d: %d windows, want %d", keys, got.windows, n)
+		}
+		if got.sum != want.sum {
+			t.Fatalf("keys=%d: engine digest differs from the scalar reference", keys)
 		}
 	}
 }

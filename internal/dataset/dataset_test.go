@@ -50,9 +50,9 @@ func TestKeySourceVariedLengths(t *testing.T) {
 func TestSingleByteCountsObserveMerge(t *testing.T) {
 	a := NewSingleByteCounts(4)
 	b := NewSingleByteCounts(4)
-	a.Observe([]byte{1, 2, 3, 4})
-	a.Observe([]byte{1, 9, 9, 9})
-	b.Observe([]byte{1, 2, 0, 0})
+	a.Window([]byte{1, 2, 3, 4})
+	a.Window([]byte{1, 9, 9, 9})
+	b.Window([]byte{1, 2, 0, 0})
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestDigraphCountsObserveMerge(t *testing.T) {
 	if d.KeystreamLen() != 4 {
 		t.Fatalf("KeystreamLen = %d, want 4", d.KeystreamLen())
 	}
-	d.Observe([]byte{10, 20, 10, 20})
-	d.Observe([]byte{10, 20, 30, 40})
+	d.Window([]byte{10, 20, 10, 20})
+	d.Window([]byte{10, 20, 30, 40})
 	if got := d.Count(1, 10, 20); got != 2 {
 		t.Errorf("Count(1,10,20) = %d, want 2", got)
 	}
@@ -117,8 +117,8 @@ func TestTargetedPairs(t *testing.T) {
 	if tp.KeystreamLen() != 4 {
 		t.Fatalf("KeystreamLen = %d, want 4", tp.KeystreamLen())
 	}
-	tp.Observe([]byte{0, 0, 5, 5})
-	tp.Observe([]byte{1, 7, 5, 9})
+	tp.Window([]byte{0, 0, 5, 5})
+	tp.Window([]byte{1, 7, 5, 9})
 	if tp.Counts[0] != 1 || tp.Counts[1] != 1 {
 		t.Errorf("counts = %v", tp.Counts)
 	}
@@ -138,8 +138,8 @@ func TestEqualityCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq.Observe([]byte{5, 0, 5, 5})
-	eq.Observe([]byte{5, 0, 6, 5})
+	eq.Window([]byte{5, 0, 5, 5})
+	eq.Window([]byte{5, 0, 6, 5})
 	if eq.Counts[0] != 1 || eq.Counts[1] != 2 {
 		t.Errorf("counts = %v", eq.Counts)
 	}
@@ -234,12 +234,12 @@ func TestMultiObserver(t *testing.T) {
 	if m.KeystreamLen() != 2 {
 		t.Fatalf("KeystreamLen = %d", m.KeystreamLen())
 	}
-	m.Observe([]byte{3, 3})
+	m.Window([]byte{3, 3})
 	if single.Keys != 1 || eq.Counts[0] != 1 {
 		t.Error("Multi did not fan out")
 	}
 	m2 := &Multi{Observers: []Observer{NewSingleByteCounts(2), mustEq(t)}}
-	m2.Observe([]byte{3, 4})
+	m2.Window([]byte{3, 4})
 	if err := m.Merge(m2); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func mustEq(t *testing.T) *EqualityCounts {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := NewSingleByteCounts(3)
-	s.Observe([]byte{1, 2, 3})
-	s.Observe([]byte{4, 5, 6})
+	s.Window([]byte{1, 2, 3})
+	s.Window([]byte{4, 5, 6})
 	var buf bytes.Buffer
 	if err := Save(&buf, s); err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	d := NewDigraphCounts(2)
-	d.Observe([]byte{9, 9, 9})
+	d.Window([]byte{9, 9, 9})
 	buf.Reset()
 	if err := Save(&buf, d); err != nil {
 		t.Fatal(err)

@@ -111,13 +111,11 @@ func SplitKeys(lane, first, keys uint64, parts int) []Shard {
 // shard's sink, in shard order, after all generation finishes.
 //
 // Window ordering: each key's windows arrive in order (window b before
-// window b+1), but windows of *different* keys may interleave — the batched
-// rc4 backend generates up to rc4.MultiLanes keys in lockstep and delivers
-// each window round for the whole batch before the next round. Sinks must
-// therefore be insensitive to cross-key window order; every sink in this
-// repository is a commutative counter, for which the interleaving is
-// invisible. A sink that needs one key's windows contiguous must run with
-// Engine.Backend = rc4.BackendScalar.
+// window b+1), but windows of *different* keys interleave — the engine
+// generates up to rc4.MultiLanes keys in lockstep and delivers each window
+// round for the whole batch before the next round. Sinks must therefore be
+// insensitive to cross-key window order; every sink in this repository is a
+// commutative counter, for which the interleaving is invisible.
 type Sink interface {
 	Window(win []byte)
 	Merge(other Sink) error
@@ -127,15 +125,9 @@ type Sink interface {
 // it runs one worker goroutine per GOMAXPROCS, capped at the shard count.
 type Engine struct {
 	// Workers is the number of parallel worker goroutines; 0 means
-	// GOMAXPROCS. Shards are handed to workers from a queue, so Workers
-	// only bounds parallelism — results are identical for any value.
+	// GOMAXPROCS. Shards are handed to workers from a queue (ForShards), so
+	// Workers only bounds parallelism — results are identical for any value.
 	Workers int
-	// Backend selects the rc4 kernel family shard workers generate with.
-	// The zero value (rc4.BackendAuto) is the batched multi-state kernel;
-	// rc4.BackendScalar is the reference the equivalence tests compare.
-	// Keystream bytes are identical across backends — only the cross-key
-	// window interleaving differs (see Sink).
-	Backend rc4.Backend
 }
 
 // Run generates every shard's keystream windows in parallel, folds them into
@@ -152,10 +144,6 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	backend, err := e.Backend.Resolve()
-	if err != nil {
-		return nil, err
 	}
 	if len(shards) == 0 {
 		return nil, nil
@@ -180,49 +168,20 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 	ctx, runSpan := obs.StartSpan(ctx, "engine.run",
 		obs.Int("shards", int64(len(shards))),
 		obs.U64("keys", total),
-		obs.U64("bytes", total*bytesPerKey),
-		obs.Str("backend", backend.String()))
+		obs.U64("bytes", total*bytesPerKey))
 	defer runSpan.End()
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-
-	idx := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range idx {
-				if errs[w] != nil {
-					continue // drain the queue after a failure
-				}
-				_, ss := obs.StartSpan(ctx, "engine.shard",
-					obs.U64("lane", shards[i].Lane),
-					obs.U64("keys", shards[i].Keys),
-					obs.U64("bytes", shards[i].Keys*bytesPerKey))
-				ss.SetTrack(int64(i))
-				errs[w] = runShard(ctx, st, shards[i], sinks[i], prog, backend)
-				ss.End()
-			}
-		}(w)
-	}
-	for i := range shards {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := ForShards(e.Workers, len(shards), func(i int) error {
+		_, ss := obs.StartSpan(ctx, "engine.shard",
+			obs.U64("lane", shards[i].Lane),
+			obs.U64("keys", shards[i].Keys),
+			obs.U64("bytes", shards[i].Keys*bytesPerKey))
+		ss.SetTrack(int64(i))
+		defer ss.End()
+		return runShard(ctx, st, shards[i], sinks[i], prog)
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged := sinks[0]
 	for _, s := range sinks[1:] {
@@ -238,55 +197,15 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 // keystream, so per-key checks alone would not keep cancellation responsive.
 const cancelCheckBlocks = 1024
 
-// runShard generates one shard's keys and feeds the windows to its sink,
-// through whichever kernel family the resolved backend names.
-func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter, backend rc4.Backend) error {
-	if backend == rc4.BackendMulti {
-		return runShardMulti(ctx, st, sh, sink, prog)
-	}
-	src := newKeySourceAt(st.Master, sh.Lane, sh.FirstKey)
-	key := make([]byte, keyLen)
-	win := make([]byte, st.Overlap+st.BlockLen)
-	var c rc4.Cipher
-	for k := uint64(0); k < sh.Keys; k++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		src.NextKey(key)
-		if st.KeyDeriver != nil {
-			st.KeyDeriver(sh.Lane, key)
-		}
-		if err := c.Rekey(key); err != nil {
-			return err
-		}
-		// One fused call covers the per-key drop plus the first window
-		// (overlap prefix and first block alike are fresh bytes).
-		c.SkipKeystream(st.Skip, win)
-		sink.Window(win)
-		for b := 1; b < st.Blocks; b++ {
-			if b%cancelCheckBlocks == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			copy(win, win[st.BlockLen:])
-			c.Keystream(win[st.Overlap:])
-			sink.Window(win)
-		}
-		prog.done()
-	}
-	return nil
-}
-
-// runShardMulti is runShard on the batched rc4 backend: it fills
-// rc4.MultiLanes key-lanes at a time through one MultiCipher, so the kernel
-// amortizes loop and index overhead across the whole batch. Keys are drawn
-// from the KeySource in exactly the scalar order; a tail batch shorter than
-// the lane count pads the spare lanes by re-keying them with the batch's
-// first key *without* drawing from the source, and their output is never
-// delivered — so the keystream bytes any sink sees are bitwise identical to
-// the scalar path, merely interleaved across the batch (see Sink).
-func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter) error {
+// runShard generates one shard's keys and feeds the windows to its sink. It
+// fills rc4.MultiLanes key-lanes at a time through one MultiCipher, so the
+// kernel amortizes loop and index overhead across the whole batch. Keys are
+// drawn from the KeySource in index order; a tail batch shorter than the
+// lane count pads the spare lanes by re-keying them with the batch's first
+// key *without* drawing from the source, and their output is never
+// delivered — so the sink sees exactly each key's keystream windows, merely
+// interleaved across the batch (see Sink).
+func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter) error {
 	src := newKeySourceAt(st.Master, sh.Lane, sh.FirstKey)
 	m := rc4.NewMulti()
 	lanes := uint64(m.Lanes())
@@ -300,9 +219,8 @@ func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *pr
 		wins[l] = buf[l*winLen : (l+1)*winLen]
 		tails[l] = wins[l][st.Overlap:]
 	}
-	// Keep cancellation about as responsive as the scalar path's
-	// per-cancelCheckBlocks-windows check: one batched round generates
-	// lanes windows at once.
+	// Check the context about every cancelCheckBlocks windows: one batched
+	// round generates lanes windows at once.
 	checkEvery := cancelCheckBlocks / int(lanes)
 	if checkEvery == 0 {
 		checkEvery = 1

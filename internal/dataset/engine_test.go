@@ -37,7 +37,7 @@ func refRun(cfg Config, factory func() Observer) Observer {
 	for i := uint64(0); i < cfg.Keys; i++ {
 		src.NextKey(key)
 		rc4.MustNew(key).Keystream(ks)
-		obs.Observe(ks)
+		obs.Window(ks)
 	}
 	return obs
 }
@@ -189,7 +189,7 @@ func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Engine{}.Run(ctx, Stream{BlockLen: 8}, SplitKeys(0, 0, 100, 2),
-		func(int) Sink { return observerSink{NewSingleByteCounts(8)} })
+		func(int) Sink { return NewSingleByteCounts(8) })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -207,7 +207,7 @@ func TestEngineProgress(t *testing.T) {
 		calls = append(calls, done)
 	})
 	_, err := Engine{Workers: 2}.Run(ctx, Stream{BlockLen: 4}, SplitKeys(0, 0, 50, 2),
-		func(int) Sink { return observerSink{NewSingleByteCounts(4)} })
+		func(int) Sink { return NewSingleByteCounts(4) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEngineProgress(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	sink := func(int) Sink { return observerSink{NewSingleByteCounts(1)} }
+	sink := func(int) Sink { return NewSingleByteCounts(1) }
 	shards := SplitKeys(0, 0, 4, 2)
 	if _, err := (Engine{}).Run(context.Background(), Stream{BlockLen: -1}, shards, sink); err == nil {
 		t.Error("negative block length accepted")

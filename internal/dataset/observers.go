@@ -12,18 +12,14 @@ import (
 	"rc4break/internal/snapshot"
 )
 
-// Observer consumes keystreams during generation and merges with peers from
-// other workers. Implementations must make Observe cheap: it runs once per
-// generated keystream in the hot loop.
+// Observer is a Sink that folds whole keystream prefixes: Run delivers each
+// key's first KeystreamLen() bytes as one window, so Window(ks) sees one
+// keystream per call. Keystream bytes are 0-indexed in the slice but
+// 1-indexed in the paper's Z_r notation: ks[0] is Z1. Merge adds the counts
+// of another observer of the same concrete type and shape.
 type Observer interface {
-	// Observe folds one keystream into the statistics. The slice is only
-	// valid for the duration of the call. Keystream bytes are 0-indexed in
-	// the slice but 1-indexed in the paper's Z_r notation: ks[0] is Z1.
-	Observe(ks []byte)
-	// Merge adds the counts of other (same concrete type and shape) into
-	// the receiver.
-	Merge(other Observer) error
-	// KeystreamLen reports how many keystream bytes Observe needs.
+	Sink
+	// KeystreamLen reports how many keystream bytes Window needs.
 	KeystreamLen() int
 }
 
@@ -44,16 +40,16 @@ func NewSingleByteCounts(positions int) *SingleByteCounts {
 	}
 }
 
-// Observe implements Observer.
-func (s *SingleByteCounts) Observe(ks []byte) {
+// Window implements Sink.
+func (s *SingleByteCounts) Window(ks []byte) {
 	for r := 0; r < s.Positions; r++ {
 		s.Counts[r*256+int(ks[r])]++
 	}
 	s.Keys++
 }
 
-// Merge implements Observer.
-func (s *SingleByteCounts) Merge(other Observer) error {
+// Merge implements Sink.
+func (s *SingleByteCounts) Merge(other Sink) error {
 	o, ok := other.(*SingleByteCounts)
 	if !ok || o.Positions != s.Positions {
 		return errors.New("dataset: incompatible SingleByteCounts merge")
@@ -118,16 +114,16 @@ func NewDigraphCounts(positions int) *DigraphCounts {
 	}
 }
 
-// Observe implements Observer.
-func (d *DigraphCounts) Observe(ks []byte) {
+// Window implements Sink.
+func (d *DigraphCounts) Window(ks []byte) {
 	for r := 0; r < d.Positions; r++ {
 		d.Counts[r*65536+int(ks[r])*256+int(ks[r+1])]++
 	}
 	d.Keys++
 }
 
-// Merge implements Observer.
-func (d *DigraphCounts) Merge(other Observer) error {
+// Merge implements Sink.
+func (d *DigraphCounts) Merge(other Sink) error {
 	o, ok := other.(*DigraphCounts)
 	if !ok || o.Positions != d.Positions {
 		return errors.New("dataset: incompatible DigraphCounts merge")
@@ -211,8 +207,8 @@ func NewTargetedPairs(cells []PairCell) (*TargetedPairs, error) {
 	}, nil
 }
 
-// Observe implements Observer.
-func (t *TargetedPairs) Observe(ks []byte) {
+// Window implements Sink.
+func (t *TargetedPairs) Window(ks []byte) {
 	for i, c := range t.Cells {
 		if ks[c.A-1] == c.X && ks[c.B-1] == c.Y {
 			t.Counts[i]++
@@ -221,8 +217,8 @@ func (t *TargetedPairs) Observe(ks []byte) {
 	t.Keys++
 }
 
-// Merge implements Observer.
-func (t *TargetedPairs) Merge(other Observer) error {
+// Merge implements Sink.
+func (t *TargetedPairs) Merge(other Sink) error {
 	o, ok := other.(*TargetedPairs)
 	if !ok || len(o.Cells) != len(t.Cells) {
 		return errors.New("dataset: incompatible TargetedPairs merge")
@@ -280,8 +276,8 @@ func NewEqualityCounts(as, bs []int) (*EqualityCounts, error) {
 	}, nil
 }
 
-// Observe implements Observer.
-func (e *EqualityCounts) Observe(ks []byte) {
+// Window implements Sink.
+func (e *EqualityCounts) Window(ks []byte) {
 	for i := range e.PairsA {
 		if ks[e.PairsA[i]-1] == ks[e.PairsB[i]-1] {
 			e.Counts[i]++
@@ -290,8 +286,8 @@ func (e *EqualityCounts) Observe(ks []byte) {
 	e.Keys++
 }
 
-// Merge implements Observer.
-func (e *EqualityCounts) Merge(other Observer) error {
+// Merge implements Sink.
+func (e *EqualityCounts) Merge(other Sink) error {
 	o, ok := other.(*EqualityCounts)
 	if !ok || len(o.Counts) != len(e.Counts) {
 		return errors.New("dataset: incompatible EqualityCounts merge")
@@ -319,15 +315,15 @@ type Multi struct {
 	Observers []Observer
 }
 
-// Observe implements Observer.
-func (m *Multi) Observe(ks []byte) {
+// Window implements Sink.
+func (m *Multi) Window(ks []byte) {
 	for _, o := range m.Observers {
-		o.Observe(ks)
+		o.Window(ks)
 	}
 }
 
-// Merge implements Observer.
-func (m *Multi) Merge(other Observer) error {
+// Merge implements Sink.
+func (m *Multi) Merge(other Sink) error {
 	o, ok := other.(*Multi)
 	if !ok || len(o.Observers) != len(m.Observers) {
 		return errors.New("dataset: incompatible Multi merge")

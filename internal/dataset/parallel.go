@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// ForShards runs fn(0..n-1) over a pool of worker goroutines — the engine's
-// shard/queue pattern extracted for consumers whose work is not keystream
-// generation (the attack simulators fan their independent evidence shards
-// out through it). Shards are handed to workers from a queue, so workers
+// ForShards runs fn(0..n-1) over a pool of worker goroutines — the one
+// worker pool of the repository: Engine.Run generates its keystream shards
+// through it, and the attack simulators fan their independent evidence
+// shards out through it. Shards are handed to workers from a queue, so workers
 // only bounds parallelism: as long as each fn(i) writes only shard-local
 // state, results are identical for any worker count. workers <= 0 means
 // GOMAXPROCS. The first error (in shard order) is returned; remaining

@@ -34,21 +34,6 @@ type Config struct {
 	FirstKey uint64
 }
 
-// observerSink adapts the per-keystream Observer interface to the engine's
-// window delivery: short-term observers consume each keystream prefix as a
-// single window.
-type observerSink struct{ obs Observer }
-
-func (o observerSink) Window(win []byte) { o.obs.Observe(win) }
-
-func (o observerSink) Merge(other Sink) error {
-	so, ok := other.(observerSink)
-	if !ok {
-		return errIncompatibleSink
-	}
-	return o.obs.Merge(so.obs)
-}
-
 // Run generates cfg.Keys keystreams in parallel and folds them into
 // observers produced by factory (one per shard), returning the merged
 // result. factory must return a fresh, independent Observer on each call.
@@ -64,11 +49,11 @@ func Run(cfg Config, factory func() Observer) (Observer, error) {
 	sink, err := Engine{Workers: cfg.Workers}.Run(cfg.Ctx, Stream{
 		Master:   cfg.Master,
 		BlockLen: observers[0].KeystreamLen(),
-	}, shards, func(i int) Sink { return observerSink{observers[i]} })
+	}, shards, func(i int) Sink { return observers[i] })
 	if err != nil {
 		return nil, err
 	}
-	return sink.(observerSink).obs, nil
+	return sink.(Observer), nil
 }
 
 // LongTermDigraphs is the full long-term digraph table by i-value: cell

@@ -15,11 +15,11 @@ func TestEngineTracingBitwiseIdentical(t *testing.T) {
 	shards := SplitKeys(7, 0, 200, 4)
 	run := func(ctx context.Context) *SingleByteCounts {
 		sink, err := Engine{Workers: 2}.Run(ctx, st, shards,
-			func(int) Sink { return observerSink{NewSingleByteCounts(33)} })
+			func(int) Sink { return NewSingleByteCounts(33) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sink.(observerSink).obs.(*SingleByteCounts)
+		return sink.(*SingleByteCounts)
 	}
 
 	plain := run(context.Background())
@@ -71,7 +71,7 @@ func BenchmarkEngineTracedVsUntraced(b *testing.B) {
 		b.SetBytes(int64(2048 * 256))
 		for i := 0; i < b.N; i++ {
 			_, err := Engine{Workers: 2}.Run(ctx, st, shards,
-				func(int) Sink { return observerSink{NewSingleByteCounts(256)} })
+				func(int) Sink { return NewSingleByteCounts(256) })
 			if err != nil {
 				b.Fatal(err)
 			}

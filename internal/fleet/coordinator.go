@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"rc4break/internal/dataset"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
 	"rc4break/internal/recovery"
@@ -95,8 +94,6 @@ type Coordinator struct {
 	cfg Config
 	job JobSpec
 
-	ledger *dataset.LaneLedger
-
 	mu         sync.Mutex
 	cond       *sync.Cond
 	staged     map[uint64]stagedLane
@@ -106,11 +103,12 @@ type Coordinator struct {
 	stopReason string
 	failure    error
 
-	// runSpan is the root of the coordinator's trace tree; laneSpans holds
-	// each outstanding lease's span from grant to accepted upload or
-	// expiry, keyed by lane. Both exist untraced too, timing only.
-	runSpan   *obs.Span
-	laneSpans map[uint64]*obs.Span
+	// runSpan is the root of the coordinator's trace tree; leases holds
+	// each outstanding lane lease, keyed by lane. A lane is done when it is
+	// merged (< nextMerge) or staged, leased while it is in leases, and
+	// free otherwise.
+	runSpan *obs.Span
+	leases  map[uint64]lease
 
 	listener net.Listener
 	conns    map[net.Conn]struct{}
@@ -121,15 +119,22 @@ type Coordinator struct {
 	rejected uint64
 }
 
+// lease is one outstanding lane lease. Its span runs from grant to accepted
+// upload, release or expiry, and exists untraced too: its age is the lease
+// clock, and its End times the roundtrip hook.
+type lease struct {
+	owner string
+	span  *obs.Span
+}
+
 type stagedLane struct {
 	shard   Shard
 	records uint64
 }
 
-// NewCoordinator validates the configuration and prepares the lane ledger.
-// A pool that already holds evidence (a -resume'd coordinator checkpoint)
-// must sit on a lane boundary; its lanes are marked done so only the
-// remainder is leased out.
+// NewCoordinator validates the configuration. A pool that already holds
+// evidence (a -resume'd coordinator checkpoint) must sit on a lane
+// boundary; its lanes count as merged, so only the remainder is leased out.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Pool == nil || cfg.Oracle == nil {
 		return nil, errors.New("fleet: Pool and Oracle are required")
@@ -147,12 +152,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		job:       cfg.Job,
-		ledger:    dataset.NewLaneLedger(cfg.Job.Lanes()),
-		staged:    make(map[uint64]stagedLane),
-		conns:     make(map[net.Conn]struct{}),
-		laneSpans: make(map[uint64]*obs.Span),
+		cfg:    cfg,
+		job:    cfg.Job,
+		staged: make(map[uint64]stagedLane),
+		conns:  make(map[net.Conn]struct{}),
+		leases: make(map[uint64]lease),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// The root span opens here, not in Run: Serve starts answering workers
@@ -167,16 +171,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if obs != cfg.Job.Budget && obs%cfg.Job.LaneRecords != 0 {
 			return nil, fmt.Errorf("fleet: resumed pool holds %d observations, not a multiple of the %d-record lane size", obs, cfg.Job.LaneRecords)
 		}
-		done := obs / cfg.Job.LaneRecords
+		c.nextMerge = obs / cfg.Job.LaneRecords
 		if obs == cfg.Job.Budget {
-			done = cfg.Job.Lanes()
+			c.nextMerge = cfg.Job.Lanes()
 		}
-		for lane := uint64(0); lane < done; lane++ {
-			if err := c.ledger.Complete(lane); err != nil {
-				return nil, err
-			}
-		}
-		c.nextMerge = done
 	}
 	return c, nil
 }
@@ -270,11 +268,9 @@ func (c *Coordinator) Shutdown(reason string) {
 func (c *Coordinator) Close() {
 	c.Shutdown("coordinator closed")
 	c.mu.Lock()
-	for lane, span := range c.laneSpans {
+	for lane := range c.leases {
 		//rc4lint:allow maporder shutdown span flush; End order does not affect the journal's export sort
-		span.SetAttrs(obs.Str("outcome", "unresolved-at-close"))
-		span.End()
-		delete(c.laneSpans, lane)
+		c.endLeaseLocked(lane, obs.Str("outcome", "unresolved-at-close"))
 	}
 	c.runSpan.End()
 	l := c.listener
@@ -297,8 +293,7 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Stats() (uploads, rejected, lanesDone uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, _, done := c.ledger.Counts()
-	return c.uploads, c.rejected, done
+	return c.uploads, c.rejected, c.nextMerge + uint64(len(c.staged))
 }
 
 // coordinatorPool adapts the coordinator to the online runtime's Decoder
@@ -456,16 +451,22 @@ func (c *Coordinator) handleLease(lr LeaseRequest) wireReply {
 	if c.stopped {
 		return reply(kindStop, Stop{Reason: c.stopReason})
 	}
-	now := time.Now() //rc4lint:allow timing lease TTL bookkeeping only, never evidence
-	for _, lane := range c.ledger.Reclaim(now) {
-		c.logf("lease on lane %d expired; re-leasing", lane)
-		if span, ok := c.laneSpans[lane]; ok {
-			span.SetAttrs(obs.Str("outcome", "expired"))
-			span.End()
-			delete(c.laneSpans, lane)
+	// One pass in lane order expires every lapsed lease and picks the
+	// lowest lane that is neither done nor leased.
+	var lane uint64
+	ok := false
+	for l := c.nextMerge; l < c.job.Lanes(); l++ {
+		if ls, leased := c.leases[l]; leased {
+			if ls.span.Age() < c.cfg.LeaseTTL {
+				continue
+			}
+			c.logf("lease on lane %d expired; re-leasing", l)
+			c.endLeaseLocked(l, obs.Str("outcome", "expired"))
+		}
+		if _, staged := c.staged[l]; !staged && !ok {
+			lane, ok = l, true
 		}
 	}
-	lane, ok := c.ledger.Lease(lr.Worker, now, c.cfg.LeaseTTL)
 	if !ok {
 		// Nothing leasable right now. Workers must not give up: a lease can
 		// expire and put its lane back. Suggest re-asking after a fraction
@@ -479,15 +480,14 @@ func (c *Coordinator) handleLease(lr LeaseRequest) wireReply {
 	}
 	start, records := c.job.LaneExtent(lane)
 	c.logf("leased lane %d (observations %d..%d) to %s", lane, start, start+records, lr.Worker)
-	// The lane span covers lease grant through accepted upload (or expiry);
-	// its context rides in the lease so the worker's collect span nests
-	// under it across the process boundary.
+	// The lane span covers lease grant through accepted upload, release or
+	// expiry; its context rides in the lease so the worker's collect span
+	// nests under it across the process boundary.
 	span := c.cfg.Tracer.Start(c.runSpan.Context(), "fleet.lane",
 		obs.U64("lane", lane), obs.Str("worker", lr.Worker), obs.U64("records", records))
 	span.SetTrack(int64(lane))
 	sc := span.Context()
-	// Stored even when untraced: the span still times the roundtrip hook.
-	c.laneSpans[lane] = span
+	c.leases[lane] = lease{owner: lr.Worker, span: span}
 	return reply(kindLease, Lease{
 		Lane:    lane,
 		Start:   start,
@@ -501,12 +501,14 @@ func (c *Coordinator) handleLease(lr LeaseRequest) wireReply {
 
 // handleRelease returns a failed worker's lane to the pool immediately —
 // only the current owner's release counts (anyone else's lease already
-// expired or was reassigned; the ledger ignores those).
+// expired or was reassigned, so theirs is ignored).
 func (c *Coordinator) handleRelease(rl Release) Ack {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ledger.Release(rl.Lane, rl.Worker)
-	c.logf("worker %s released lane %d", rl.Worker, rl.Lane)
+	if ls, ok := c.leases[rl.Lane]; ok && ls.owner == rl.Worker {
+		c.endLeaseLocked(rl.Lane, obs.Str("outcome", "released"))
+		c.logf("worker %s released lane %d", rl.Worker, rl.Lane)
+	}
 	return Ack{Lane: rl.Lane, OK: true, Merged: c.cfg.Pool.Observed(), Stop: c.stopped}
 }
 
@@ -547,15 +549,9 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 			want.Mode, want.Seed, want.Lane)
 	}
 	c.staged[ev.Lane] = stagedLane{shard: shard, records: ev.Records}
-	if err := c.ledger.Complete(ev.Lane); err != nil {
-		// Unreachable given the duplicate check above, but never silent.
-		c.logf("ledger complete lane %d: %v", ev.Lane, err)
-	}
 	c.uploads++
-	if span, ok := c.laneSpans[ev.Lane]; ok {
-		span.SetAttrs(obs.Str("outcome", "uploaded"), obs.Str("uploader", ev.Worker))
-		d := span.End()
-		delete(c.laneSpans, ev.Lane)
+	if _, ok := c.leases[ev.Lane]; ok {
+		d := c.endLeaseLocked(ev.Lane, obs.Str("outcome", "uploaded"), obs.Str("uploader", ev.Worker))
 		if c.cfg.ObserveLaneRoundtrip != nil {
 			c.cfg.ObserveLaneRoundtrip(d)
 		}
@@ -565,13 +561,22 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 	return Ack{Lane: ev.Lane, OK: true, Merged: c.cfg.Pool.Observed(), Stop: c.stopped}
 }
 
+// endLeaseLocked resolves lane's outstanding lease: its span ends with the
+// given outcome attributes, and the span's duration is returned.
+func (c *Coordinator) endLeaseLocked(lane uint64, attrs ...obs.Attr) time.Duration {
+	ls := c.leases[lane]
+	delete(c.leases, lane)
+	ls.span.SetAttrs(attrs...)
+	return ls.span.End()
+}
+
 // laneSpanContext returns the outstanding lane span's context (zero when
 // untraced or the lease already resolved) for parenting ingest spans.
 func (c *Coordinator) laneSpanContext(lane uint64) obs.SpanContext {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if span, ok := c.laneSpans[lane]; ok {
-		return span.Context()
+	if ls, ok := c.leases[lane]; ok {
+		return ls.span.Context()
 	}
 	return c.runSpan.Context()
 }
@@ -606,10 +611,8 @@ func (c *Coordinator) precheckEvidence(ev Evidence) (Ack, bool) {
 // duplicateLocked reports whether the lane's observations are already
 // staged or merged.
 func (c *Coordinator) duplicateLocked(lane uint64) bool {
-	if _, staged := c.staged[lane]; staged {
-		return true
-	}
-	return lane < c.nextMerge || c.ledger.State(lane) == dataset.LaneDone
+	_, staged := c.staged[lane]
+	return staged || lane < c.nextMerge
 }
 
 func (c *Coordinator) rejectLocked(ev Evidence, format string, args ...interface{}) Ack {

@@ -7,13 +7,13 @@
 //
 // The design leans entirely on guarantees the lower layers already provide:
 //
-//   - Lanes. The observation budget is cut into fixed-size lanes
-//     (dataset.LaneLedger bookkeeping, the fleet sibling of
-//     dataset.Config.Lane's disjoint key lanes). Each lane has one
-//     stream identity (snapshot.StreamInfo with the Lane field set) and its
-//     evidence is a pure function of (job, lane), so a lane can be captured
-//     by any worker, at any time, any number of times — always producing
-//     the same bytes.
+//   - Lanes. The observation budget is cut into fixed-size lanes, the
+//     fleet sibling of dataset.Config.Lane's disjoint key lanes; the
+//     coordinator alone tracks which are merged, staged or leased. Each
+//     lane has one stream identity (snapshot.StreamInfo with the Lane field
+//     set) and its evidence is a pure function of (job, lane), so a lane
+//     can be captured by any worker, at any time, any number of times —
+//     always producing the same bytes.
 //
 //   - Leases. A worker holds a lane only until its lease TTL expires; a
 //     worker that dies mid-lane simply lets the lease lapse, and the
@@ -22,12 +22,13 @@
 //     acked lanes are done, everything else was never its responsibility.
 //
 //   - Wire format. Every message is one internal/snapshot envelope
-//     (length-prefixed, kind-tagged, CRC-64-checksummed), and lane evidence
-//     payloads are the attacks' own snapshot envelopes — the exact bytes a
-//     -checkpoint file would hold — validated by the same fingerprint and
-//     stream checks the offline -merge path applies. A duplicate lane
-//     upload (a re-leased lane's original owner waking up late) is rejected
-//     at the RPC layer the same way -merge rejects a duplicated shard.
+//     (length-prefixed, kind-tagged, CRC-64-checksummed) of at most
+//     maxMsgBytes, and lane evidence payloads are the attacks' own snapshot
+//     envelopes — the exact bytes a -checkpoint file would hold — validated
+//     by the same fingerprint and stream checks the offline -merge path
+//     applies. A duplicate lane upload (a re-leased lane's original owner
+//     waking up late) is rejected at the RPC layer the same way -merge
+//     rejects a duplicated shard.
 //
 //   - Ordering. Evidence merges are float-accumulating, so the coordinator
 //     merges lanes strictly in lane order (uploads arriving early stage in
@@ -202,9 +203,21 @@ type Ack struct {
 	Stop bool
 }
 
+// maxMsgBytes bounds one wire message: readMsg stops after this many bytes
+// whatever payload length an envelope claims, so a peer cannot make the
+// coordinator buffer more. The largest legal message is a cookie-attack
+// lane upload for the paper's 16-character cookie: 17 links × 65,536 cells,
+// each a uint64 digraph count plus a float64 ABSAB weight, is
+// 17 × 65,536 × 16 B = 17 MiB of evidence. Gob spends at most 9 bytes on
+// either value, so that is at most 17 × 65,536 × 18 B ≈ 19.1 MiB on the
+// wire (measured lanes take 10-13 MB). 32 MiB leaves room for the rest of
+// the upload: the attack config, the stream identity and piggybacked spans.
+const maxMsgBytes = 32 << 20
+
 // writeMsg sends one protocol message as a snapshot envelope.
 func writeMsg(w io.Writer, kind string, v any) error {
-	return snapshot.WriteGob(w, kind, v)
+	payload, err := snapshot.EncodeGob(v)
+	return writeReply(w, wireReply{kind: kind, payload: payload, err: err})
 }
 
 // wireReply is one pre-encoded reply envelope: the payload was gob-encoded
@@ -225,18 +238,25 @@ func reply[M any](kind string, v M) wireReply {
 	return wireReply{kind: kind, payload: payload, err: err}
 }
 
-// writeReply sends one pre-encoded reply envelope.
+// writeReply sends one pre-encoded envelope, refusing one the peer's
+// readMsg would cut off at maxMsgBytes.
 func writeReply(w io.Writer, r wireReply) error {
 	if r.err != nil {
 		return r.err
 	}
+	// Envelope framing: magic, version, kind length, kind, payload length,
+	// payload, CRC.
+	if n := snapshot.MagicLen + 4 + 4 + len(r.kind) + 8 + len(r.payload) + 8; n > maxMsgBytes {
+		return fmt.Errorf("fleet: %d-byte %s message exceeds the %d-byte wire bound", n, r.kind, maxMsgBytes)
+	}
 	return snapshot.Write(w, r.kind, r.payload)
 }
 
-// readMsg reads one envelope and returns its kind and raw payload; the
-// caller dispatches on kind and decodes with snapshot.DecodeGob.
+// readMsg reads one envelope of at most maxMsgBytes and returns its kind and
+// raw payload; the caller dispatches on kind and decodes with
+// snapshot.DecodeGob. A longer envelope fails as truncated.
 func readMsg(r io.Reader) (string, []byte, error) {
-	return snapshot.Read(r)
+	return snapshot.Read(io.LimitReader(r, maxMsgBytes))
 }
 
 // readExpect reads one message that must be of the given kind, decoding it

@@ -290,6 +290,16 @@ func (s *Span) SetTrack(t int64) {
 	s.rec.Track = t
 }
 
+// Age reports the time since the span started without ending it — zero for
+// nil. The fleet coordinator expires a lane lease once its span's age
+// reaches the lease TTL, so the lease clock is the span's one clock read.
+func (s *Span) Age() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return time.Since(s.start)
+}
+
 // End completes the span, appends it to its journal (if any), and returns
 // its elapsed wall-clock time — zero for nil or on a second End. That
 // duration is the stage's one timing: callers feed result fields and

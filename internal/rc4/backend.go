@@ -2,14 +2,14 @@ package rc4
 
 import "fmt"
 
-// Backend names a keystream kernel family for batch consumers (the dataset
-// engine's shard workers). The scalar backend runs one Cipher per key with
-// the unrolled fused skip+generate kernel; the multi backend drives
-// MultiLanes independent states in lockstep through MultiCipher. Outputs are
-// bitwise identical — the choice is purely a throughput/footprint trade, and
-// the cross-backend tests and FuzzKeystreamBackends hold the two families to
-// byte equality. BackendScalar stays selectable as the reference those
-// tests compare the batched kernels against.
+// Backend names a keystream kernel family: the scalar backend runs one
+// Cipher per key with the unrolled fused skip+generate kernel, and the multi
+// backend drives MultiLanes independent states in lockstep through
+// MultiCipher. Outputs are bitwise identical; the cross-backend tests and
+// FuzzKeystreamBackends hold the two families to byte equality. No
+// production path selects a backend: the dataset engine always runs
+// MultiCipher. The type is kept only for its own tests and for the
+// benchmark harness, which reports the kernel BackendAuto resolves to.
 type Backend int
 
 const (

@@ -25,12 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"rc4break/internal/cliutil"
 	"rc4break/internal/obs"
 	"rc4break/internal/service"
 )
@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	hs := cliutil.HTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(l) }()
 	fmt.Printf("[attackd] job API on http://%s (store %s, capacity %d)\n", l.Addr(), *dir, *capacity)
@@ -94,13 +94,6 @@ func main() {
 		fatal(err)
 	}
 }
-
-// Header and idle timeouts bound slow or parked clients. There is no
-// write timeout: /api/v1/jobs/{id}/stream stays open for a job's lifetime.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "attackd:", err)

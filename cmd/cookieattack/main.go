@@ -59,11 +59,9 @@ import (
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
-	"rc4break/internal/trace"
 )
 
 func main() {
@@ -92,19 +90,22 @@ func main() {
 		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
 	}
 	fmt.Println("[1/4] crafting aligned request (cookie first in header, injected padding after)...")
-	cfg, req, err := job.CookieLayout(*secret)
+	cfg, _, err := job.CookieLayout(*secret)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("      cookie at offset %d (keystream counter base %d)\n", cfg.Offset, cfg.CounterBase)
 
+	spec := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Workers: *workers}
 	if *writePcap != "" {
-		if err := writeCookiePcap(*writePcap, req, *seed, *ciphertexts); err != nil {
+		fmt.Printf("[2/2] writing %d records of the exact victim stream (seed %d) -> %s\n", *ciphertexts, *seed, *writePcap)
+		size, err := spec.WriteCapture(*writePcap, *ciphertexts)
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("      %d records, %.1f MB\n", *ciphertexts, float64(size)/(1<<20))
 		return
 	}
-	spec := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Workers: *workers}
 	if *pcapIn != "" {
 		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
 			fatal(fmt.Errorf("-pcap: %w", err))
@@ -148,41 +149,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// writeCookiePcap writes n records of the seed-derived exact-mode victim
-// stream as a capture file — the sim → pcap half of the round trip, and
-// the way trace shards for offline or fleet ingest are produced. The
-// extension picks the container: .pcapng writes pcapng, anything else
-// classic pcap.
-func writeCookiePcap(path string, req httpmodel.Request, seed int64, n uint64) error {
-	victim, err := job.HTTPSVictim(seed, req)
-	if err != nil {
-		return err
-	}
-	pw, done, err := trace.CreateFile(path, trace.LinkTypeEthernet)
-	if err != nil {
-		return err
-	}
-	sw, err := netsim.NewStreamWriter(pw, trace.LinkTypeEthernet)
-	if err != nil {
-		done()
-		return err
-	}
-	fmt.Printf("[2/2] writing %d records of the exact victim stream (seed %d) -> %s\n", n, seed, path)
-	if err := victim.WriteTrace(sw, n); err != nil {
-		done()
-		return err
-	}
-	if err := done(); err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("      %d records, %.1f MB\n", n, float64(info.Size())/(1<<20))
-	return nil
 }
 
 // fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint

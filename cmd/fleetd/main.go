@@ -213,7 +213,12 @@ func main() {
 			fatal(err)
 		}
 		httpErr := make(chan error, 1)
-		go func() { httpErr <- http.Serve(hl, mux) }()
+		go func() { httpErr <- cliutil.HTTPServer(mux).Serve(hl) }()
+		go func() {
+			// Nothing shuts the server down, so Serve returns only when its
+			// listener fails; the coordinator keeps running without it.
+			fmt.Fprintln(os.Stderr, "fleetd: -http:", <-httpErr)
+		}()
 		fmt.Printf("[fleet] metrics on http://%s/metrics, spans on /debug/trace\n", hl.Addr())
 	}
 
@@ -245,7 +250,7 @@ func main() {
 	time.Sleep(*linger)
 	coord.Close()
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, journal); err != nil {
+		if err := obs.WriteChromeFile(*traceOut, journal); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("[fleet] chrome trace -> %s\n", *traceOut)
@@ -253,21 +258,6 @@ func main() {
 	if runErr != nil {
 		os.Exit(1)
 	}
-}
-
-// writeChromeTrace dumps the journal as a Perfetto-loadable Chrome
-// trace-event file: the coordinator's spans plus every folded worker span,
-// one process group per proc label.
-func writeChromeTrace(path string, j *obs.Journal) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChrome(f, j.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // fleetLogf prints one coordinator status line.

@@ -247,16 +247,7 @@ func main() {
 			return
 		}
 		runSpan.End()
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			if werr := obs.WriteChrome(f, journal.Snapshot()); werr == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-				err = werr
-			}
-		}
-		if err != nil {
+		if err := obs.WriteChromeFile(*traceOut, journal); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
 		}

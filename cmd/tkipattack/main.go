@@ -55,7 +55,6 @@ import (
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 	"rc4break/internal/tkip"
-	"rc4break/internal/trace"
 )
 
 func main() {
@@ -81,15 +80,18 @@ func main() {
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
 
+	spec := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Workers: *workers}
 	if *writePcap != "" {
 		// Writing the stream needs no trained model: frames are a pure
 		// function of the demo session and the TSC sequence.
-		if err := writeTKIPPcap(*writePcap, *copies); err != nil {
+		fmt.Printf("[1/1] writing %d frames of the victim's TKIP stream -> %s\n", *copies, *writePcap)
+		size, err := spec.WriteCapture(*writePcap, *copies)
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("      %d frames, %.1f MB\n", *copies, float64(size)/(1<<20))
 		return
 	}
-	spec := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Workers: *workers}
 	if *pcapIn != "" {
 		var err error
 		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
@@ -161,38 +163,6 @@ func forgeDemo(msdu []byte, micKey [8]byte) {
 		os.Exit(1)
 	}
 	fmt.Println("      forged packet accepted by the network — attack complete")
-}
-
-// writeTKIPPcap writes n frames of the demo victim's stream as a
-// monitor-mode radiotap capture — the sim → pcap half of the round trip,
-// and the way trace shards for offline or fleet ingest are produced. The
-// extension picks the container: .pcapng writes pcapng, else classic pcap.
-func writeTKIPPcap(path string, n uint64) error {
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	pw, done, err := trace.CreateFile(path, trace.LinkTypeRadiotap)
-	if err != nil {
-		return err
-	}
-	fw, err := netsim.NewFrameWriter(pw, trace.LinkTypeRadiotap, session)
-	if err != nil {
-		done()
-		return err
-	}
-	fmt.Printf("[1/1] writing %d frames of the victim's TKIP stream -> %s\n", n, path)
-	if err := victim.WriteTrace(fw, n); err != nil {
-		done()
-		return err
-	}
-	if err := done(); err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("      %d frames, %.1f MB\n", n, float64(info.Size())/(1<<20))
-	return nil
 }
 
 // fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint

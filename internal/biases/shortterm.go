@@ -8,16 +8,6 @@ func exp2p(a float64, sign int, b float64) float64 {
 	return math.Exp2(a) * (1 + float64(sign)*math.Exp2(b))
 }
 
-// MantinShamirZ2Zero is the probability Pr[Z2 = 0] ≈ 2·2^-8 — the strongest
-// single-byte bias in RC4 (§2.1.1).
-const MantinShamirZ2Zero = 2.0 / 256
-
-// PaulPreneelZ1Z2 is Pr[Z1 = Z2] = 2^-8 (1 - 2^-8).
-var PaulPreneelZ1Z2 = exp2p(-8, -1, -8)
-
-// IsobeZ1Z2Zero is Pr[Z1 = Z2 = 0] ≈ 3·2^-16.
-const IsobeZ1Z2Zero = 3.0 / 65536
-
 // PairBias is one row of Table 2: a biased pair of keystream byte values at
 // two (1-indexed) positions. The table expresses probabilities as
 // 2^BaseLog2 (1 + RelSign·2^RelLog2): the base is the probability expected

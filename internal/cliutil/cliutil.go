@@ -1,18 +1,28 @@
-// Package cliutil holds the small helpers the attack CLIs share, so the
-// three drivers parse their common flags identically and run the same
-// checkpointed-capture loop.
+// Package cliutil holds the small helpers the attack CLIs and daemons
+// share, so the drivers parse their common flags identically, run the same
+// checkpointed-capture loop and serve HTTP under the same timeouts.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
+	"time"
 )
+
+// HTTPServer wraps a daemon's handler (attackd's job API, fleetd's -http
+// metrics and debug surface) in a server whose header and idle timeouts
+// bound slow or parked clients. There is no write timeout: attackd's
+// /api/v1/jobs/{id}/stream stays open for a job's lifetime.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
 
 // SplitList parses a comma-separated flag value, trimming whitespace and
 // dropping empty entries (a trailing comma is not an error).

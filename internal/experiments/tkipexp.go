@@ -77,7 +77,7 @@ func (p TKIPParams) withDefaults() TKIPParams {
 // (CPU-year-scale) empirical distributions.
 func Figures8and9(p TKIPParams) (Result, error) {
 	p = p.withDefaults()
-	positions := tkip.TrailerPositions(packet.HeaderSize + len(tkip.DemoPayload))
+	positions := job.TKIPTrailer()
 	var model *tkip.PerTSCModel
 	source := fmt.Sprintf("model: synthetic, RMS relative bias %.3g", p.BiasStrength)
 	if p.KeysPerTSC > 0 {

@@ -2,18 +2,18 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
+	"os"
+	"path/filepath"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
+	"rc4break/internal/fleet"
 	"rc4break/internal/job"
-	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
-	"rc4break/internal/packet"
+	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
-	"rc4break/internal/trace"
+	"rc4break/internal/tlsrec"
 )
 
 // TraceParams controls the trace-versus-sim equivalence experiment.
@@ -44,169 +44,116 @@ func (p TraceParams) withDefaults() TraceParams {
 }
 
 // TraceVsSim is the trace-ingestion subsystem's experiment-level witness:
-// for each attack it captures one stream twice — directly in-process, and
-// through the full sim → pcap → parse → reassemble → ingest round trip —
-// and verifies the two evidence snapshots are bitwise identical, reporting
-// the capture size and ingest throughput alongside. Any divergence is an
-// error, not a table row. The returned RunResult lines (one per attack)
-// are the machine-readable form the drivers' -json flag emits.
+// for each attack it writes the job's exact stream as a capture file
+// (job.Spec.WriteCapture), serves the file back as an exact fleet lane and
+// verifies that lane's evidence is bitwise identical to the live victim's,
+// reporting the capture size and ingest throughput alongside. Any
+// divergence is an error, not a table row. The returned RunResult lines
+// (one per attack) are the machine-readable form the drivers' -json flag
+// emits.
 func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	p = p.withDefaults()
-	var rows []Row
-	var results []cliutil.RunResult
-
-	// §5 side: TKIP frames through radiotap/802.11 into per-TSC counts.
-	msduLen := packet.HeaderSize + 7
+	positions := job.TKIPTrailer()
 	model, err := tkip.Train(tkip.TrainConfig{
-		Positions:  msduLen + tkip.TrailerSize,
+		Positions:  positions[len(positions)-1],
 		KeysPerTSC: p.TrainKeys,
 		Master:     [16]byte{0x7A},
 	})
 	if err != nil {
 		return Result{}, nil, err
 	}
-	direct, err := job.New(job.Spec{Attack: "tkip", Mode: "exact", Model: model}, nil)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if err := direct.CaptureTo(p.Frames); err != nil {
-		return Result{}, nil, err
-	}
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	var capture bytes.Buffer
-	pw, err := trace.NewPcapWriter(&capture, trace.LinkTypeRadiotap)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	fw, err := netsim.NewFrameWriter(pw, trace.LinkTypeRadiotap, session)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if err := victim.WriteTrace(fw, p.Frames); err != nil {
-		return Result{}, nil, err
-	}
-	// The capture is the exact stream, so the ingest folds into a second,
-	// empty runtime of the same job and carries its identity.
-	ingestRT, err := job.New(job.Spec{Attack: "tkip", Mode: "exact", Model: model}, nil)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	ingested := ingestRT.Decoder.(*tkip.Attack)
-	// Each pass is timed by a nil journal's span, which records nothing.
-	span := (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.ingest")
-	stats, err := tkip.CollectTraceReaders(ingested, victim.FrameLen(),
-		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false)
-	ingestTime := span.End()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if stats.Matched != p.Frames {
-		return Result{}, nil, fmt.Errorf("trace: TKIP ingest matched %d of %d frames", stats.Matched, p.Frames)
-	}
-	equal, err := snapshotsEqual(direct.Evidence, ingested.WriteSnapshot)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if !equal {
-		return Result{}, nil, errors.New("trace: TKIP evidence ingested from pcap differs from direct capture")
-	}
-	// Parse-only pass over the same capture: the ceiling the pipeline hits
-	// with no attack to fold into.
-	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
-	if _, err := tkip.CollectTraceReaders(nil, victim.FrameLen(),
-		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false); err != nil {
-		return Result{}, nil, err
-	}
-	parseTime := span.End()
-	mb := float64(capture.Len()) / (1 << 20)
-	rows = append(rows, Row{Label: "tkip (radiotap pcap)", Values: []float64{
-		float64(p.Frames), mb, mb / parseTime.Seconds(), mb / ingestTime.Seconds(), 1,
-	}})
-	results = append(results, cliutil.RunResult{
-		Attack:       "tkip",
-		Mode:         "trace",
-		Success:      true,
-		Observations: p.Frames,
-		ParseMBps:    mb / parseTime.Seconds(),
-		IngestMBps:   mb / ingestTime.Seconds(),
-		CaptureMS:    float64(ingestTime.Microseconds()) / 1000,
-		ElapsedMS:    float64(ingestTime.Microseconds()) / 1000,
-	})
-
-	// §6 side: TLS records through Ethernet/TCP reassembly into
-	// digraph/ABSAB statistics.
 	const secret = "Secur3C00kieVal+"
-	directC, err := job.New(job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: secret}, nil)
+	layout, _, err := job.CookieLayout(secret)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if err := directC.CaptureTo(p.Records); err != nil {
-		return Result{}, nil, err
-	}
-	_, req, err := job.CookieLayout(secret)
+	dir, err := os.MkdirTemp("", "tracevssim")
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var captureC bytes.Buffer
-	pwC, err := trace.NewPcapNGWriter(&captureC, trace.LinkTypeEthernet)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	sw, err := netsim.NewStreamWriter(pwC, trace.LinkTypeEthernet)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	wv, err := job.HTTPSVictim(p.Seed, req)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if err := wv.WriteTrace(sw, p.Records); err != nil {
-		return Result{}, nil, err
-	}
-	ingestRTC, err := job.New(job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: secret}, nil)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	ingestedC := ingestRTC.Decoder.(*cookieattack.Attack)
-	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.ingest")
-	statsC, err := cookieattack.CollectTraceReaders(ingestedC, wv.RecordPlaintextLen(),
-		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false)
-	ingestTimeC := span.End()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if statsC.Matched != p.Records {
-		return Result{}, nil, fmt.Errorf("trace: TLS ingest matched %d of %d records", statsC.Matched, p.Records)
-	}
-	equal, err = snapshotsEqual(directC.Evidence, ingestedC.WriteSnapshot)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if !equal {
-		return Result{}, nil, errors.New("trace: cookie evidence ingested from pcapng differs from direct capture")
-	}
-	span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
-	if _, err := cookieattack.CollectTraceReaders(nil, wv.RecordPlaintextLen(),
-		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false); err != nil {
-		return Result{}, nil, err
-	}
-	parseTimeC := span.End()
-	mbC := float64(captureC.Len()) / (1 << 20)
-	rows = append(rows, Row{Label: "cookie (ethernet pcapng)", Values: []float64{
-		float64(p.Records), mbC, mbC / parseTimeC.Seconds(), mbC / ingestTimeC.Seconds(), 1,
-	}})
-	results = append(results, cliutil.RunResult{
-		Attack:       "cookie",
-		Mode:         "trace",
-		Success:      true,
-		Observations: p.Records,
-		ParseMBps:    mbC / parseTimeC.Seconds(),
-		IngestMBps:   mbC / ingestTimeC.Seconds(),
-		CaptureMS:    float64(ingestTimeC.Microseconds()) / 1000,
-		ElapsedMS:    float64(ingestTimeC.Microseconds()) / 1000,
-	})
+	defer os.RemoveAll(dir)
 
+	// §5.4: TKIP frames through radiotap/802.11 into per-TSC counts; §6.3:
+	// TLS records through Ethernet/TCP reassembly into digraph/ABSAB
+	// statistics. parse runs the same collector with no attack attached.
+	cases := []struct {
+		label, file string
+		spec        job.Spec
+		n           uint64
+		parse       func(paths []string) error
+	}{
+		{"tkip (radiotap pcap)", "tkip.pcap", job.Spec{Attack: "tkip", Mode: "exact", Model: model}, p.Frames,
+			func(paths []string) error {
+				_, err := tkip.CollectTraceFiles(nil, job.TKIPVictim().FrameLen(), paths, 0, 0, false)
+				return err
+			}},
+		{"cookie (ethernet pcapng)", "cookie.pcapng", job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: secret}, p.Records,
+			func(paths []string) error {
+				_, err := cookieattack.CollectTraceFiles(nil, len(layout.Plaintext)+tlsrec.MACSize, paths, 0, 0, false)
+				return err
+			}},
+	}
+	var rows []Row
+	var results []cliutil.RunResult
+	for _, c := range cases {
+		path := filepath.Join(dir, c.file)
+		size, err := c.spec.WriteCapture(path, c.n)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		traced := c.spec
+		traced.Traces = []string{path}
+		// Both lanes carry the same stream stamp, so their snapshots compare
+		// byte for byte; the file-served lane fails if the capture is short.
+		fj := fleet.JobSpec{Mode: "exact", Seed: c.spec.Seed}
+		lane := fleet.Lease{Records: c.n, Stream: snapshot.StreamInfo{Mode: "exact", Seed: c.spec.Seed}}
+		live, err := c.spec.CollectLane(fj, lane)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		ingested, err := traced.CollectLane(fj, lane)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		if !bytes.Equal(live, ingested) {
+			return Result{}, nil, fmt.Errorf("trace: %s evidence ingested from %s differs from direct capture", c.spec.Attack, c.file)
+		}
+
+		// The timed ingest is the -pcap CLI path; each pass is timed by a
+		// nil journal's span, which records nothing.
+		rt, err := job.New(traced, nil)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		span := (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.ingest")
+		err = rt.CaptureTo(c.n)
+		ingestTime := span.End()
+		if err != nil {
+			return Result{}, nil, err
+		}
+		// Parse-only pass over the same capture: the ceiling the pipeline
+		// hits with no attack to fold into.
+		span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
+		err = c.parse(traced.Traces)
+		parseTime := span.End()
+		if err != nil {
+			return Result{}, nil, err
+		}
+		mb := float64(size) / (1 << 20)
+		rows = append(rows, Row{Label: c.label, Values: []float64{
+			float64(c.n), mb, mb / parseTime.Seconds(), mb / ingestTime.Seconds(), 1,
+		}})
+		results = append(results, cliutil.RunResult{
+			Attack:       c.spec.Attack,
+			Mode:         "trace",
+			Success:      true,
+			Observations: c.n,
+			ParseMBps:    mb / parseTime.Seconds(),
+			IngestMBps:   mb / ingestTime.Seconds(),
+			CaptureMS:    float64(ingestTime.Microseconds()) / 1000,
+			ElapsedMS:    float64(ingestTime.Microseconds()) / 1000,
+		})
+	}
 	return Result{
 		ID:    "Trace §5.4/§6.3",
 		Title: "Trace ingestion vs in-process capture (sim → pcap → ingest round trip)",
@@ -218,18 +165,4 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 			"parse MB/s is the same pipeline with no attack attached (its parse-bound ceiling), " +
 			"so the parse-vs-ingest gap is the batched evidence fold's cost per capture byte",
 	}, results, nil
-}
-
-// snapshotsEqual compares a runtime's evidence with a snapshot writer's
-// output byte for byte.
-func snapshotsEqual(evidence func() ([]byte, error), write func(io.Writer) error) (bool, error) {
-	want, err := evidence()
-	if err != nil {
-		return false, err
-	}
-	var got bytes.Buffer
-	if err := write(&got); err != nil {
-		return false, err
-	}
-	return bytes.Equal(want, got.Bytes()), nil
 }

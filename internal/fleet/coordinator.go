@@ -68,8 +68,6 @@ type Config struct {
 	// same spans still time the stages the Observe hooks report; outputs
 	// are bitwise identical either way.
 	Tracer *obs.Journal
-	// TraceParent parents the fleet.run span (e.g. a service job's span).
-	TraceParent obs.SpanContext
 	// ObserveLaneRoundtrip, ObserveIngest and ObserveDecode, when non-nil,
 	// receive wall-clock durations for the daemon's latency histograms:
 	// lease grant to accepted upload per lane (the uploaded fleet.lane
@@ -161,7 +159,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c.cond = sync.NewCond(&c.mu)
 	// The root span opens here, not in Run: Serve starts answering workers
 	// before Run is called, and their lane spans must parent under it.
-	c.runSpan = cfg.Tracer.Start(cfg.TraceParent, "fleet.run",
+	c.runSpan = cfg.Tracer.Start(obs.SpanContext{}, "fleet.run",
 		obs.Str("attack", cfg.Job.Attack), obs.Str("mode", cfg.Job.Mode),
 		obs.U64("budget", cfg.Job.Budget), obs.U64("lanes", cfg.Job.Lanes()))
 	if obs := cfg.Pool.Observed(); obs > 0 {

@@ -11,7 +11,6 @@ import (
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/fleet"
-	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
@@ -193,7 +192,7 @@ func LoadOrTrainModel(path string, keysPerTSC uint64, workers int, logf func(for
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	positions := tkip.TrailerPositions(len(netsim.NewWiFiVictim(tkip.DemoSession(), tkip.DemoPayload).MSDU))
+	positions := TKIPTrailer()
 	need := positions[len(positions)-1]
 	var model *tkip.PerTSCModel
 	if path != "" {

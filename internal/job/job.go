@@ -8,10 +8,11 @@
 // the job was built.
 //
 // The package owns the rules the shapes must agree on: the §6.1 request
-// layout (CookieLayout), the exact-mode victim's key seeding (HTTPSVictim),
-// the TKIP model-mode trailer (TrueTrailer), the fingerprint and
-// stream-identity checks on resume, and the rule that TKIP exact streams
-// carry seed 0.
+// layout (CookieLayout), each attack's exact target (HTTPSVictim's key
+// seeding; TKIPVictim and its TKIPTrailer layout), how that stream is
+// written as a capture file (WriteCapture), the TKIP model-mode trailer
+// (TrueTrailer), the fingerprint and stream-identity checks on resume, and
+// the rule that TKIP exact streams carry seed 0.
 //
 // Model-mode evidence depends on where Runtime.CaptureTo is called: each
 // call draws its sufficient statistics from
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
@@ -42,6 +44,7 @@ import (
 	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
 	"rc4break/internal/tlsrec"
+	"rc4break/internal/trace"
 )
 
 // Spec describes one attack job: which attack, which capture source, and
@@ -314,6 +317,78 @@ func HTTPSVictim(seed int64, req httpmodel.Request) (*netsim.HTTPSVictim, error)
 	return netsim.NewHTTPSVictim(master, req)
 }
 
+// TKIPVictim is the exact-mode TKIP victim: the demo session
+// retransmitting the demo payload. Its frames are a pure function of the
+// TSC sequence, so every exact TKIP stream is the same one.
+func TKIPVictim() *netsim.WiFiVictim {
+	return netsim.NewWiFiVictim(tkip.DemoSession(), tkip.DemoPayload)
+}
+
+// TKIPTrailer is the demo TKIP attack's trailer layout: the 1-based
+// keystream positions of the MIC‖ICV after the victim's MSDU. Every TKIP
+// attack targets them, and a per-TSC model must cover the last one.
+func TKIPTrailer() []int { return tkip.TrailerPositions(len(TKIPVictim().MSDU)) }
+
+// WriteCapture writes the first n observations of the spec's exact stream
+// to path as a capture file and returns the file's size: the sim → pcap
+// half of the trace round trip, and the way trace shards for offline or
+// fleet ingest are made. Cookie records from HTTPSVictim(Seed) go out as
+// Ethernet/TCP segments of the HTTPS flow; TKIP frames from TKIPVictim go
+// out as radiotap 802.11 and need no model. The extension picks the
+// container, as trace.CreateFile does. Served back through Traces, the
+// file yields the live exact stream's evidence byte for byte.
+func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
+	var link uint32
+	var write func(trace.PacketWriter) error
+	switch s.Attack {
+	case "cookie":
+		_, req, err := CookieLayout(s.Secret)
+		if err != nil {
+			return 0, err
+		}
+		victim, err := HTTPSVictim(s.Seed, req)
+		if err != nil {
+			return 0, err
+		}
+		link = trace.LinkTypeEthernet
+		write = func(pw trace.PacketWriter) error {
+			sw, err := netsim.NewStreamWriter(pw, link)
+			if err != nil {
+				return err
+			}
+			return victim.WriteTrace(sw, n)
+		}
+	case "tkip":
+		victim := TKIPVictim()
+		link = trace.LinkTypeRadiotap
+		write = func(pw trace.PacketWriter) error {
+			fw, err := netsim.NewFrameWriter(pw, link, victim.Session)
+			if err != nil {
+				return err
+			}
+			return victim.WriteTrace(fw, n)
+		}
+	default:
+		return 0, fmt.Errorf("job: unknown attack %q (want cookie or tkip)", s.Attack)
+	}
+	pw, done, err := trace.CreateFile(path, link)
+	if err != nil {
+		return 0, err
+	}
+	if err := write(pw); err != nil {
+		done()
+		return 0, err
+	}
+	if err := done(); err != nil {
+		return 0, err
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return info.Size(), nil
+}
+
 func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 	cfg, req, err := CookieLayout(s.Secret)
 	if err != nil {
@@ -389,15 +464,15 @@ func (s Spec) buildTKIP(evidence []byte) (*Runtime, error) {
 	if s.Model == nil {
 		return nil, errors.New("job: tkip jobs need a trained model")
 	}
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
+	victim := TKIPVictim()
+	session := victim.Session
 	var attack *tkip.Attack
 	var err error
 	if evidence != nil {
 		// The snapshot's model fingerprint is checked against s.Model.
 		attack, err = tkip.ReadAttackSnapshot(bytes.NewReader(evidence), s.Model)
 	} else {
-		attack, err = tkip.NewAttack(s.Model, tkip.TrailerPositions(len(victim.MSDU)))
+		attack, err = tkip.NewAttack(s.Model, TKIPTrailer())
 	}
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -70,6 +71,21 @@ type chromeEvent struct {
 	TS   float64           `json:"ts,omitempty"`
 	Dur  float64           `json:"dur,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
+}
+
+// WriteChromeFile writes the journal's spans to path as a Chrome
+// trace-event file (WriteChrome): the -trace-out sink of cmd/repro and
+// cmd/fleetd.
+func WriteChromeFile(path string, j *Journal) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChrome(f, j.Snapshot()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteChrome writes the records as a Chrome trace-event JSON array loadable

@@ -144,10 +144,6 @@ type Assembler struct {
 	// so the caller can count the casualty and keep ingesting the
 	// capture's other flows.
 	MaxBuffered int
-	// SyncBuffer caps how much an unsynced flow buffers while waiting
-	// for its SYN (default 64 KiB); past it the flow commits to the
-	// lowest buffered sequence as the stream origin.
-	SyncBuffer int
 	// Duplicates and OutOfOrder count retransmitted/overlapping segments
 	// dropped or trimmed, and segments that arrived ahead of a hole.
 	Duplicates uint64
@@ -157,7 +153,10 @@ type Assembler struct {
 
 const (
 	defaultMaxBuffered = 4 << 20
-	defaultSyncBuffer  = 64 << 10
+	// syncBuffer caps how much an unsynced flow buffers while waiting for
+	// its SYN; past it the flow commits to the lowest buffered sequence as
+	// the stream origin.
+	syncBuffer = 64 << 10
 )
 
 // Push feeds one segment, invoking deliver for every contiguous run of
@@ -198,11 +197,7 @@ func (as *Assembler) Push(seg Segment, deliver func(key FlowKey, data []byte) er
 			return err
 		}
 		if !f.synced {
-			limit := as.SyncBuffer
-			if limit <= 0 {
-				limit = defaultSyncBuffer
-			}
-			if f.pendingBytes > limit {
+			if f.pendingBytes > syncBuffer {
 				f.commit() // no SYN coming: lowest sequence is the origin
 			}
 		}

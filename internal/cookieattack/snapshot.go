@@ -1,10 +1,12 @@
 package cookieattack
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 
+	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
 )
 
@@ -36,14 +38,13 @@ func configFingerprint(cfg Config) ([16]byte, error) {
 func (a *Attack) Fingerprint() [16]byte { return a.fp }
 
 // WriteSnapshot persists the attack's evidence as one checksummed envelope.
-// Snapshots are safe to take mid-capture: together with ReadSnapshot they
-// implement the checkpoint/resume cycle, and with Merge the multi-shard
-// collection workflow.
+// Snapshots are safe to take mid-capture: OpenShard reads them back for
+// resume, -merge and fleet lane uploads.
 func (a *Attack) WriteSnapshot(w io.Writer) error {
 	return snapshot.WriteGob(w, SnapshotKind, a.state())
 }
 
-// WriteSnapshotFile atomically persists the attack's evidence at path.
+// WriteSnapshotFile durably persists the attack's evidence at path.
 func (a *Attack) WriteSnapshotFile(path string) error {
 	return snapshot.WriteFileGob(path, SnapshotKind, a.state())
 }
@@ -59,53 +60,42 @@ func (a *Attack) state() attackState {
 	}
 }
 
+// CaptureStream implements online.Evidence.
+func (a *Attack) CaptureStream() *snapshot.StreamInfo { return &a.Stream }
+
 // ReadSnapshot reconstructs an attack from a snapshot written by
 // WriteSnapshot: the embedded config rebuilds the anchor layout through New,
-// then the persisted evidence replaces the fresh accumulators after shape
-// and fingerprint validation.
+// then the persisted evidence is merged into the fresh accumulators through
+// the same check as OpenShard.
 func ReadSnapshot(r io.Reader) (*Attack, error) {
 	var st attackState
 	if err := snapshot.ReadGob(r, SnapshotKind, &st); err != nil {
 		return nil, err
 	}
-	return attackFromState(st)
-}
-
-// ReadSnapshotFile loads an attack snapshot from path.
-func ReadSnapshotFile(path string) (*Attack, error) {
-	var st attackState
-	if err := snapshot.ReadFileGob(path, SnapshotKind, &st); err != nil {
-		return nil, err
-	}
-	return attackFromState(st)
-}
-
-func attackFromState(st attackState) (*Attack, error) {
 	a, err := New(st.Config)
 	if err != nil {
 		return nil, fmt.Errorf("cookieattack: snapshot config invalid: %w", err)
 	}
-	if a.fp != st.Fingerprint {
-		return nil, errors.New("cookieattack: snapshot fingerprint does not match its config")
+	sh, err := a.shard(st)
+	if err != nil {
+		return nil, err
 	}
-	if len(st.FM) != a.chain || len(st.ABSAB) != a.chain {
-		return nil, errors.New("cookieattack: snapshot evidence shape mismatch")
-	}
-	for r := 0; r < a.chain; r++ {
-		if len(st.FM[r]) != 65536 || len(st.ABSAB[r]) != 65536 {
-			return nil, errors.New("cookieattack: snapshot evidence shape mismatch")
-		}
-	}
-	a.fm = st.FM
-	a.absab = st.ABSAB
-	a.Records = st.Records
 	a.Stream = st.Stream
-	return a, nil
+	return a, sh.Merge()
+}
+
+// OpenShard implements online.Evidence: snap must hold evidence captured
+// against the receiver's request layout.
+func (a *Attack) OpenShard(snap []byte) (online.Shard, error) {
+	var st attackState
+	if err := snapshot.ReadGob(bytes.NewReader(snap), SnapshotKind, &st); err != nil {
+		return online.Shard{}, err
+	}
+	return a.shard(st)
 }
 
 // Merge folds another shard's evidence into the receiver. Both shards must
-// have been captured against the same request layout: configs are compared
-// by fingerprint and the merge is rejected on mismatch, so independently
+// have been captured against the same request layout, so independently
 // collected shards (different machines, seeds, or capture windows) combine
 // into one evidence pool exactly as if a single process had observed every
 // record.
@@ -113,19 +103,39 @@ func (a *Attack) Merge(o *Attack) error {
 	if o == nil {
 		return errors.New("cookieattack: nil merge source")
 	}
-	if a.fp != o.fp {
-		return errors.New("cookieattack: cannot merge shards with different configs (fingerprint mismatch)")
+	sh, err := a.shard(o.state())
+	if err != nil {
+		return err
 	}
-	for r := 0; r < a.chain; r++ {
-		dst, src := a.fm[r], o.fm[r]
-		for i, v := range src {
-			dst[i] += v
-		}
-		fdst, fsrc := a.absab[r], o.absab[r]
-		for i, v := range fsrc {
-			fdst[i] += v
-		}
+	return sh.Merge()
+}
+
+// shard is the one compatibility check on foreign evidence, behind
+// resume, -merge and fleet lane uploads: st must carry the receiver's
+// request-layout fingerprint and evidence of the receiver's shape. It reads
+// only the receiver's configuration; the returned Merge adds st's counters.
+func (a *Attack) shard(st attackState) (online.Shard, error) {
+	if st.Fingerprint != a.fp {
+		return online.Shard{}, errors.New("cookieattack: evidence was captured against a different request layout (fingerprint mismatch)")
 	}
-	a.Records += o.Records
-	return nil
+	shaped := len(st.FM) == a.chain && len(st.ABSAB) == a.chain
+	for r := 0; shaped && r < a.chain; r++ {
+		shaped = len(st.FM[r]) == 65536 && len(st.ABSAB[r]) == 65536
+	}
+	if !shaped {
+		return online.Shard{}, errors.New("cookieattack: snapshot evidence shape mismatch")
+	}
+	return online.Shard{Stream: st.Stream, Observed: st.Records, Merge: func() error {
+		for r := 0; r < a.chain; r++ {
+			dst, fdst := a.fm[r], a.absab[r]
+			for i, v := range st.FM[r] {
+				dst[i] += v
+			}
+			for i, v := range st.ABSAB[r] {
+				fdst[i] += v
+			}
+		}
+		a.Records += st.Records
+		return nil
+	}}, nil
 }

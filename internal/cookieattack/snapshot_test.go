@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -83,7 +84,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err := a.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadSnapshotFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

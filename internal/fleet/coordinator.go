@@ -15,17 +15,20 @@ import (
 )
 
 // Shard is a validated, decoded lane upload awaiting its merge turn — the
-// opaque value a Pool's Validate hands to its Merge.
+// opaque value a Pool's Validate hands to its Merge. CookiePool and
+// TKIPPool hand over the online.Shard their attack's OpenShard returned.
 type Shard any
 
-// Pool is the coordinator-side evidence pool: one per attack, adapting the
-// attack's snapshot/merge/decode machinery to the fleet. CookiePool and
-// TKIPPool implement it. Observed, Decode, Merge and WriteSnapshotFile are
+// Pool is the coordinator-side evidence pool: one per attack. CookiePool
+// and TKIPPool implement it over the attack's online.Evidence, and share
+// one Validate body: the attack's OpenShard, the same compatibility check
+// resume and the CLIs' -merge apply, then the lease's stream identity and
+// observation count. Observed, Decode, Merge and WriteSnapshotFile are
 // called with the coordinator's lock held, so implementations need no
 // synchronization of their own; Validate runs WITHOUT the lock (it decodes
 // multi-megabyte uploads and must not stall other RPCs) and therefore may
 // only read immutable pool configuration — fingerprints, the trained
-// model — never mutable evidence state.
+// model, the attacked positions — never mutable evidence state.
 type Pool interface {
 	// Observed reports the observations merged into the pool so far.
 	Observed() uint64
@@ -34,8 +37,7 @@ type Pool interface {
 	Decode(max int) (recovery.CandidateSource, error)
 	// Validate decodes one lane snapshot (the attack's own envelope bytes)
 	// and checks it against the pool's configuration and the lane's
-	// expected identity — the same fingerprint/stream/count checks the
-	// offline -merge path applies, so a bad upload is rejected at the RPC
+	// expected identity and count, so a bad upload is rejected at the RPC
 	// layer instead of poisoning the pool.
 	Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error)
 	// Merge folds a validated shard into the pool.

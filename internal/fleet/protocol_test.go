@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -11,7 +12,9 @@ import (
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
+	"rc4break/internal/tkip"
 )
 
 // rpcConn drives the wire protocol by hand — the tests that pin what the
@@ -47,11 +50,81 @@ func decode[T any](t *testing.T, payload []byte) T {
 	return v
 }
 
+// lease asks the coordinator for the next lane.
+func (r *rpcConn) lease() Lease {
+	r.t.Helper()
+	r.send(kindLeaseRequest, LeaseRequest{Worker: "w"})
+	kind, payload := r.recv()
+	if kind != kindLease {
+		r.t.Fatalf("lease request got %q", kind)
+	}
+	return decode[Lease](r.t, payload)
+}
+
+// upload sends one lane's evidence and returns the coordinator's ack.
+func (r *rpcConn) upload(ev Evidence) Ack {
+	r.t.Helper()
+	r.send(kindEvidence, ev)
+	kind, payload := r.recv()
+	if kind != kindAck {
+		r.t.Fatalf("evidence got %q", kind)
+	}
+	return decode[Ack](r.t, payload)
+}
+
+// serve starts a coordinator for job over pool on loopback and returns it
+// with the listener's address.
+func serve(t *testing.T, job JobSpec, pool Pool, oracle online.Oracle) (*Coordinator, string) {
+	t.Helper()
+	coord, err := NewCoordinator(Config{Job: job, Pool: pool, Oracle: oracle, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Serve(l)
+	t.Cleanup(coord.Close)
+	return coord, l.Addr().String()
+}
+
+// join dials addr and says hello with the job's fingerprint.
+func join(t *testing.T, addr string, job JobSpec) *rpcConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	rpc := &rpcConn{t: t, conn: conn}
+	rpc.send(kindHello, Hello{Worker: "w", Fingerprint: job.Fingerprint})
+	if kind, _ := rpc.recv(); kind != kindWelcome {
+		t.Fatalf("hello got %q", kind)
+	}
+	return rpc
+}
+
+// snapshotOf returns a's snapshot bytes.
+func snapshotOf(t *testing.T, write func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestEvidenceRPCRejections pins the upload validation: duplicate lane
 // uploads, stream identity mismatches, wrong record counts, and foreign
 // fingerprints are all refused at the RPC layer — the networked equivalents
-// of the checks the offline -merge path applies.
+// of the checks the offline -merge path applies — for both attacks' pools.
 func TestEvidenceRPCRejections(t *testing.T) {
+	t.Run("cookie", testCookieRPCRejections)
+	t.Run("tkip", testTKIPRPCRejections)
+}
+
+func testCookieRPCRejections(t *testing.T) {
 	const secret = "C00kie8+"
 	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
 	if err != nil {
@@ -77,24 +150,10 @@ func TestEvidenceRPCRejections(t *testing.T) {
 		LaneRecords: 1 << 10,
 		Fingerprint: pool.Fingerprint(),
 	}
-	coord, err := NewCoordinator(Config{
-		Job:      job,
-		Pool:     &CookiePool{Attack: pool},
-		Oracle:   &netsim.CookieServer{Secret: []byte(secret)},
-		LeaseTTL: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Serve(l)
-	defer coord.Close()
+	coord, addr := serve(t, job, &CookiePool{Attack: pool}, &netsim.CookieServer{Secret: []byte(secret)})
 
 	// A worker with a foreign attack fingerprint is turned away at Hello.
-	badConn, err := net.Dial("tcp", l.Addr().String())
+	badConn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,74 +166,43 @@ func TestEvidenceRPCRejections(t *testing.T) {
 	}
 	badConn.Close()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rpc := &rpcConn{t: t, conn: conn}
-
-	rpc.send(kindHello, Hello{Worker: "w", Fingerprint: job.Fingerprint})
-	if kind, _ := rpc.recv(); kind != kindWelcome {
-		t.Fatalf("hello got %q", kind)
-	}
-
-	lease := func() Lease {
-		rpc.send(kindLeaseRequest, LeaseRequest{Worker: "w"})
-		kind, payload := rpc.recv()
-		if kind != kindLease {
-			t.Fatalf("lease request got %q", kind)
-		}
-		return decode[Lease](t, payload)
-	}
+	rpc := join(t, addr, job)
 	collect := func(ls Lease) []byte {
 		a, err := cookieattack.CollectLane(cfg, []byte(secret), ls.Stream,
 			cliutil.LaneSeed(job.Seed, ls.Lane), ls.Records, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := a.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	upload := func(ev Evidence) Ack {
-		rpc.send(kindEvidence, ev)
-		kind, payload := rpc.recv()
-		if kind != kindAck {
-			t.Fatalf("evidence got %q", kind)
-		}
-		return decode[Ack](t, payload)
+		return snapshotOf(t, a.WriteSnapshot)
 	}
 
 	// A clean lane upload is acked.
-	ls0 := lease()
+	ls0 := rpc.lease()
 	if ls0.Lane != 0 || ls0.Records != 1<<10 {
 		t.Fatalf("first lease = %+v", ls0)
 	}
 	ev0 := Evidence{Worker: "w", Lane: ls0.Lane, Stream: ls0.Stream, Records: ls0.Records, Snapshot: collect(ls0)}
-	if ack := upload(ev0); !ack.OK {
+	if ack := rpc.upload(ev0); !ack.OK {
 		t.Fatalf("clean upload rejected: %s", ack.Err)
 	}
 
 	// The same lane again — the late twin of a re-leased lane — is a
 	// duplicate, rejected like the -merge path rejects a same-stream shard.
-	if ack := upload(ev0); ack.OK || !strings.Contains(ack.Err, "duplicate") {
+	if ack := rpc.upload(ev0); ack.OK || !strings.Contains(ack.Err, "duplicate") {
 		t.Fatalf("duplicate upload: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// An upload whose declared stream is another lane's does not match its
 	// lease and is refused before any decoding happens.
-	ls1 := lease()
+	ls1 := rpc.lease()
 	ev := Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls0.Stream, Records: ls1.Records, Snapshot: collect(ls1)}
-	if ack := upload(ev); ack.OK || !strings.Contains(ack.Err, "does not match the lease") {
+	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "does not match the lease") {
 		t.Fatalf("mismatched stream: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// A record count differing from the lease is refused.
 	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records - 1, Snapshot: collect(ls1)}
-	if ack := upload(ev); ack.OK || !strings.Contains(ack.Err, "lease specified") {
+	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "lease specified") {
 		t.Fatalf("short count: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
@@ -182,31 +210,83 @@ func TestEvidenceRPCRejections(t *testing.T) {
 	// fails pool validation.
 	wrong := Lease{Lane: ls1.Lane, Records: ls1.Records, Stream: job.LaneStream(3)}
 	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records, Snapshot: collect(wrong)}
-	if ack := upload(ev); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") {
+	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") {
 		t.Fatalf("stamp mismatch: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// The honest retry of lane 1 still lands.
 	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records, Snapshot: collect(ls1)}
-	if ack := upload(ev); !ack.OK {
+	if ack := rpc.upload(ev); !ack.OK {
 		t.Fatalf("honest retry rejected: %s", ack.Err)
 	}
 
 	// A released lane comes back immediately: the next lease re-grants it
 	// without waiting out the TTL.
-	ls2 := lease()
+	ls2 := rpc.lease()
 	rpc.send(kindRelease, Release{Worker: "w", Lane: ls2.Lane})
 	if kind, payload := rpc.recv(); kind != kindAck {
 		t.Fatalf("release got %q", kind)
 	} else if ack := decode[Ack](t, payload); !ack.OK {
 		t.Fatalf("release rejected: %s", ack.Err)
 	}
-	if again := lease(); again.Lane != ls2.Lane {
+	if again := rpc.lease(); again.Lane != ls2.Lane {
 		t.Fatalf("re-lease after release got lane %d, want %d", again.Lane, ls2.Lane)
 	}
 
 	if uploads, rejected, done := coord.Stats(); uploads != 2 || rejected != 4 || done != 2 {
 		t.Fatalf("stats = %d uploads, %d rejected, %d lanes done; want 2/4/2", uploads, rejected, done)
+	}
+}
+
+// testTKIPRPCRejections drives the TKIP pool's half of the upload checks:
+// each bad lane carries a correct Evidence header, so only the pool's
+// validation (the attack's OpenShard, then the lease's stream and count)
+// can refuse it.
+func testTKIPRPCRejections(t *testing.T) {
+	positions := []int{3, 4, 5}
+	model := tkip.SyntheticModel(5, 1.0/512, 3)
+	other := tkip.SyntheticModel(5, 1.0/512, 4)
+	pool, err := tkip.NewAttack(model, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := model.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := JobSpec{Attack: "tkip", Mode: "model", Seed: 7, Budget: 4 << 9, LaneRecords: 1 << 9, Fingerprint: fp}
+	coord, addr := serve(t, job, &TKIPPool{Attack: pool, Model: model}, &tkip.TrailerOracle{})
+	rpc := join(t, addr, job)
+	collect := func(m *tkip.PerTSCModel, stream snapshot.StreamInfo, lane, frames uint64) []byte {
+		a, err := tkip.CollectLane(m, positions, []byte{1, 2, 3}, stream, cliutil.LaneSeed(job.Seed, lane), frames, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshotOf(t, a.WriteSnapshot)
+	}
+
+	ls := rpc.lease()
+	lane := func(snap []byte) Evidence {
+		return Evidence{Worker: "w", Lane: ls.Lane, Stream: ls.Stream, Records: ls.Records, Snapshot: snap}
+	}
+	bad := []struct {
+		name, want string
+		snap       []byte
+	}{
+		{"another model", "different model", collect(other, ls.Stream, ls.Lane, ls.Records)},
+		{"another stream", "does not match the lease", collect(model, job.LaneStream(3), ls.Lane, ls.Records)},
+		{"another count", "lease specified", collect(model, ls.Stream, ls.Lane, ls.Records-1)},
+	}
+	for _, c := range bad {
+		if ack := rpc.upload(lane(c.snap)); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") || !strings.Contains(ack.Err, c.want) {
+			t.Fatalf("%s: ok=%v err=%q, want a %q refusal", c.name, ack.OK, ack.Err, c.want)
+		}
+	}
+	if ack := rpc.upload(lane(collect(model, ls.Stream, ls.Lane, ls.Records))); !ack.OK {
+		t.Fatalf("honest lane rejected: %s", ack.Err)
+	}
+	if uploads, rejected, done := coord.Stats(); uploads != 1 || rejected != uint64(len(bad)) || done != 1 {
+		t.Fatalf("stats = %d uploads, %d rejected, %d lanes done; want 1/%d/1", uploads, rejected, done, len(bad))
 	}
 }
 

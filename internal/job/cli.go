@@ -142,23 +142,27 @@ func (c CLI) collect(rt *Runtime) error {
 		return err
 	}
 	seen := make(map[snapshot.StreamInfo]string)
-	if rt.Observed() > 0 && *rt.stream != (snapshot.StreamInfo{}) {
-		seen[*rt.stream] = "this shard"
+	if stream := *rt.Decoder.CaptureStream(); rt.Observed() > 0 && stream != (snapshot.StreamInfo{}) {
+		seen[stream] = "this shard"
 	}
 	for _, path := range c.Merge {
-		stream, merge, err := rt.openShard(path)
+		snap, err := os.ReadFile(path)
+		var sh online.Shard
+		if err == nil {
+			sh, err = rt.Decoder.OpenShard(snap)
+		}
 		if err != nil {
 			return fmt.Errorf("merge %s: %w", path, err)
 		}
-		if stream != (snapshot.StreamInfo{}) {
-			if prev, dup := seen[stream]; dup {
+		if sh.Stream != (snapshot.StreamInfo{}) {
+			if prev, dup := seen[sh.Stream]; dup {
 				return fmt.Errorf("merge %s: same capture stream (%s/seed %d) as %s — its %s would be double-counted",
-					path, stream.Mode, stream.Seed, prev, rt.Unit)
+					path, sh.Stream.Mode, sh.Stream.Seed, prev, rt.Unit)
 			}
-			seen[stream] = path
+			seen[sh.Stream] = path
 		}
 		before := rt.Observed()
-		if err := merge(); err != nil {
+		if err := sh.Merge(); err != nil {
 			return fmt.Errorf("merge %s: %w", path, err)
 		}
 		fmt.Printf("      merged %s: +%d %s (pool now %d)\n", path, rt.Observed()-before, rt.Unit, rt.Observed())
@@ -260,12 +264,8 @@ func (s Spec) RunWorker(addr, id string) error {
 	defer stop()
 	fmt.Printf("[2/2] fleet worker joining %s...\n", addr)
 	stats, err := w.Run(ctx)
-	unit := "records"
-	if s.Attack == "tkip" {
-		unit = "frames"
-	}
 	fmt.Printf("      worker done: %d lanes (%d %s) uploaded, %d rejected as already covered\n",
-		stats.Lanes, stats.Records, unit, stats.Rejected)
+		stats.Lanes, stats.Records, s.unit(), stats.Rejected)
 	if stats.StopReason != "" {
 		fmt.Printf("      coordinator: %s\n", stats.StopReason)
 	}

@@ -11,8 +11,9 @@
 // layout (CookieLayout), each attack's exact target (HTTPSVictim's key
 // seeding; TKIPVictim and its TKIPTrailer layout), how that stream is
 // written as a capture file (WriteCapture), the TKIP model-mode trailer
-// (TrueTrailer), the fingerprint and stream-identity checks on resume, and
-// the rule that TKIP exact streams carry seed 0.
+// (TrueTrailer), the stream-identity check on resume, and the rule that
+// TKIP exact streams carry seed 0. Which snapshots a job may resume from or
+// merge is the attack's own rule (online.Evidence.OpenShard).
 //
 // Model-mode evidence depends on where Runtime.CaptureTo is called: each
 // call draws its sufficient statistics from
@@ -30,9 +31,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
@@ -76,9 +78,9 @@ type Spec struct {
 // online loop drives, the capture function, and the evidence serializer
 // checkpoints persist.
 type Runtime struct {
-	// Decoder is the attack's evidence accumulator: *cookieattack.Attack
-	// or *tkip.Attack.
-	Decoder online.Decoder
+	// Decoder is the attack's evidence: *cookieattack.Attack or
+	// *tkip.Attack.
+	Decoder online.Evidence
 	// Oracle is *netsim.CookieServer or *tkip.TrailerOracle.
 	Oracle online.Oracle
 	// Unit names one observation in status lines: "records" or "frames".
@@ -87,10 +89,6 @@ type Runtime struct {
 	attack   string
 	mode     string
 	capture  func(target uint64) error
-	stream   *snapshot.StreamInfo
-	pool     fleet.Pool
-	write    func(io.Writer) error
-	save     func(path string) error
 	simulate func(rng *rand.Rand, n uint64) error
 	// exactFrom positions the exact victim at observation skip and returns
 	// the capture function that folds its stream up to an absolute stream
@@ -100,9 +98,6 @@ type Runtime struct {
 	// strict fails when the files cannot cover the range.
 	ingest  func(skip, n uint64, strict bool) error
 	summary func() string
-	// openShard reads a -merge shard snapshot, returning its stream
-	// identity and the merge that folds it into the evidence.
-	openShard func(path string) (snapshot.StreamInfo, func() error, error)
 }
 
 // New builds the runtime for spec, resuming from evidence (a prior
@@ -115,12 +110,12 @@ func New(spec Spec, evidence []byte) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	want := spec.stream()
-	if rt.Observed() > 0 && *rt.stream != want {
+	want, stream := spec.stream(), rt.Decoder.CaptureStream()
+	if rt.Observed() > 0 && *stream != want {
 		return nil, fmt.Errorf("job: evidence stream is %s/seed %d, the job's is %s/seed %d",
-			rt.stream.Mode, rt.stream.Seed, want.Mode, want.Seed)
+			stream.Mode, stream.Seed, want.Mode, want.Seed)
 	}
-	*rt.stream = want
+	*stream = want
 	rt.attack, rt.mode = spec.Attack, want.Mode
 	switch want.Mode {
 	case "trace":
@@ -162,12 +157,12 @@ func (r *Runtime) CaptureTo(target uint64) error {
 // Evidence serializes the attack state as snapshot-envelope bytes.
 func (r *Runtime) Evidence() ([]byte, error) {
 	var buf bytes.Buffer
-	err := r.write(&buf)
+	err := r.Decoder.WriteSnapshot(&buf)
 	return buf.Bytes(), err
 }
 
-// SaveFile atomically writes the evidence snapshot to path.
-func (r *Runtime) SaveFile(path string) error { return r.save(path) }
+// SaveFile durably writes the evidence snapshot to path.
+func (r *Runtime) SaveFile(path string) error { return r.Decoder.WriteSnapshotFile(path) }
 
 // Summary describes the capture collector's counters (live victim or
 // trace files); empty for model captures.
@@ -193,7 +188,7 @@ func (r *Runtime) Checkpointed(path string, every uint64) func(target uint64) er
 			Path:      path,
 			Every:     every,
 			Unit:      r.Unit,
-			Save:      func() error { return r.save(path) },
+			Save:      func() error { return r.SaveFile(path) },
 			Progress:  r.Observed,
 			AdvanceTo: r.CaptureTo,
 		}.Run()
@@ -209,21 +204,21 @@ func (s Spec) Pool(evidence []byte) (fleet.Pool, online.Oracle, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return rt.pool, rt.Oracle, nil
+	if a, ok := rt.Decoder.(*tkip.Attack); ok {
+		return &fleet.TKIPPool{Attack: a, Model: s.Model}, rt.Oracle, nil
+	}
+	return &fleet.CookiePool{Attack: rt.Decoder.(*cookieattack.Attack)}, rt.Oracle, nil
 }
 
 // Fingerprint is the compatibility stamp fleet workers present to the
 // coordinator: the cookie request layout's, or the TKIP model's.
 func (s Spec) Fingerprint() ([16]byte, error) {
-	if s.Attack == "tkip" {
-		if s.Model == nil {
-			return [16]byte{}, errors.New("job: tkip jobs need a trained model")
-		}
-		return s.Model.Fingerprint()
-	}
 	rt, err := s.build(nil)
 	if err != nil {
 		return [16]byte{}, err
+	}
+	if a, ok := rt.Decoder.(*tkip.Attack); ok {
+		return a.Model.Fingerprint()
 	}
 	return rt.Decoder.(*cookieattack.Attack).Fingerprint(), nil
 }
@@ -240,7 +235,7 @@ func (s Spec) CollectLane(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	*rt.stream = lease.Stream
+	*rt.Decoder.CaptureStream() = lease.Stream
 	switch {
 	case fj.Mode == "model" && s.Traces != nil:
 		return nil, errors.New("job: capture files serve exact-mode lanes; a trace is one concrete stream, not a statistical model")
@@ -277,16 +272,42 @@ func (s Spec) stream() snapshot.StreamInfo {
 	return snapshot.StreamInfo{Mode: s.Mode, Seed: s.Seed}
 }
 
-// build makes the attack state, resumed from evidence when non-nil, with
-// no capture stream attached.
+// unit names one observation of the spec's attack in status lines.
+func (s Spec) unit() string {
+	if s.Attack == "tkip" {
+		return "frames"
+	}
+	return "records"
+}
+
+// build makes the attack state with no capture stream attached. Evidence,
+// when non-nil, is a prior snapshot opened and merged through the attack's
+// OpenShard, the check -merge and fleet uploads also go through; the
+// runtime then carries that snapshot's stream identity.
 func (s Spec) build(evidence []byte) (*Runtime, error) {
+	var rt *Runtime
+	var err error
 	switch s.Attack {
 	case "cookie":
-		return s.buildCookie(evidence)
+		rt, err = s.buildCookie()
 	case "tkip":
-		return s.buildTKIP(evidence)
+		rt, err = s.buildTKIP()
+	default:
+		return nil, fmt.Errorf("job: unknown attack %q (want cookie or tkip)", s.Attack)
 	}
-	return nil, fmt.Errorf("job: unknown attack %q (want cookie or tkip)", s.Attack)
+	if err != nil {
+		return nil, err
+	}
+	rt.Unit = s.unit()
+	if evidence == nil {
+		return rt, nil
+	}
+	sh, err := rt.Decoder.OpenShard(evidence)
+	if err != nil {
+		return nil, fmt.Errorf("job: resumed evidence: %w", err)
+	}
+	*rt.Decoder.CaptureStream() = sh.Stream
+	return rt, sh.Merge()
 }
 
 // CookieLayout builds the §6.1 attack configuration for secret: the
@@ -335,8 +356,11 @@ func TKIPTrailer() []int { return tkip.TrailerPositions(len(TKIPVictim().MSDU)) 
 // fleet ingest are made. Cookie records from HTTPSVictim(Seed) go out as
 // Ethernet/TCP segments of the HTTPS flow; TKIP frames from TKIPVictim go
 // out as radiotap 802.11 and need no model. The extension picks the
-// container, as trace.CreateFile does. Served back through Traces, the
-// file yields the live exact stream's evidence byte for byte.
+// container, as trace.WriteFile does, and the file appears under path only
+// once complete: a failed write, or one stopped by SIGINT/SIGTERM (which
+// returns cliutil.ErrInterrupted), leaves nothing there. Served back
+// through Traces, the file yields the live exact stream's evidence byte
+// for byte.
 func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
 	var link uint32
 	var write func(trace.PacketWriter) error
@@ -371,15 +395,18 @@ func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
 	default:
 		return 0, fmt.Errorf("job: unknown attack %q (want cookie or tkip)", s.Attack)
 	}
-	pw, done, err := trace.CreateFile(path, link)
+	// SIGINT or SIGTERM fails the next packet write, and trace.WriteFile
+	// then leaves nothing under path.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	err := trace.WriteFile(path, link, func(pw trace.PacketWriter) error {
+		return write(interruptible{pw, sig})
+	})
+	if errors.Is(err, cliutil.ErrInterrupted) {
+		fmt.Printf("      interrupted: nothing written to %s\n", path)
+	}
 	if err != nil {
-		return 0, err
-	}
-	if err := write(pw); err != nil {
-		done()
-		return 0, err
-	}
-	if err := done(); err != nil {
 		return 0, err
 	}
 	info, err := os.Stat(path)
@@ -389,7 +416,22 @@ func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
 	return info.Size(), nil
 }
 
-func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
+// interruptible is a PacketWriter whose writes fail with
+// cliutil.ErrInterrupted once a signal is buffered in sig.
+type interruptible struct {
+	trace.PacketWriter
+	sig chan os.Signal
+}
+
+// WritePacket implements trace.PacketWriter.
+func (w interruptible) WritePacket(data []byte) error {
+	if len(w.sig) > 0 {
+		return cliutil.ErrInterrupted
+	}
+	return w.PacketWriter.WritePacket(data)
+}
+
+func (s Spec) buildCookie() (*Runtime, error) {
 	cfg, req, err := CookieLayout(s.Secret)
 	if err != nil {
 		return nil, err
@@ -398,35 +440,13 @@ func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if evidence != nil {
-		resumed, err := cookieattack.ReadSnapshot(bytes.NewReader(evidence))
-		if err != nil {
-			return nil, err
-		}
-		if resumed.Fingerprint() != attack.Fingerprint() {
-			return nil, errors.New("job: evidence was captured against a different request layout (check the secret)")
-		}
-		attack = resumed
-	}
 	attack.Workers = s.Workers
 	rt := &Runtime{
 		Decoder: attack,
 		Oracle:  &netsim.CookieServer{Secret: []byte(s.Secret)},
-		Unit:    "records",
-		stream:  &attack.Stream,
-		pool:    &fleet.CookiePool{Attack: attack},
-		write:   attack.WriteSnapshot,
-		save:    attack.WriteSnapshotFile,
 		simulate: func(rng *rand.Rand, n uint64) error {
 			return attack.SimulateStatistics(rng, []byte(s.Secret), n)
 		},
-	}
-	rt.openShard = func(path string) (snapshot.StreamInfo, func() error, error) {
-		shard, err := cookieattack.ReadSnapshotFile(path)
-		if err != nil {
-			return snapshot.StreamInfo{}, nil, err
-		}
-		return shard.Stream, func() error { return attack.Merge(shard) }, nil
 	}
 	var st cookieattack.TraceStats
 	rt.summary = func() string {
@@ -460,20 +480,13 @@ func (s Spec) buildCookie(evidence []byte) (*Runtime, error) {
 	return rt, nil
 }
 
-func (s Spec) buildTKIP(evidence []byte) (*Runtime, error) {
+func (s Spec) buildTKIP() (*Runtime, error) {
 	if s.Model == nil {
 		return nil, errors.New("job: tkip jobs need a trained model")
 	}
 	victim := TKIPVictim()
 	session := victim.Session
-	var attack *tkip.Attack
-	var err error
-	if evidence != nil {
-		// The snapshot's model fingerprint is checked against s.Model.
-		attack, err = tkip.ReadAttackSnapshot(bytes.NewReader(evidence), s.Model)
-	} else {
-		attack, err = tkip.NewAttack(s.Model, TKIPTrailer())
-	}
+	attack, err := tkip.NewAttack(s.Model, TKIPTrailer())
 	if err != nil {
 		return nil, err
 	}
@@ -485,21 +498,9 @@ func (s Spec) buildTKIP(evidence []byte) (*Runtime, error) {
 			DA: session.DA, SA: session.SA, MSDU: victim.MSDU,
 			Confirm: netsim.ForgeryConfirm(session, victim.MSDU),
 		},
-		Unit:   "frames",
-		stream: &attack.Stream,
-		pool:   &fleet.TKIPPool{Attack: attack, Model: s.Model},
-		write:  attack.WriteSnapshot,
-		save:   attack.WriteSnapshotFile,
 		simulate: func(rng *rand.Rand, n uint64) error {
 			return attack.SimulateCaptures(rng, trailer, n)
 		},
-	}
-	rt.openShard = func(path string) (snapshot.StreamInfo, func() error, error) {
-		shard, err := tkip.ReadAttackSnapshotFile(path, s.Model)
-		if err != nil {
-			return snapshot.StreamInfo{}, nil, err
-		}
-		return shard.Stream, func() error { return attack.Merge(shard) }, nil
 	}
 	var st tkip.TraceStats
 	rt.summary = func() string {

@@ -2,10 +2,14 @@ package job
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"rc4break/internal/cliutil"
 	"rc4break/internal/fleet"
 	"rc4break/internal/snapshot"
 	"rc4break/internal/trace"
@@ -86,6 +90,47 @@ func TestWriteCaptureServesExactLane(t *testing.T) {
 					t.Fatal("lane served from the written capture differs from the live exact lane")
 				}
 			})
+		}
+	}
+}
+
+// TestWriteCaptureInterrupted pins the interrupted capture write: SIGINT
+// during a long write returns cliutil.ErrInterrupted promptly and leaves
+// nothing in the directory, neither the capture nor its temporary file.
+func TestWriteCaptureInterrupted(t *testing.T) {
+	// The test's own subscription keeps SIGINT from killing the test
+	// binary before WriteCapture listens for it.
+	keep := make(chan os.Signal, 1)
+	signal.Notify(keep, os.Interrupt)
+	defer signal.Stop(keep)
+
+	dir := t.TempDir()
+	done := make(chan error, 1)
+	go func() {
+		// About 55 MB of frames: seconds of writing unless interrupted.
+		_, err := Spec{Attack: "tkip", Mode: "exact"}.WriteCapture(filepath.Join(dir, "big.pcap"), 1<<19)
+		done <- err
+	}()
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case err := <-done:
+			if !errors.Is(err, cliutil.ErrInterrupted) {
+				t.Fatalf("WriteCapture returned %v, want an interrupt", err)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+				t.Fatalf("interrupted write left %v", left)
+			}
+			return
+		case <-tick.C:
+			if err := self.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
+
+	"rc4break/internal/durable"
 )
 
 // ndjsonSpan is the NDJSON export shape: one JSON object per line per span,
@@ -75,17 +76,9 @@ type chromeEvent struct {
 
 // WriteChromeFile writes the journal's spans to path as a Chrome
 // trace-event file (WriteChrome): the -trace-out sink of cmd/repro and
-// cmd/fleetd.
+// cmd/fleetd, written through durable.WriteFile.
 func WriteChromeFile(path string, j *Journal) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChrome(f, j.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, func(w io.Writer) error { return WriteChrome(w, j.Snapshot()) })
 }
 
 // WriteChrome writes the records as a Chrome trace-event JSON array loadable

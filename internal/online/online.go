@@ -11,8 +11,9 @@
 // distributions.
 //
 // The runtime is attack-agnostic: cookieattack.Attack and tkip.Attack both
-// implement Decoder, and netsim.CookieServer / tkip.TrailerOracle implement
-// Oracle. Evidence arrives through a pluggable Feed: in-process capturers
+// implement Decoder (and Evidence, its checkpointable form), and
+// netsim.CookieServer / tkip.TrailerOracle implement Oracle. Evidence
+// arrives through a pluggable Feed: in-process capturers
 // wrap a job.Runtime's capture function in FeedFunc (model captures draw
 // each cadence chunk in one shot; the CLIs advance exact captures in
 // bounded chunks under cliutil.CheckpointLoop, checkpointed, SIGINT-safe
@@ -27,11 +28,13 @@ package online
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
 	"rc4break/internal/obs"
 	"rc4break/internal/recovery"
+	"rc4break/internal/snapshot"
 )
 
 // Decoder turns accumulated ciphertext evidence into ranked candidates —
@@ -44,6 +47,38 @@ type Decoder interface {
 	// (the TKIP enumerator) may ignore it — the runtime bounds its walk
 	// either way.
 	Decode(max int) (recovery.CandidateSource, error)
+}
+
+// Evidence is a Decoder whose state outlives one process: it is written
+// as a snapshot envelope, carries the identity of the capture stream it
+// was folded from, and opens other snapshots for merging. Both attacks
+// implement it. Resume, the CLIs' -merge and fleet lane uploads all open
+// snapshots through OpenShard, so each attack states once which evidence
+// it may fold in.
+type Evidence interface {
+	Decoder
+	// WriteSnapshot writes the evidence as one snapshot envelope, and
+	// WriteSnapshotFile writes the same bytes durably to path.
+	WriteSnapshot(w io.Writer) error
+	WriteSnapshotFile(path string) error
+	// CaptureStream is the identity of the capture stream the evidence
+	// was folded from; a pool of many streams leaves it zero.
+	CaptureStream() *snapshot.StreamInfo
+	// OpenShard decodes snapshot bytes and checks that they were taken
+	// under the receiver's configuration. It reads only that
+	// configuration, never the evidence, so it may run while the evidence
+	// changes.
+	OpenShard(snap []byte) (Shard, error)
+}
+
+// Shard is a snapshot opened by Evidence.OpenShard, not yet folded in.
+type Shard struct {
+	// Stream and Observed are the shard's capture-stream identity and
+	// observation count.
+	Stream   snapshot.StreamInfo
+	Observed uint64
+	// Merge folds the shard into the Evidence that opened it.
+	Merge func() error
 }
 
 // Oracle confirms one candidate against ground truth: presenting the

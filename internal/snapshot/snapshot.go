@@ -28,7 +28,8 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
-	"path/filepath"
+
+	"rc4break/internal/durable"
 )
 
 // Magic identifies a snapshot envelope; it is the first MagicLen bytes of
@@ -192,29 +193,11 @@ func ReadGob(r io.Reader, wantKind string, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
-// WriteFile atomically persists an envelope at path: the bytes land in a
-// temporary file in the same directory which is fsynced and renamed over
-// path, so a crash mid-write never leaves a torn checkpoint — the previous
-// checkpoint, if any, survives intact.
+// WriteFile atomically persists an envelope at path through
+// durable.WriteFile: a crash mid-write never leaves a torn checkpoint, and
+// the previous checkpoint, if any, survives intact.
 func WriteFile(path, kind string, payload []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Write(tmp, kind, payload); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFile(path, func(w io.Writer) error { return Write(w, kind, payload) })
 }
 
 // WriteFileGob atomically persists v as a gob-encoded envelope at path (see

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -93,7 +94,11 @@ func TestAttackSnapshotFileAndCorruption(t *testing.T) {
 	if err := a.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadAttackSnapshotFile(path, model)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadAttackSnapshot(bytes.NewReader(file), model)
 	if err != nil {
 		t.Fatal(err)
 	}

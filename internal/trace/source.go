@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"rc4break/internal/durable"
 )
 
 // Source is one capture stream to ingest: a file on disk or an already-
@@ -49,34 +51,29 @@ func ReaderSources(readers []io.Reader) []Source {
 	return out
 }
 
-// CreateFile creates a capture file at path, choosing the container by
-// extension (.pcapng writes pcapng, anything else classic pcap) and
-// buffering writes. The returned done function flushes and closes the
-// file; call it exactly once after the last packet.
-func CreateFile(path string, linkType uint32) (PacketWriter, func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var pw PacketWriter
-	if strings.HasSuffix(path, ".pcapng") {
-		pw, err = NewPcapNGWriter(bw, linkType)
-	} else {
-		pw, err = NewPcapWriter(bw, linkType)
-	}
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	done := func() error {
-		if err := bw.Flush(); err != nil {
-			f.Close()
+// WriteFile writes a capture file at path: write emits the packets, the
+// container follows the extension (.pcapng writes pcapng, anything else
+// classic pcap) and writes are buffered. The file goes through
+// durable.WriteFile, so it appears under path only complete: a write that
+// fails or is interrupted leaves nothing there.
+func WriteFile(path string, linkType uint32, write func(PacketWriter) error) error {
+	return durable.WriteFile(path, func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		var pw PacketWriter
+		var err error
+		if strings.HasSuffix(path, ".pcapng") {
+			pw, err = NewPcapNGWriter(bw, linkType)
+		} else {
+			pw, err = NewPcapWriter(bw, linkType)
+		}
+		if err == nil {
+			err = write(pw)
+		}
+		if err != nil {
 			return err
 		}
-		return f.Close()
-	}
-	return pw, done, nil
+		return bw.Flush()
+	})
 }
 
 // EachSource ingests the sources in order, stopping early once done

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -331,5 +333,68 @@ func TestSplitRadiotapFCSFlag(t *testing.T) {
 	}
 	if len(mp.Body) != 44-24-8 {
 		t.Fatalf("FCS not stripped: body %d bytes", len(mp.Body))
+	}
+}
+
+// TestWriteFileIsAllOrNothing pins the capture writer's durability in
+// both containers: a write that fails partway leaves nothing in the
+// directory, not even its temporary file; a finished write leaves every
+// packet; and a failed rewrite keeps the finished file intact.
+func TestWriteFileIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	boom := errors.New("boom")
+	writeAll := func(pw PacketWriter) error {
+		for _, p := range testPackets() {
+			if err := pw.WritePacket(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, name := range []string{"c.pcap", "c.pcapng"} {
+		path := filepath.Join(dir, name)
+		failed := func(pw PacketWriter) error {
+			if err := writeAll(pw); err != nil {
+				return err
+			}
+			return boom
+		}
+		if err := WriteFile(path, LinkTypeEthernet, failed); !errors.Is(err, boom) {
+			t.Fatalf("%s: failed write returned %v", name, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+			t.Fatalf("%s: failed write left %v", name, left)
+		}
+
+		if err := WriteFile(path, LinkTypeEthernet, writeAll); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(whole))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := collect(t, r), testPackets()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d packets, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Data, want[i]) {
+				t.Fatalf("%s: packet %d differs", name, i)
+			}
+		}
+
+		if err := WriteFile(path, LinkTypeEthernet, failed); !errors.Is(err, boom) {
+			t.Fatalf("%s: failed rewrite returned %v", name, err)
+		}
+		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, whole) {
+			t.Fatalf("%s: failed rewrite changed the finished file (err %v)", name, err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

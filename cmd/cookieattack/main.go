@@ -27,7 +27,7 @@
 // cadence and stopping at the first server-confirmed cookie, usually far
 // below the fixed budget:
 //
-//	cookieattack -online                       # geometric cadence 2^20, 2^21, ...
+//	cookieattack -online                       # geometric cadence 2^27, 2^28, ...
 //	cookieattack -online -decode-every 33554432 # decode every 2^25 records
 //	# an interrupted online run resumes mid-cadence
 //	cookieattack -online -mode exact -checkpoint run.snap -resume run.snap
@@ -65,9 +65,9 @@ import (
 )
 
 func main() {
-	ciphertexts := flag.Uint64("ciphertexts", 9<<27, "total request copies this shard should hold, including resumed ones (paper: 9 x 2^27 for 94%); the online budget")
-	candidates := flag.Int("candidates", 1<<16, "brute-force list depth, per decode round with -online (paper: 2^23)")
-	secret := flag.String("secret", "Secur3C00kieVal+", "the 16-character secure cookie to recover")
+	ciphertexts := flag.Uint64("ciphertexts", job.Defaults("cookie").Budget, "total request copies this shard should hold, including resumed ones (paper: 9 x 2^27 for 94%); the online budget; 0 collects nothing (README \"Job spec\")")
+	candidates := flag.Int("candidates", 0, "brute-force list depth, per decode round with -online (0 = attack default; paper: 2^23; README \"Job spec\")")
+	secret := flag.String("secret", "Secur3C00kieVal+", "the secure cookie to recover: 1-16 characters of the RFC 6265 cookie charset")
 	mode := flag.String("mode", "model", "collection mode: model (sampled sufficient statistics) | exact (real TLS records; slow beyond ~2^22)")
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
 	workers := flag.Int("workers", 0, "parallel workers for model-mode collection and decoding (0 = GOMAXPROCS)")
@@ -78,7 +78,7 @@ func main() {
 	collectOnly := flag.Bool("collect-only", false, "stop after collection (use with -checkpoint to produce a shard snapshot)")
 	onlineMode := flag.Bool("online", false, "closed-loop mode: decode while capturing, stop at the first server-confirmed cookie")
 	decodeEvery := flag.Uint64("decode-every", 0, "online: records between decode attempts (0 = geometric cadence from -first-decode)")
-	firstDecode := flag.Uint64("first-decode", 1<<20, "online: records at the first decode attempt")
+	firstDecode := flag.Uint64("first-decode", 0, "online: records at the first decode attempt (0 = attack default, clamped to -ciphertexts; README \"Job spec\")")
 	fleetWorker := flag.String("fleet-worker", "", "join the cmd/fleetd coordinator at this address as a capture worker")
 	workerID := flag.String("worker-id", "", "fleet worker name (default hostname-pid)")
 	pcapIn := flag.String("pcap", "", "ingest record evidence from capture files (comma-separated paths/globs, pcap or pcapng; streamed, never slurped); with -fleet-worker, serve exact-mode lanes from the files")
@@ -86,30 +86,30 @@ func main() {
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
 
-	if len(*secret) != 16 {
-		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
+	spec, err := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Budget: *ciphertexts,
+		FirstDecode: *firstDecode, DecodeEvery: *decodeEvery, MaxCandidates: *candidates,
+		Workers: *workers, Traces: *pcapIn}.Normalize()
+	if err != nil {
+		fatal(err)
 	}
+	// Normalize reads a zero budget as the default; -ciphertexts 0 collects
+	// nothing, so an offline run recovers from its -merge shards alone.
+	spec.Budget = *ciphertexts
 	fmt.Println("[1/4] crafting aligned request (cookie first in header, injected padding after)...")
-	cfg, _, err := job.CookieLayout(*secret)
+	cfg, _, err := job.CookieLayout(spec.Secret)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("      cookie at offset %d (keystream counter base %d)\n", cfg.Offset, cfg.CounterBase)
 
-	spec := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Workers: *workers}
 	if *writePcap != "" {
-		fmt.Printf("[2/2] writing %d records of the exact victim stream (seed %d) -> %s\n", *ciphertexts, *seed, *writePcap)
-		size, err := spec.WriteCapture(*writePcap, *ciphertexts)
+		fmt.Printf("[2/2] writing %d records of the exact victim stream (seed %d) -> %s\n", spec.Budget, spec.Seed, *writePcap)
+		size, err := spec.WriteCapture(*writePcap, spec.Budget)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("      %d records, %.1f MB\n", *ciphertexts, float64(size)/(1<<20))
+		fmt.Printf("      %d records, %.1f MB\n", spec.Budget, float64(size)/(1<<20))
 		return
-	}
-	if *pcapIn != "" {
-		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
-			fatal(fmt.Errorf("-pcap: %w", err))
-		}
 	}
 
 	if *fleetWorker != "" {
@@ -129,11 +129,9 @@ func main() {
 	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", slices.Min(anchors), slices.Max(anchors))
 
 	err = job.CLI{
-		Budget: *ciphertexts, Depth: *candidates,
 		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
 		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
-		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},
-		JSON: *jsonOut,
+		Online: *onlineMode, JSON: *jsonOut,
 		Live: func(n uint64) string {
 			return fmt.Sprintf("%.1f h of traffic at %d req/s", float64(n)/netsim.HTTPSRequestsPerSecond/3600, netsim.HTTPSRequestsPerSecond)
 		},

@@ -49,18 +49,18 @@ func main() {
 	attack := flag.String("attack", "cookie", "attack to coordinate: cookie | tkip")
 	mode := flag.String("mode", "model", "collection mode workers must run: model | exact")
 	seed := flag.Int64("seed", 1, "job base seed; lane streams derive from it")
-	budget := flag.Uint64("budget", 0, "total observation budget (0 = attack default: 9x2^27 records / 9x2^20 frames)")
+	budget := flag.Uint64("budget", 0, "total observation budget (0 = attack default; README \"Job spec\")")
 	laneRecords := flag.Uint64("lane-records", 1<<24, "observations per capture lane")
 	leaseTTL := flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "how long a silent worker holds a lane before it is re-leased")
-	firstDecode := flag.Uint64("first-decode", 1<<20, "observations at the first decode attempt")
+	firstDecode := flag.Uint64("first-decode", 0, "observations at the first decode attempt (0 = attack default, clamped to -budget; README \"Job spec\")")
 	decodeEvery := flag.Uint64("decode-every", 0, "observations between decode attempts (0 = geometric cadence from -first-decode)")
-	depth := flag.Int("candidates", 0, "candidate walk depth per decode round (0 = attack default: 2^16 cookies / 2^20 trailers)")
+	depth := flag.Int("candidates", 0, "candidate walk depth per decode round (0 = attack default; README \"Job spec\")")
 	workers := flag.Int("workers", 0, "parallel decode workers (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "", "pool snapshot written after every unsuccessful decode round (offline-tooling compatible)")
 	resume := flag.String("resume", "", "pool snapshot to resume the coordinator from (must sit on a lane boundary)")
-	secret := flag.String("secret", "Secur3C00kieVal+", "cookie attack: the 16-character secure cookie to recover")
+	secret := flag.String("secret", "Secur3C00kieVal+", "cookie attack: the secure cookie to recover, 1-16 characters of the RFC 6265 cookie charset")
 	modelPath := flag.String("model", "", "tkip attack: model snapshot (loaded if present, otherwise trained and saved there)")
-	trainKeys := flag.Uint64("trainkeys", 1<<12, "tkip attack: training keys per TSC class when the model must be trained")
+	trainKeys := flag.Uint64("trainkeys", 0, "tkip attack: training keys per TSC class when the model must be trained (0 = attack default; README \"Job spec\")")
 	linger := flag.Duration("linger", 2*time.Second, "how long to keep answering workers with stop after the run finishes")
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (coordinator plus worker spans) to this file")
@@ -75,76 +75,48 @@ func main() {
 		journal = obs.NewJournal("fleetd", obs.DefaultCapacity)
 	}
 
-	// Lane modes and seeds travel in the fleet job; the coordinator's spec
-	// only builds the pool, the oracle and the fingerprint workers must match.
-	spec := job.Spec{Attack: *attack, Workers: *workers}
-	switch *attack {
-	case "cookie":
-		if len(*secret) != 16 {
-			fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
-		}
+	spec := job.Spec{Attack: *attack, Mode: *mode, Seed: *seed, Budget: *budget, FirstDecode: *firstDecode,
+		DecodeEvery: *decodeEvery, MaxCandidates: *depth, TrainKeys: *trainKeys, Workers: *workers}
+	if *attack == "cookie" {
 		spec.Secret = *secret
-		if *budget == 0 {
-			*budget = 9 << 27
-		}
-		if *depth == 0 {
-			*depth = 1 << 16
-		}
-	case "tkip":
-		if *budget == 0 {
-			*budget = 9 << 20
-		}
-		if *depth == 0 {
-			*depth = 1 << 20
-		}
+	}
+	spec, err := spec.Normalize()
+	if err != nil {
+		fatal(err)
+	}
+	if spec.Attack == "tkip" {
 		// The same fixed session and train-once model the tkipattack
 		// workers load, so their fingerprints match.
-		model, err := job.LoadOrTrainModel(*modelPath, *trainKeys, *workers, fleetLogf)
-		if err != nil {
+		if spec.Model, err = job.LoadOrTrainModel(*modelPath, spec.TrainKeys, *workers, fleetLogf); err != nil {
 			fatal(err)
 		}
-		spec.Model = model
-	default:
-		fatal(fmt.Errorf("unknown attack %q", *attack))
 	}
 	var evidence []byte
 	if *resume != "" {
-		var err error
 		if evidence, err = os.ReadFile(*resume); err != nil {
 			fatal(fmt.Errorf("resume %s: %w", *resume, err))
 		}
 	}
-	pool, oracle, err := spec.Pool(evidence)
+	cfg, err := spec.Coordinator(*laneRecords, evidence)
 	if err != nil {
 		fatal(err)
 	}
+	fj := cfg.Job
 	if *resume != "" {
-		fleetLogf("resumed pool %s: %d observations", *resume, pool.Observed())
-	}
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		fatal(err)
+		fleetLogf("resumed pool %s: %d observations", *resume, cfg.Pool.Observed())
 	}
 	report := func(res online.Result, err error) {
 		if err == nil {
-			if o, ok := oracle.(*tkip.TrailerOracle); ok {
+			if o, ok := cfg.Oracle.(*tkip.TrailerOracle); ok {
 				fleetLogf("trailer confirmed at rank %d after %d frames; MIC key %x", res.Rank, res.Observed, o.MICKey)
 			} else {
 				fleetLogf("cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)",
 					res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
 			}
 		}
-		writeJSON(*jsonOut, *attack, *mode, res, err)
+		writeJSON(*jsonOut, spec.Attack, spec.Mode, res, err)
 	}
 
-	fj := fleet.JobSpec{
-		Attack:      *attack,
-		Mode:        *mode,
-		Seed:        *seed,
-		Budget:      *budget,
-		LaneRecords: *laneRecords,
-		Fingerprint: fp,
-	}
 	// Latency histograms behind -http: lease-grant-to-upload round trips,
 	// evidence ingest (validate+stage+merge), and closed-loop decode rounds.
 	// The coordinator feeds them through duration hooks on its injected
@@ -163,17 +135,7 @@ func main() {
 		histIngest = reg.Histogram("fleetd_ingest_seconds", "evidence upload validation and staging time", fastBuckets)
 		histDecode = reg.Histogram("fleetd_decode_round_seconds", "closed-loop decode round time over the merged pool", fastBuckets)
 	}
-	cfg := fleet.Config{
-		Job:           fj,
-		Pool:          pool,
-		Oracle:        oracle,
-		Cadence:       online.Cadence{First: *firstDecode, Every: *decodeEvery},
-		MaxCandidates: *depth,
-		LeaseTTL:      *leaseTTL,
-		Checkpoint:    *checkpoint,
-		Tracer:        journal,
-		Logf:          fleetLogf,
-	}
+	cfg.LeaseTTL, cfg.Checkpoint, cfg.Tracer, cfg.Logf = *leaseTTL, *checkpoint, journal, fleetLogf
 	if reg != nil {
 		cfg.ObserveLaneRoundtrip = histRoundtrip.ObserveDuration
 		cfg.ObserveIngest = histIngest.ObserveDuration
@@ -190,7 +152,7 @@ func main() {
 	}
 	coord.Serve(l)
 	fmt.Printf("[fleet] coordinating %s/%s on %s: budget %d in %d lanes of %d, lease TTL %v\n",
-		*attack, *mode, l.Addr(), fj.Budget, fj.Lanes(), fj.LaneRecords, *leaseTTL)
+		spec.Attack, spec.Mode, l.Addr(), fj.Budget, fj.Lanes(), fj.LaneRecords, *leaseTTL)
 
 	// Optional observability endpoints, the same reusable handlers attackd
 	// mounts: Prometheus text metrics (lane counters, latency histograms,
@@ -227,7 +189,7 @@ func main() {
 	res, runErr := coord.Run(ctx)
 
 	if *checkpoint != "" {
-		if err := pool.WriteSnapshotFile(*checkpoint); err != nil {
+		if err := cfg.Pool.WriteSnapshotFile(*checkpoint); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("[fleet] pool snapshot -> %s\n", *checkpoint)

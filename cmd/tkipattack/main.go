@@ -58,9 +58,9 @@ import (
 )
 
 func main() {
-	keysPerTSC := flag.Uint64("trainkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
-	copies := flag.Uint64("copies", 9<<20, "total ciphertext copies this shard should hold, including resumed ones (paper: ~9.5 x 2^20 per hour); the online budget")
-	maxDepth := flag.Int("maxdepth", 1<<20, "candidate list search bound, per decode round with -online (paper: nearly 2^30)")
+	keysPerTSC := flag.Uint64("trainkeys", 0, "training keys per TSC class (0 = attack default; paper: 2^32; README \"Job spec\")")
+	copies := flag.Uint64("copies", job.Defaults("tkip").Budget, "total ciphertext copies this shard should hold, including resumed ones (paper: ~9.5 x 2^20 per hour); the online budget; 0 collects nothing (README \"Job spec\")")
+	maxDepth := flag.Int("maxdepth", 0, "candidate list search bound, per decode round with -online (0 = attack default; paper: nearly 2^30; README \"Job spec\")")
 	mode := flag.String("mode", "model", "capture mode: model (sampled from trained distributions) | exact (real frames; needs deep training)")
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
 	workers := flag.Int("workers", 0, "parallel workers for training, model-mode capture, and decoding (0 = GOMAXPROCS)")
@@ -72,7 +72,7 @@ func main() {
 	collectOnly := flag.Bool("collect-only", false, "stop after capture (use with -checkpoint to produce a shard snapshot)")
 	onlineMode := flag.Bool("online", false, "closed-loop mode: decode while capturing, stop at the first oracle-confirmed trailer")
 	decodeEvery := flag.Uint64("decode-every", 0, "online: frames between decode attempts (0 = geometric cadence from -first-decode)")
-	firstDecode := flag.Uint64("first-decode", 1<<20, "online: frames at the first decode attempt")
+	firstDecode := flag.Uint64("first-decode", 0, "online: frames at the first decode attempt (0 = attack default, clamped to -copies; README \"Job spec\")")
 	fleetWorker := flag.String("fleet-worker", "", "join the cmd/fleetd coordinator at this address as a capture worker")
 	workerID := flag.String("worker-id", "", "fleet worker name (default hostname-pid)")
 	pcapIn := flag.String("pcap", "", "ingest frame evidence from monitor-mode capture files (comma-separated paths/globs, pcap or pcapng; streamed, never slurped); with -fleet-worker, serve exact-mode lanes from the files")
@@ -80,36 +80,37 @@ func main() {
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
 
-	spec := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Workers: *workers}
+	spec, err := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Budget: *copies,
+		FirstDecode: *firstDecode, DecodeEvery: *decodeEvery, MaxCandidates: *maxDepth,
+		TrainKeys: *keysPerTSC, Workers: *workers, Traces: *pcapIn}.Normalize()
+	if err != nil {
+		fatal(err)
+	}
+	// Normalize reads a zero budget as the default; -copies 0 collects
+	// nothing, so an offline run recovers from its -merge shards alone.
+	spec.Budget = *copies
 	if *writePcap != "" {
 		// Writing the stream needs no trained model: frames are a pure
 		// function of the demo session and the TSC sequence.
-		fmt.Printf("[1/1] writing %d frames of the victim's TKIP stream -> %s\n", *copies, *writePcap)
-		size, err := spec.WriteCapture(*writePcap, *copies)
+		fmt.Printf("[1/1] writing %d frames of the victim's TKIP stream -> %s\n", spec.Budget, *writePcap)
+		size, err := spec.WriteCapture(*writePcap, spec.Budget)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("      %d frames, %.1f MB\n", *copies, float64(size)/(1<<20))
+		fmt.Printf("      %d frames, %.1f MB\n", spec.Budget, float64(size)/(1<<20))
 		return
-	}
-	if *pcapIn != "" {
-		var err error
-		if spec.Traces, err = cliutil.ExpandGlobs(*pcapIn); err != nil {
-			fatal(fmt.Errorf("-pcap: %w", err))
-		}
 	}
 
 	// Shards must share one model: capture snapshots embed its fingerprint
 	// and refuse to resume or merge under a different one.
 	prefix := "[1/4]"
-	model, err := job.LoadOrTrainModel(*modelPath, *keysPerTSC, *workers, func(format string, args ...interface{}) {
+	spec.Model, err = job.LoadOrTrainModel(*modelPath, spec.TrainKeys, *workers, func(format string, args ...interface{}) {
 		fmt.Printf(prefix+" "+format+"\n", args...)
 		prefix = "     "
 	})
 	if err != nil {
 		fatal(err)
 	}
-	spec.Model = model
 
 	if *fleetWorker != "" {
 		// Model-mode lanes draw from the lane's derived seed; exact-mode
@@ -125,11 +126,9 @@ func main() {
 		fatal(err)
 	}
 	err = job.CLI{
-		Budget: *copies, Depth: *maxDepth,
 		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
 		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
-		Online: *onlineMode, Cadence: online.Cadence{First: *firstDecode, Every: *decodeEvery},
-		JSON: *jsonOut,
+		Online: *onlineMode, JSON: *jsonOut,
 		Live: func(n uint64) string {
 			return fmt.Sprintf("%.1f h of injection at %d pps", float64(n)/netsim.TKIPInjectionPerSecond/3600, netsim.TKIPInjectionPerSecond)
 		},

@@ -27,8 +27,13 @@ var GobManifest = map[string]string{
 	// Spec gained TraceID (span-context propagation from the submitter) —
 	// gob-compatible: old manifests decode with an empty TraceID. Model (the
 	// key of a TKIP model blob nothing read) was dropped — also compatible:
-	// gob skips the field when decoding an old manifest.
-	"rc4break/internal/service.Manifest": "struct{Evidence string; ID string; Observed uint64; Result struct{Checks uint64; Error string; Plaintext []byte; Rank int; Skipped uint64; Success bool}; Rounds int; Spec struct{Attack string; Budget uint64; CaptureChunk uint64; CheckpointRounds int; DecodeEvery uint64; FirstDecode uint64; MaxCandidates int; Mode string; Secret string; Seed int64; TraceID string; TrainKeys uint64; Workers int}; State string; Tenant string}",
+	// gob skips the field when decoding an old manifest. Spec is now
+	// job.Spec (service.JobSpec is an alias), which adds the runtime inputs
+	// Model and Traces; no field was renamed or retyped, so manifests
+	// written before it decode unchanged (TestManifestFromBeforeJobSpec
+	// resumes one). attackd's JSON cannot set either input, so its
+	// manifests carry their zero values.
+	"rc4break/internal/service.Manifest": "struct{Evidence string; ID string; Observed uint64; Result struct{Checks uint64; Error string; Plaintext []byte; Rank int; Skipped uint64; Success bool}; Rounds int; Spec struct{Attack string; Budget uint64; CaptureChunk uint64; CheckpointRounds int; DecodeEvery uint64; FirstDecode uint64; MaxCandidates int; Mode string; Model struct{Counts []uint64; Keys uint64; Positions int; TSC1 byte}; Secret string; Seed int64; TraceID string; Traces string; TrainKeys uint64; Workers int}; State string; Tenant string}",
 
 	// Fleet RPC messages (coordinator/worker wire protocol).
 	"rc4break/internal/fleet.Hello":        "struct{Fingerprint [16]byte; Worker string}",

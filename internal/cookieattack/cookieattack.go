@@ -21,6 +21,11 @@ import (
 	"rc4break/internal/snapshot"
 )
 
+// MaxCookieLen is the longest cookie a job may target: the paper's
+// 16-character secure cookie (§6.3). Job specs above it are refused, and
+// the fleet wire bound is sized for one lane of its evidence.
+const MaxCookieLen = 16
+
 // Config describes the attacked request layout.
 type Config struct {
 	// CookieLen is the unknown cookie length (16 in the paper's setup).

@@ -102,7 +102,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 			return Result{}, nil, err
 		}
 		traced := c.spec
-		traced.Traces = []string{path}
+		traced.Traces = path
 		// Both lanes carry the same stream stamp, so their snapshots compare
 		// byte for byte; the file-served lane fails if the capture is short.
 		fj := fleet.JobSpec{Mode: "exact", Seed: c.spec.Seed}
@@ -134,7 +134,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		// Parse-only pass over the same capture: the ceiling the pipeline
 		// hits with no attack to fold into.
 		span = (*obs.Journal)(nil).Start(obs.SpanContext{}, "trace.parse")
-		err = c.parse(traced.Traces)
+		err = c.parse([]string{path})
 		parseTime := span.End()
 		if err != nil {
 			return Result{}, nil, err

@@ -50,6 +50,7 @@ import (
 	"io"
 	"time"
 
+	"rc4break/internal/cookieattack"
 	"rc4break/internal/obs"
 	"rc4break/internal/snapshot"
 )
@@ -203,16 +204,21 @@ type Ack struct {
 	Stop bool
 }
 
+// maxLaneBytes bounds the gob encoding of one cookie lane's evidence, the
+// largest legal payload: cookieattack.MaxCookieLen+1 chain links × 65,536
+// cells, each a uint64 digraph count plus a float64 ABSAB weight, at gob's
+// worst case of 9 bytes for either value. For the paper's 16-character
+// cookie that is 17 × 65,536 × 18 B ≈ 19.1 MiB (measured lanes take
+// 10-13 MB). A TKIP lane is at most 256 classes × 12 positions × 256
+// counts × 9 B ≈ 6.8 MiB.
+const maxLaneBytes = (cookieattack.MaxCookieLen + 1) << 16 * 18
+
 // maxMsgBytes bounds one wire message: readMsg stops after this many bytes
 // whatever payload length an envelope claims, so a peer cannot make the
-// coordinator buffer more. The largest legal message is a cookie-attack
-// lane upload for the paper's 16-character cookie: 17 links × 65,536 cells,
-// each a uint64 digraph count plus a float64 ABSAB weight, is
-// 17 × 65,536 × 16 B = 17 MiB of evidence. Gob spends at most 9 bytes on
-// either value, so that is at most 17 × 65,536 × 18 B ≈ 19.1 MiB on the
-// wire (measured lanes take 10-13 MB). 32 MiB leaves room for the rest of
-// the upload: the attack config, the stream identity and piggybacked spans.
-const maxMsgBytes = 32 << 20
+// coordinator buffer more. Above the lane's evidence it leaves room for
+// the rest of an upload: the attack config, the stream identity and the
+// piggybacked spans.
+const maxMsgBytes = maxLaneBytes + 4<<20
 
 // writeMsg sends one protocol message as a snapshot envelope.
 func writeMsg(w io.Writer, kind string, v any) error {

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -306,4 +308,80 @@ func TestJobSpecLanes(t *testing.T) {
 	if s.Lane != 2 {
 		t.Fatalf("lane stream = %+v", s)
 	}
+}
+
+// TestWorstCaseLaneFitsWireBound pins maxMsgBytes to the lane it was sized
+// for: a cookieattack.MaxCookieLen cookie lane whose every digraph count
+// and ABSAB weight takes gob's worst case of 9 bytes. Its evidence must
+// reach maxLaneBytes (the worst case is really built) and, as a whole
+// Evidence upload, still be sendable.
+func TestWorstCaseLaneFitsWireBound(t *testing.T) {
+	secret := strings.Repeat("C", cookieattack.MaxCookieLen)
+	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cookieattack.New(cookieattack.Config{
+		CookieLen:   len(secret),
+		Offset:      req.CookieOffset(),
+		Plaintext:   req.Marshal(),
+		CounterBase: counterBase,
+		MaxGap:      128,
+		Charset:     httpmodel.CookieCharset(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := snapshot.Read(bytes.NewReader(snapshotOf(t, a.WriteSnapshot)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Gob matches fields by name, so this struct reads and rewrites the
+	// attack's own snapshot payload.
+	var lane struct {
+		Config      cookieattack.Config
+		Fingerprint [16]byte
+		Stream      snapshot.StreamInfo
+		FM          [][]uint64
+		ABSAB       [][]float64
+		Records     uint64
+	}
+	if err := snapshot.DecodeGob(payload, &lane); err != nil {
+		t.Fatal(err)
+	}
+	if len(lane.FM) != cookieattack.MaxCookieLen+1 {
+		t.Fatalf("lane has %d chain links, want %d", len(lane.FM), cookieattack.MaxCookieLen+1)
+	}
+	// Gob sends a float64 byte-reversed as an unsigned integer, so a
+	// nonzero low mantissa byte makes it a full 9-byte value.
+	worst := math.Float64frombits(0x3ff00000000000ff)
+	for r := range lane.FM {
+		for c := range lane.FM[r] {
+			lane.FM[r][c], lane.ABSAB[r][c] = math.MaxUint64, worst
+		}
+	}
+	lane.Records = math.MaxUint64
+	var enc, env bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(lane); err != nil {
+		t.Fatal(err)
+	}
+	if enc.Len() < maxLaneBytes {
+		t.Fatalf("worst-case lane encodes to %d bytes, below maxLaneBytes %d: not the worst case", enc.Len(), maxLaneBytes)
+	}
+	if err := snapshot.Write(&env, kind, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cookieattack.ReadSnapshot(bytes.NewReader(env.Bytes())); err != nil {
+		t.Fatalf("worst-case lane is not a valid cookie snapshot: %v", err)
+	}
+	var wire bytes.Buffer
+	ev := Evidence{Worker: "w", Lane: math.MaxUint64, Records: math.MaxUint64, Snapshot: env.Bytes(),
+		Stream: snapshot.StreamInfo{Mode: "model", Seed: math.MinInt64, Lane: math.MaxUint64}}
+	if err := writeMsg(&wire, kindEvidence, ev); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Len() > maxMsgBytes {
+		t.Fatalf("worst-case upload is %d bytes, bound %d", wire.Len(), maxMsgBytes)
+	}
+	t.Logf("worst-case upload %d bytes of %d", wire.Len(), maxMsgBytes)
 }

@@ -18,17 +18,14 @@ import (
 )
 
 // CLI is one attack-command run once its flags are parsed: the flow the
-// cookie and TKIP commands share. Offline runs collect this shard to
-// Budget, checkpoint it, pool the Merge shards, and recover in a single
-// final online.Run round at the pooled observation count. Online runs
-// capture and decode on Cadence until the oracle confirms a candidate or
-// Budget is spent. Both end in the same summary and -json result.
+// cookie and TKIP commands share. The job's schedule is the runtime's
+// spec. Offline runs collect this shard to the spec's Budget (resumed
+// observations included), checkpoint it, pool the Merge shards, and
+// recover in a single final online.Run round at the pooled observation
+// count. Online runs capture and decode on the spec's Cadence until the
+// oracle confirms a candidate or Budget is spent. Every round walks up to
+// MaxCandidates. Both end in the same summary and -json result.
 type CLI struct {
-	// Budget is the observations this shard should hold, resumed ones
-	// included; online, it is the loop's budget.
-	Budget uint64
-	// Depth bounds every round's candidate walk.
-	Depth int
 	// Checkpoint, when set, receives the shard's snapshot: after offline
 	// collection (before any merge), and after every online round.
 	Checkpoint      string
@@ -37,7 +34,6 @@ type CLI struct {
 	Merge       []string
 	CollectOnly bool
 	Online      bool
-	Cadence     online.Cadence
 	JSON        bool
 	// Live describes n observations at the attack's live capture rate.
 	Live func(n uint64) string
@@ -67,19 +63,20 @@ func Resume(spec Spec, path string) (*Runtime, error) {
 // cliutil.ErrInterrupted after a flushed SIGINT, and an error after a
 // failed attack, once the -json result is out.
 func (c CLI) Run(rt *Runtime) error {
-	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: c.Depth, Logf: cliutil.IndentLogf}
+	spec := rt.spec
+	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: spec.MaxCandidates, Logf: cliutil.IndentLogf}
 	if c.Online {
 		switch {
 		case c.CollectOnly || len(c.Merge) > 0:
 			return errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows")
 		case rt.mode == "trace":
 			return errors.New("-online captures live; -pcap is an offline/fleet ingest path")
-		case c.Budget <= rt.Observed():
-			return fmt.Errorf("online: budget %d already reached by resumed evidence (%d %s)", c.Budget, rt.Observed(), rt.Unit)
+		case spec.Budget <= rt.Observed():
+			return fmt.Errorf("online: budget %d already reached by resumed evidence (%d %s)", spec.Budget, rt.Observed(), rt.Unit)
 		}
 		fmt.Printf("[2/4] online closed loop: budget %d %s, first decode at %d, %s cadence, %d candidates/round...\n",
-			c.Budget, rt.Unit, c.Cadence.First, c.Cadence, cfg.MaxCandidates)
-		cfg.Cadence, cfg.Budget = c.Cadence, c.Budget
+			spec.Budget, rt.Unit, spec.FirstDecode, spec.Cadence(), cfg.MaxCandidates)
+		cfg.Cadence, cfg.Budget = spec.Cadence(), spec.Budget
 		cfg.Feed = online.FeedFunc(rt.Checkpointed(c.Checkpoint, c.CheckpointEvery))
 		cfg.Checkpoint = func() error { return c.save(rt) }
 	} else {
@@ -97,7 +94,7 @@ func (c CLI) Run(rt *Runtime) error {
 	if errors.Is(err, cliutil.ErrInterrupted) {
 		return err
 	}
-	result := cliutil.OnlineRunResult(rt.attack, rt.mode, res, err)
+	result := cliutil.OnlineRunResult(spec.Attack, rt.mode, res, err)
 	result.Online = c.Online
 	if err != nil {
 		if jerr := result.Emit(c.JSON); jerr != nil {
@@ -109,8 +106,8 @@ func (c CLI) Run(rt *Runtime) error {
 		if err := c.save(rt); err != nil {
 			return err
 		}
-		saved := c.Budget - res.Observed
-		fmt.Printf("[3/4] online success: %d under the %d budget (%s saved)\n", saved, c.Budget, c.Live(saved))
+		saved := spec.Budget - res.Observed
+		fmt.Printf("[3/4] online success: %d under the %d budget (%s saved)\n", saved, spec.Budget, c.Live(saved))
 	}
 	fmt.Printf("      oracle-confirmed candidate at rank %d after %d %s (%s)\n", res.Rank, res.Observed, rt.Unit, c.Live(res.Observed))
 	fmt.Printf("      %d decode rounds, %d oracle checks (+%d cache-skipped), wall-clock %v (capture %v, decode %v, oracle %v)\n",
@@ -120,18 +117,20 @@ func (c CLI) Run(rt *Runtime) error {
 	return result.Emit(c.JSON)
 }
 
-// collect is the offline capture phase: this shard up to Budget, its
-// checkpoint, then the Merge shards folded in. A shard of a capture stream
-// already in the pool is refused: its observations would count twice.
+// collect is the offline capture phase: this shard up to the spec's
+// Budget, its checkpoint, then the Merge shards folded in. A shard of a
+// capture stream already in the pool is refused: its observations would
+// count twice.
 func (c CLI) collect(rt *Runtime) error {
+	budget := rt.spec.Budget
 	var remaining uint64
-	if c.Budget > rt.Observed() {
-		remaining = c.Budget - rt.Observed()
+	if budget > rt.Observed() {
+		remaining = budget - rt.Observed()
 	}
 	fmt.Printf("[2/4] collecting %d %s (%s mode; %s)...\n", remaining, rt.Unit, rt.mode, c.Live(remaining))
 	if remaining == 0 {
 		fmt.Println("      shard target already reached")
-	} else if err := rt.Checkpointed(c.Checkpoint, c.CheckpointEvery)(c.Budget); err != nil {
+	} else if err := rt.Checkpointed(c.Checkpoint, c.CheckpointEvery)(budget); err != nil {
 		return err
 	}
 	if summary := rt.Summary(); summary != "" {

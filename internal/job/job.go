@@ -7,9 +7,10 @@
 // between shapes only through where capture is called, never through how
 // the job was built.
 //
-// The package owns the rules the shapes must agree on: the §6.1 request
-// layout (CookieLayout), each attack's exact target (HTTPSVictim's key
-// seeding; TKIPVictim and its TKIPTrailer layout), how that stream is
+// The package owns the rules the shapes must agree on: the job
+// description and its one table of defaults (Spec, Normalize), the §6.1
+// request layout (CookieLayout), each attack's exact target (HTTPSVictim's
+// key seeding; TKIPVictim and its TKIPTrailer layout), how that stream is
 // written as a capture file (WriteCapture), the TKIP model-mode trailer
 // (TrueTrailer), the stream-identity check on resume, and the rule that
 // TKIP exact streams carry seed 0. Which snapshots a job may resume from or
@@ -49,31 +50,6 @@ import (
 	"rc4break/internal/trace"
 )
 
-// Spec describes one attack job: which attack, which capture source, and
-// the inputs that source needs.
-type Spec struct {
-	// Attack is "cookie" (§6 HTTPS cookie recovery) or "tkip" (§5 Michael
-	// MIC key recovery).
-	Attack string
-	// Mode is the capture source: "model" (sampled sufficient statistics)
-	// or "exact" (the simulated victim's real records or frames). Traces,
-	// when set, replaces the exact stream with capture files.
-	Mode string
-	// Seed identifies the capture stream. TKIP exact streams ignore it.
-	Seed int64
-	// Secret is the cookie attack's target cookie; its length sets the
-	// unknown span. Unused by TKIP.
-	Secret string
-	// Traces names pcap/pcapng files that concatenate into one logical
-	// capture stream (cliutil.ExpandGlobs order).
-	Traces []string
-	// Model is the TKIP per-TSC model; required by TKIP jobs.
-	Model *tkip.PerTSCModel
-	// Workers bounds capture and decode parallelism (0 = GOMAXPROCS); it
-	// never affects evidence.
-	Workers int
-}
-
 // Runtime binds a job to live attack state: the decoder/oracle pair the
 // online loop drives, the capture function, and the evidence serializer
 // checkpoints persist.
@@ -86,7 +62,7 @@ type Runtime struct {
 	// Unit names one observation in status lines: "records" or "frames".
 	Unit string
 
-	attack   string
+	spec     Spec
 	mode     string
 	capture  func(target uint64) error
 	simulate func(rng *rand.Rand, n uint64) error
@@ -116,7 +92,7 @@ func New(spec Spec, evidence []byte) (*Runtime, error) {
 			stream.Mode, stream.Seed, want.Mode, want.Seed)
 	}
 	*stream = want
-	rt.attack, rt.mode = spec.Attack, want.Mode
+	rt.spec, rt.mode = spec, want.Mode
 	switch want.Mode {
 	case "trace":
 		rt.capture = func(target uint64) error {
@@ -195,19 +171,36 @@ func (r *Runtime) Checkpointed(path string, every uint64) func(target uint64) er
 	}
 }
 
-// Pool builds the fleet coordinator's side of the job: the evidence pool
-// worker lanes merge into (resumed from evidence when non-nil) and the
-// oracle its decode rounds check against. A pool merges many lane streams,
-// so it carries no stream identity of its own.
-func (s Spec) Pool(evidence []byte) (fleet.Pool, online.Oracle, error) {
+// Coordinator builds the fleet coordinator's side of the job from the
+// normalized spec: the lane job workers are welcomed with (the spec's
+// stream cut into lanes of laneRecords observations, stamped with the
+// Fingerprint workers must present), the evidence pool lanes merge into
+// (resumed from evidence when non-nil), the oracle, and the decode
+// schedule. A pool merges many lane streams, so it carries no stream
+// identity of its own.
+func (s Spec) Coordinator(laneRecords uint64, evidence []byte) (fleet.Config, error) {
 	rt, err := s.build(evidence)
 	if err != nil {
-		return nil, nil, err
+		return fleet.Config{}, err
 	}
+	fp, err := fingerprint(rt.Decoder)
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	var pool fleet.Pool
 	if a, ok := rt.Decoder.(*tkip.Attack); ok {
-		return &fleet.TKIPPool{Attack: a, Model: s.Model}, rt.Oracle, nil
+		pool = &fleet.TKIPPool{Attack: a, Model: s.Model}
+	} else {
+		pool = &fleet.CookiePool{Attack: rt.Decoder.(*cookieattack.Attack)}
 	}
-	return &fleet.CookiePool{Attack: rt.Decoder.(*cookieattack.Attack)}, rt.Oracle, nil
+	return fleet.Config{
+		Job: fleet.JobSpec{Attack: s.Attack, Mode: s.Mode, Seed: s.Seed, Budget: s.Budget,
+			LaneRecords: laneRecords, Fingerprint: fp},
+		Pool:          pool,
+		Oracle:        rt.Oracle,
+		Cadence:       s.Cadence(),
+		MaxCandidates: s.MaxCandidates,
+	}, nil
 }
 
 // Fingerprint is the compatibility stamp fleet workers present to the
@@ -217,10 +210,14 @@ func (s Spec) Fingerprint() ([16]byte, error) {
 	if err != nil {
 		return [16]byte{}, err
 	}
-	if a, ok := rt.Decoder.(*tkip.Attack); ok {
+	return fingerprint(rt.Decoder)
+}
+
+func fingerprint(d online.Evidence) ([16]byte, error) {
+	if a, ok := d.(*tkip.Attack); ok {
 		return a.Model.Fingerprint()
 	}
-	return rt.Decoder.(*cookieattack.Attack).Fingerprint(), nil
+	return d.(*cookieattack.Attack).Fingerprint(), nil
 }
 
 // CollectLane captures one leased fleet lane into fresh evidence stamped
@@ -237,11 +234,11 @@ func (s Spec) CollectLane(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 	}
 	*rt.Decoder.CaptureStream() = lease.Stream
 	switch {
-	case fj.Mode == "model" && s.Traces != nil:
+	case fj.Mode == "model" && s.Traces != "":
 		return nil, errors.New("job: capture files serve exact-mode lanes; a trace is one concrete stream, not a statistical model")
 	case fj.Mode == "model":
 		err = rt.simulate(rand.New(rand.NewSource(cliutil.LaneSeed(fj.Seed, lease.Lane))), lease.Records)
-	case fj.Mode == "exact" && s.Traces != nil:
+	case fj.Mode == "exact" && s.Traces != "":
 		err = rt.ingest(lease.Start, lease.Records, true)
 	case fj.Mode == "exact":
 		var capture func(uint64) error
@@ -260,10 +257,10 @@ func (s Spec) CollectLane(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 // stream is the capture-stream identity evidence of this spec carries.
 func (s Spec) stream() snapshot.StreamInfo {
 	switch {
-	case s.Traces != nil:
+	case s.Traces != "":
 		// A trace-fed stream is its file set: two ingests of the same
 		// files share an identity, so merging them is refused.
-		return snapshot.StreamInfo{Mode: "trace", Seed: cliutil.TraceStreamSeed(s.Traces)}
+		return snapshot.StreamInfo{Mode: "trace", Seed: cliutil.TraceStreamSeed(s.traceFiles())}
 	case s.Attack == "tkip" && s.Mode == "exact":
 		// The exact stream is the demo session's TSC sequence; the seed
 		// plays no part in it, so every exact capture shares one identity.
@@ -455,7 +452,7 @@ func (s Spec) buildCookie() (*Runtime, error) {
 	}
 	wantLen := len(cfg.Plaintext) + tlsrec.MACSize
 	rt.ingest = func(skip, n uint64, strict bool) (err error) {
-		st, err = cookieattack.CollectTraceFiles(attack, wantLen, s.Traces, skip, n, strict)
+		st, err = cookieattack.CollectTraceFiles(attack, wantLen, s.traceFiles(), skip, n, strict)
 		return err
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
@@ -508,7 +505,7 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 			st.Packets, st.Frames, st.Matched, st.Duplicates, st.Fragmented, st.OtherLength, st.Skipped, float64(st.Bytes)/(1<<20))
 	}
 	rt.ingest = func(skip, n uint64, strict bool) (err error) {
-		st, err = tkip.CollectTraceFiles(attack, victim.FrameLen(), s.Traces, skip, n, strict)
+		st, err = tkip.CollectTraceFiles(attack, victim.FrameLen(), s.traceFiles(), skip, n, strict)
 		return err
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {

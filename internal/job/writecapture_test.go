@@ -81,7 +81,7 @@ func TestWriteCaptureServesExactLane(t *testing.T) {
 					t.Fatal(err)
 				}
 				traced := a.spec
-				traced.Traces = []string{path}
+				traced.Traces = path
 				got, err := traced.CollectLane(fj, lane)
 				if err != nil {
 					t.Fatal(err)

@@ -4,12 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rc4break/internal/cookieattack"
+	"rc4break/internal/httpmodel"
+	"rc4break/internal/online"
 )
 
 func TestHTTPEndpoints(t *testing.T) {
@@ -204,15 +209,68 @@ func TestSubmitBodyBoundary(t *testing.T) {
 	s.Wait()
 }
 
+// TestSubmitRefusesUnrunnableSpecs pins the spec refusals at the HTTP
+// boundary, each a 400: a cookie outside the charset the candidate walk is
+// restricted to (it could only burn the whole budget), a cookie longer
+// than cookieattack.MaxCookieLen, a negative walk depth (online.Run would
+// walk its default while the manifest recorded the negative), and bodies
+// naming the runtime inputs Traces and Model, which are not part of the
+// JSON spec.
+func TestSubmitRefusesUnrunnableSpecs(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: store, Capacity: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, spec := range []string{
+		`{"attack":"cookie","seed":3,"secret":"C00k;e"}`,
+		`{"attack":"cookie","secret":"C00kieC00kieC00ki"}`,
+		`{"attack":"cookie","secret":"C00kie","max_candidates":-1}`,
+		`{"attack":"cookie","secret":"C00kie","traces":"x.pcap"}`,
+		`{"attack":"tkip","model":{"Positions":12}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"tenant":"a","spec":`+spec+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: http %d, want 400", spec, resp.StatusCode)
+		}
+	}
+	if got := s.List(""); len(got) != 0 {
+		t.Fatalf("refused specs admitted %d jobs", len(got))
+	}
+	// Unrefused, this job decodes over the whole 9·2^27 budget and ends in
+	// ErrBudgetExhausted: no candidate can hold the ';'.
+	if _, _, err := SoloRun(JobSpec{Attack: "cookie", Seed: 3, Secret: "C00k;e"}); err == nil || errors.Is(err, online.ErrBudgetExhausted) {
+		t.Fatalf("SoloRun of an out-of-charset cookie: %v, want a spec refusal", err)
+	}
+}
+
 // FuzzSubmitDecode fuzzes the submit path up to, not including, Submit:
 // the strict body decode and Normalize. Neither may panic, and a body
-// both accept must normalize to a spec that re-normalizes to itself — the
-// manifest a restarted server re-derives the job from.
+// both accept must normalize to a spec that re-normalizes to itself (the
+// manifest a restarted server re-derives the job from) and that can run
+// as stated: a cookie of 1..MaxCookieLen charset bytes, a positive walk
+// depth, a first decode within the budget, a nonzero capture granule, and
+// no runtime inputs.
 func FuzzSubmitDecode(f *testing.F) {
 	f.Add([]byte(`{"tenant":"a","spec":{"attack":"cookie","secret":"C00kie"}}`))
 	f.Add([]byte(`{"tenant":"b","spec":{"attack":"tkip","mode":"exact","seed":7,"first_decode":4096,"budget":8192}}`))
 	f.Add([]byte(`{"spec":{"attack":"cookie","secret":"s","decode_every":3,"capture_chunk":1,"checkpoint_rounds":-2,"trace_id":"0a"}}`))
 	f.Add([]byte(`{"spec":{"attack":"tkip","max_candidates":-1,"train_keys":1}}`))
+	f.Add([]byte(`{"spec":{"attack":"cookie","seed":3,"secret":"C00k;e"}}`))
+	f.Add([]byte(`{"spec":{"attack":"cookie","secret":"C00kie","max_candidates":-1}}`))
+	f.Add([]byte(`{"spec":{"attack":"cookie","secret":"C00kie","budget":4096}}`))
+	f.Add([]byte(`{"spec":{"attack":"cookie","secret":"C00kie","traces":"x.pcap"}}`))
+	f.Add([]byte(`{"spec":{"attack":"tkip","model":{"Positions":12}}}`))
+	charset := httpmodel.CookieCharset()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeSubmit(bytes.NewReader(body))
 		if err != nil {
@@ -228,6 +286,22 @@ func FuzzSubmitDecode(f *testing.F) {
 		}
 		if again != spec {
 			t.Fatalf("normalize is not idempotent:\n%+v\n%+v", spec, again)
+		}
+		if spec.Attack == "cookie" {
+			if len(spec.Secret) < 1 || len(spec.Secret) > cookieattack.MaxCookieLen {
+				t.Fatalf("cookie of %d bytes accepted", len(spec.Secret))
+			}
+			for i := 0; i < len(spec.Secret); i++ {
+				if !bytes.Contains(charset, []byte{spec.Secret[i]}) {
+					t.Fatalf("cookie %q accepted with byte %q outside the charset", spec.Secret, spec.Secret[i])
+				}
+			}
+		}
+		if spec.MaxCandidates <= 0 || spec.FirstDecode > spec.Budget || spec.CaptureChunk == 0 {
+			t.Fatalf("accepted spec cannot run as stated: %+v", spec)
+		}
+		if spec.Traces != "" || spec.Model != nil {
+			t.Fatalf("runtime inputs decoded from JSON: %+v", spec)
 		}
 	})
 }

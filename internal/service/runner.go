@@ -17,21 +17,13 @@ import (
 // here, so the two can only differ in scheduling, never in evidence. TKIP
 // jobs get the shared model for their TrainKeys.
 func newRuntime(spec JobSpec, evidence []byte) (*job.Runtime, error) {
-	var model *tkip.PerTSCModel
 	if spec.Attack == "tkip" {
 		var err error
-		if model, err = SharedModel(spec.TrainKeys); err != nil {
+		if spec.Model, err = SharedModel(spec.TrainKeys); err != nil {
 			return nil, err
 		}
 	}
-	return job.New(job.Spec{
-		Attack:  spec.Attack,
-		Mode:    spec.Mode,
-		Seed:    spec.Seed,
-		Secret:  spec.Secret,
-		Model:   model,
-		Workers: spec.Workers,
-	}, evidence)
+	return job.New(spec, evidence)
 }
 
 // chunkedFeed is the service's online.Feed: it advances capture in absolute
@@ -177,7 +169,7 @@ func SoloRun(spec JobSpec) (online.Result, []byte, error) {
 	res, runErr := online.Run(online.Config{
 		Decoder:       rt.Decoder,
 		Oracle:        rt.Oracle,
-		Cadence:       spec.cadence(),
+		Cadence:       spec.Cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
 		Feed:          &chunkedFeed{chunk: spec.CaptureChunk, observed: rt.Observed, capture: rt.CaptureTo},

@@ -331,7 +331,7 @@ func (s *Server) Wait() { s.wg.Wait() }
 func traceParent(spec JobSpec) obs.SpanContext {
 	var parent obs.SpanContext
 	if spec.TraceID != "" {
-		if id, err := ParseTraceID(spec.TraceID); err == nil {
+		if id, err := job.ParseTraceID(spec.TraceID); err == nil {
 			parent.Trace = id
 		}
 	}
@@ -408,7 +408,7 @@ func (s *Server) runJob(j *Job) {
 	res, runErr := online.Run(online.Config{
 		Decoder:       dec,
 		Oracle:        rt.Oracle,
-		Cadence:       spec.cadence(),
+		Cadence:       spec.Cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
 		Feed:          feed,

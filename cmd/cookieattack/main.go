@@ -8,7 +8,9 @@
 //
 // Collection is interruptible and distributable, the way the paper's
 // multi-hour captures (§6.3: 52 hours for 9·2^27 requests) have to run in
-// practice:
+// practice. Capture walks the job's granules (-capture-chunk records, as
+// attackd does); exact mode rewrites -checkpoint at every granule end, and
+// Ctrl-C or SIGTERM flushes it and exits 130:
 //
 //	# a checkpointed exact-mode shard; Ctrl-C flushes the snapshot
 //	cookieattack -mode exact -ciphertexts 4194304 -seed 1 \
@@ -51,11 +53,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"slices"
+	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
@@ -71,8 +76,8 @@ func main() {
 	mode := flag.String("mode", "model", "collection mode: model (sampled sufficient statistics) | exact (real TLS records; slow beyond ~2^22)")
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
 	workers := flag.Int("workers", 0, "parallel workers for model-mode collection and decoding (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "snapshot file written on completion; exact mode also writes it periodically and on Ctrl-C; online mode writes it after every decode round")
-	checkpointEvery := flag.Uint64("checkpoint-every", 1<<22, "records between periodic checkpoints in exact mode")
+	checkpoint := flag.String("checkpoint", "", "snapshot file written on completion and on Ctrl-C; exact mode also writes it at every capture granule end, online mode after every decode round")
+	captureChunk := flag.Uint64("capture-chunk", 0, "records per capture granule: model mode draws once per granule, exact mode rewrites -checkpoint at every granule end (0 = attack default; README \"Job spec\")")
 	resume := flag.String("resume", "", "snapshot file to resume this shard's collection from")
 	merge := flag.String("merge", "", "comma-separated shard snapshots to merge into the evidence pool after collection")
 	collectOnly := flag.Bool("collect-only", false, "stop after collection (use with -checkpoint to produce a shard snapshot)")
@@ -85,10 +90,16 @@ func main() {
 	writePcap := flag.String("write-pcap", "", "write the exact-mode victim stream (-ciphertexts records from -seed) as a capture file and exit (.pcapng extension selects pcapng, else classic pcap)")
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
+	// A first SIGINT or SIGTERM stops capture at its next fold batch or
+	// granule end; the run then flushes -checkpoint and exits 130. A
+	// second one ends the process at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
 
 	spec, err := job.Spec{Attack: "cookie", Mode: *mode, Seed: *seed, Secret: *secret, Budget: *ciphertexts,
 		FirstDecode: *firstDecode, DecodeEvery: *decodeEvery, MaxCandidates: *candidates,
-		Workers: *workers, Traces: *pcapIn}.Normalize()
+		CaptureChunk: *captureChunk, Workers: *workers, Traces: *pcapIn}.Normalize()
 	if err != nil {
 		fatal(err)
 	}
@@ -104,7 +115,7 @@ func main() {
 
 	if *writePcap != "" {
 		fmt.Printf("[2/2] writing %d records of the exact victim stream (seed %d) -> %s\n", spec.Budget, spec.Seed, *writePcap)
-		size, err := spec.WriteCapture(*writePcap, spec.Budget)
+		size, err := spec.WriteCapture(ctx, *writePcap, spec.Budget)
 		if err != nil {
 			fatal(err)
 		}
@@ -116,7 +127,7 @@ func main() {
 		// Model-mode lanes draw their sufficient statistics from the lane's
 		// derived seed; exact-mode lanes replay the victim stream from the
 		// lane's absolute offset, or carve it out of the -pcap trace shards.
-		if err := spec.RunWorker(*fleetWorker, *workerID); err != nil {
+		if err := spec.RunWorker(ctx, *fleetWorker, *workerID); err != nil {
 			fatal(err)
 		}
 		return
@@ -129,8 +140,7 @@ func main() {
 	fmt.Printf("      ABSAB anchors per pair: %d..%d (paper: 2x129)\n", slices.Min(anchors), slices.Max(anchors))
 
 	err = job.CLI{
-		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
-		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
+		Checkpoint: *checkpoint, Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
 		Online: *onlineMode, JSON: *jsonOut,
 		Live: func(n uint64) string {
 			return fmt.Sprintf("%.1f h of traffic at %d req/s", float64(n)/netsim.HTTPSRequestsPerSecond/3600, netsim.HTTPSRequestsPerSecond)
@@ -143,16 +153,16 @@ func main() {
 			}
 			return res.Plaintext
 		},
-	}.Run(rt)
+	}.Run(ctx, rt)
 	if err != nil {
 		fatal(err)
 	}
 }
 
-// fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint
-// flush the capture loop already reported).
+// fatal exits 1 on err, or 130 on a run a signal stopped (whose checkpoint
+// flush is already reported).
 func fatal(err error) {
-	if errors.Is(err, cliutil.ErrInterrupted) {
+	if errors.Is(err, context.Canceled) {
 		os.Exit(130)
 	}
 	fmt.Fprintln(os.Stderr, "cookieattack:", err)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,9 +26,9 @@ const testSecret = "Secur3C00kieVal+"
 // TestCheckpointMatchesSoloRun pins the CLI's evidence to the service's
 // reference runtime: the -checkpoint snapshot the built binary writes must
 // be byte-identical to service.SoloRun's evidence for the equivalent spec.
-// Offline collection draws in one shot, so its spec decodes only at the
-// budget; online runs share the CLI's cadence and per-round depth, and a
-// capture chunk of the whole budget leaves the cadence as the only chunking.
+// Offline collection captures to the budget, so its spec decodes only
+// there; online runs share the CLI's cadence and per-round depth. Both
+// walk the spec's default capture granules, as SoloRun does.
 func TestCheckpointMatchesSoloRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI")
@@ -63,7 +65,7 @@ func TestCheckpointMatchesSoloRun(t *testing.T) {
 			}
 			_, want, err := service.SoloRun(service.JobSpec{
 				Attack: "cookie", Mode: c.mode, Seed: 3, Secret: testSecret,
-				Budget: c.budget, FirstDecode: first, MaxCandidates: 1, CaptureChunk: c.budget,
+				Budget: c.budget, FirstDecode: first, MaxCandidates: 1,
 			})
 			if err != nil && !errors.Is(err, online.ErrBudgetExhausted) {
 				t.Fatal(err)
@@ -139,6 +141,89 @@ func TestMergeMatchesReference(t *testing.T) {
 	if _, stderr := runJSON(t, bin, 1, "-secret", testSecret, "-ciphertexts", "0", "-merge", a+","+dup); !strings.Contains(stderr, "same capture stream") {
 		t.Fatalf("same-stream merge refused for another reason: %s", stderr)
 	}
+}
+
+// TestInterruptFlushesCheckpoint pins the SIGINT flush of exact and trace
+// collection: a signal once collection has begun exits 130 with the
+// shard's -checkpoint written, and a -resume of it ends with the bytes of
+// the uninterrupted run's checkpoint.
+func TestInterruptFlushesCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	const records = "32768"
+	pcap := filepath.Join(dir, "https.pcap")
+	runCLI(t, bin, false, "-write-pcap", pcap, "-ciphertexts", records, "-seed", "2")
+	for _, c := range []struct {
+		name   string
+		source []string
+	}{
+		{"exact", []string{"-mode", "exact", "-seed", "2"}},
+		{"trace", []string{"-pcap", pcap}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{"-secret", testSecret, "-ciphertexts", records, "-collect-only"}, c.source...)
+			whole, cut := filepath.Join(dir, c.name+".snap"), filepath.Join(dir, c.name+"-cut.snap")
+			runCLI(t, bin, false, append(args, "-checkpoint", whole)...)
+			interrupt(t, bin, append(args, "-checkpoint", cut)...)
+			runCLI(t, bin, false, append(args, "-checkpoint", cut, "-resume", cut)...)
+			if !bytes.Equal(readFile(t, cut), readFile(t, whole)) {
+				t.Fatal("interrupted and resumed shard differs from the uninterrupted one")
+			}
+		})
+	}
+}
+
+// TestShortTraceShard pins a -pcap shard that holds fewer records than
+// -ciphertexts asks for: collection takes what the file holds and exits 0.
+func TestShortTraceShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	pcap := filepath.Join(t.TempDir(), "short.pcapng")
+	runCLI(t, bin, false, "-write-pcap", pcap, "-ciphertexts", "4096", "-seed", "2")
+	out, err := exec.Command(bin, "-pcap", pcap, "-ciphertexts", "8192", "-collect-only").CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("shard evidence: 4096 records\n")) {
+		t.Fatalf("short shard: %v\n%s", err, out)
+	}
+}
+
+// interrupt runs the binary, sends it SIGINT once collection has begun, and
+// requires exit 130 after a flushed checkpoint.
+func interrupt(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	lines := bufio.NewScanner(io.TeeReader(stdout, &out))
+	for lines.Scan() && !strings.Contains(lines.Text(), "collecting") {
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(&out, stdout)
+	var exit *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 130 || !strings.Contains(out.String(), "checkpoint flushed") {
+		t.Fatalf("%v: interrupted run ended with %v, want exit 130 after a flush\n%s", args, err, out.Bytes())
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // referenceResult decodes attack's default-depth candidate list and walks

@@ -7,7 +7,10 @@
 //
 // Training and capture both persist: the model (the paper's 10-CPU-year
 // artifact) is trained once and reloaded via -model, and captures are
-// checkpointed shards that can be killed, resumed, and merged:
+// checkpointed shards that can be killed, resumed, and merged. Capture
+// walks the job's granules (-capture-chunk frames, as attackd does); exact
+// mode rewrites -checkpoint at every granule end, and Ctrl-C or SIGTERM
+// flushes it and exits 130:
 //
 //	# train once, then capture a checkpointed shard
 //	tkipattack -model tkip.model -copies 4718592 -seed 1 \
@@ -45,10 +48,13 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/job"
@@ -65,8 +71,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed; give independent shards different seeds")
 	workers := flag.Int("workers", 0, "parallel workers for training, model-mode capture, and decoding (0 = GOMAXPROCS)")
 	modelPath := flag.String("model", "", "model snapshot: loaded if the file exists, otherwise trained and saved there")
-	checkpoint := flag.String("checkpoint", "", "capture snapshot written on completion; exact mode also writes it periodically and on Ctrl-C; online mode writes it after every decode round")
-	checkpointEvery := flag.Uint64("checkpoint-every", 1<<20, "frames between periodic checkpoints in exact mode")
+	checkpoint := flag.String("checkpoint", "", "snapshot file written on completion and on Ctrl-C; exact mode also writes it at every capture granule end, online mode after every decode round")
+	captureChunk := flag.Uint64("capture-chunk", 0, "frames per capture granule: model mode draws once per granule, exact mode rewrites -checkpoint at every granule end (0 = attack default; README \"Job spec\")")
 	resume := flag.String("resume", "", "capture snapshot to resume this shard from")
 	merge := flag.String("merge", "", "comma-separated shard snapshots to merge into the capture pool after collection")
 	collectOnly := flag.Bool("collect-only", false, "stop after capture (use with -checkpoint to produce a shard snapshot)")
@@ -79,10 +85,16 @@ func main() {
 	writePcap := flag.String("write-pcap", "", "write the victim's frame stream (-copies frames) as a radiotap capture file and exit (.pcapng extension selects pcapng, else classic pcap)")
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	flag.Parse()
+	// A first SIGINT or SIGTERM stops capture at its next fold batch or
+	// granule end; the run then flushes -checkpoint and exits 130. A
+	// second one ends the process at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
 
 	spec, err := job.Spec{Attack: "tkip", Mode: *mode, Seed: *seed, Budget: *copies,
 		FirstDecode: *firstDecode, DecodeEvery: *decodeEvery, MaxCandidates: *maxDepth,
-		TrainKeys: *keysPerTSC, Workers: *workers, Traces: *pcapIn}.Normalize()
+		TrainKeys: *keysPerTSC, CaptureChunk: *captureChunk, Workers: *workers, Traces: *pcapIn}.Normalize()
 	if err != nil {
 		fatal(err)
 	}
@@ -93,7 +105,7 @@ func main() {
 		// Writing the stream needs no trained model: frames are a pure
 		// function of the demo session and the TSC sequence.
 		fmt.Printf("[1/1] writing %d frames of the victim's TKIP stream -> %s\n", spec.Budget, *writePcap)
-		size, err := spec.WriteCapture(*writePcap, spec.Budget)
+		size, err := spec.WriteCapture(ctx, *writePcap, spec.Budget)
 		if err != nil {
 			fatal(err)
 		}
@@ -116,7 +128,7 @@ func main() {
 		// Model-mode lanes draw from the lane's derived seed; exact-mode
 		// lanes replay the victim's TSC stream from the lane's absolute
 		// offset (an O(1) skip), or carve it out of the -pcap trace shards.
-		if err := spec.RunWorker(*fleetWorker, *workerID); err != nil {
+		if err := spec.RunWorker(ctx, *fleetWorker, *workerID); err != nil {
 			fatal(err)
 		}
 		return
@@ -126,8 +138,7 @@ func main() {
 		fatal(err)
 	}
 	err = job.CLI{
-		Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
-		Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
+		Checkpoint: *checkpoint, Merge: cliutil.SplitList(*merge), CollectOnly: *collectOnly,
 		Online: *onlineMode, JSON: *jsonOut,
 		Live: func(n uint64) string {
 			return fmt.Sprintf("%.1f h of injection at %d pps", float64(n)/netsim.TKIPInjectionPerSecond/3600, netsim.TKIPInjectionPerSecond)
@@ -144,7 +155,7 @@ func main() {
 			forgeDemo(oracle.MSDU, oracle.MICKey)
 			return oracle.MICKey[:]
 		},
-	}.Run(rt)
+	}.Run(ctx, rt)
 	if err != nil {
 		fatal(err)
 	}
@@ -164,10 +175,10 @@ func forgeDemo(msdu []byte, micKey [8]byte) {
 	fmt.Println("      forged packet accepted by the network — attack complete")
 }
 
-// fatal exits 1 on err, or 130 on an interrupted capture (whose checkpoint
-// flush the capture loop already reported).
+// fatal exits 1 on err, or 130 on a run a signal stopped (whose checkpoint
+// flush is already reported).
 func fatal(err error) {
-	if errors.Is(err, cliutil.ErrInterrupted) {
+	if errors.Is(err, context.Canceled) {
 		os.Exit(130)
 	}
 	fmt.Fprintln(os.Stderr, "tkipattack:", err)

@@ -1,18 +1,15 @@
 // Package cliutil holds the small helpers the attack CLIs and daemons
-// share, so the drivers parse their common flags identically, run the same
-// checkpointed-capture loop and serve HTTP under the same timeouts.
+// share, so the drivers parse their common flags identically, derive the
+// same model-mode seeds and serve HTTP under the same timeouts.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 )
 
@@ -84,10 +81,6 @@ func TraceStreamSeed(paths []string) int64 {
 	return int64(h)
 }
 
-// ErrInterrupted is returned by CheckpointLoop.Run after a SIGINT/SIGTERM
-// flush; drivers exit 130 on it.
-var ErrInterrupted = errors.New("cliutil: capture interrupted")
-
 // IndentLogf prints a runtime progress line in the drivers' indented style
 // — the online.Config Logf both attack CLIs use.
 func IndentLogf(format string, args ...interface{}) {
@@ -95,13 +88,12 @@ func IndentLogf(format string, args ...interface{}) {
 }
 
 // ContinuationSeed derives the RNG seed for a model-mode top-up that
-// continues from observed records: the first chunk of a run uses the shard
-// seed itself, and every later chunk derives a distinct stream from the
-// continuation point so a resumed shard never replays noise draws already
-// folded into its snapshot. Every model-mode driver (offline resume, the
-// online runtime's cadence chunks, the experiments) must use this exact
-// derivation — kill-and-resume determinism depends on it being
-// bit-identical everywhere.
+// continues from observed records: the first granule of a run uses the
+// shard seed itself, and every later granule derives a distinct stream from
+// the continuation point so a resumed shard never replays noise draws
+// already folded into its snapshot. job.Runtime.CaptureTo draws every
+// model-mode granule from it — kill-and-resume determinism depends on this
+// derivation being bit-identical everywhere.
 func ContinuationSeed(seed int64, observed uint64) int64 {
 	if observed == 0 {
 		return seed
@@ -117,66 +109,4 @@ func ContinuationSeed(seed int64, observed uint64) int64 {
 // lane), which is what makes a re-leased lane's recapture byte-identical.
 func LaneSeed(seed int64, lane uint64) int64 {
 	return ContinuationSeed(seed, lane+1)
-}
-
-// checkpointStep bounds one CheckpointLoop advance: small enough that a
-// signal is answered within a few tens of milliseconds of capture, large
-// enough that the batched fold behind AdvanceTo runs on full batches.
-const checkpointStep = 4096
-
-// CheckpointLoop is the exact-mode capture loop the attack CLIs drive:
-// AdvanceTo moves the capture to Target in bounded chunks that stop at
-// every Every-th observation past the start, where Save runs (when Path is
-// set). SIGINT/SIGTERM flushes a final Save and returns ErrInterrupted, so
-// a kill loses at most one checkpoint interval.
-type CheckpointLoop struct {
-	Target    uint64
-	Path      string        // checkpoint file; "" disables writes
-	Every     uint64        // observations between periodic writes
-	Unit      string        // progress unit for messages ("records", "frames")
-	Save      func() error  // atomically writes the snapshot to Path
-	Progress  func() uint64 // observations captured so far
-	AdvanceTo func(target uint64) error
-}
-
-// Run drives the loop. Status lines match the drivers' indented style.
-func (l CheckpointLoop) Run() error {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	periodic := l.Path != "" && l.Every > 0
-	at := l.Progress()
-	nextWrite := at + l.Every
-	for at < l.Target {
-		select {
-		case <-sig:
-			if l.Path == "" {
-				fmt.Printf("      interrupted at %d %s (no -checkpoint set; progress lost)\n", l.Progress(), l.Unit)
-				return ErrInterrupted
-			}
-			if err := l.Save(); err != nil {
-				return err
-			}
-			fmt.Printf("      interrupted: checkpoint flushed at %d %s -> %s (rerun with -resume %s)\n",
-				l.Progress(), l.Unit, l.Path, l.Path)
-			return ErrInterrupted
-		default:
-		}
-		at = min(l.Target, at+checkpointStep)
-		if periodic {
-			at = min(at, nextWrite)
-		}
-		if err := l.AdvanceTo(at); err != nil {
-			return err
-		}
-		if periodic && at == nextWrite {
-			if err := l.Save(); err != nil {
-				return err
-			}
-			fmt.Printf("      checkpoint: %d %s -> %s\n", l.Progress(), l.Unit, l.Path)
-			nextWrite += l.Every
-		}
-	}
-	return nil
 }

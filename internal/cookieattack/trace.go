@@ -1,6 +1,7 @@
 package cookieattack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -72,7 +73,13 @@ type TraceCollector struct {
 	Start   uint64
 	Max     uint64
 	Stats   TraceStats
+	// Ctx, when set, stops collection early: once it is done, the fold
+	// batch that follows is the last and Done reports true. The evidence
+	// then holds a prefix of the capture's records, as a range bound
+	// leaves it.
+	Ctx context.Context
 
+	stopped    bool
 	accepted   uint64
 	asm        trace.Assembler
 	flows      map[trace.FlowKey]*flowScan
@@ -89,9 +96,10 @@ type TraceCollector struct {
 	plen   int
 }
 
-// Done reports whether a bounded collector has filled its range.
+// Done reports whether a bounded collector has filled its range, or Ctx
+// has stopped it.
 func (c *TraceCollector) Done() bool {
-	return c.Max != 0 && c.accepted >= c.Start+c.Max
+	return c.stopped || c.Max != 0 && c.accepted >= c.Start+c.Max
 }
 
 // Ingest drains one capture stream into the attack, stopping early once a
@@ -175,10 +183,14 @@ func (c *TraceCollector) markDead(key trace.FlowKey) {
 
 // Flush drains flows whose origin was never pinned by a SYN (mid-stream
 // captures) and folds the final partial batch. Call it after the last
-// Ingest, or whenever a live Feed caller needs the evidence current.
+// Ingest, or whenever a live Feed caller needs the evidence current. A
+// stopped collector leaves those flows alone: their records come later in
+// the capture than the ones already folded.
 func (c *TraceCollector) Flush() error {
-	if err := c.asm.Flush(c.deliver); err != nil {
-		return err
+	if !c.stopped {
+		if err := c.asm.Flush(c.deliver); err != nil {
+			return err
+		}
 	}
 	c.flushBatch()
 	return c.observeErr
@@ -256,6 +268,7 @@ func (c *TraceCollector) flushBatch() {
 	if err := c.Attack.ObserveRecords(c.batch, n, c.plen); err != nil && c.observeErr == nil {
 		c.observeErr = err
 	}
+	c.stopped = c.Ctx != nil && c.Ctx.Err() != nil
 }
 
 // CollectTraceReaders ingests a sequence of capture streams (one reader
@@ -272,19 +285,26 @@ func CollectTraceFiles(a *Attack, wantLen int, paths []string, start, max uint64
 	return collectTrace(a, wantLen, trace.FileSources(paths), start, max, strict)
 }
 
-// collectTrace is the one ingest loop behind both entry points.
+// collectTrace runs Collect on a fresh collector for both entry points.
 func collectTrace(a *Attack, wantLen int, sources []trace.Source, start, max uint64, strict bool) (TraceStats, error) {
 	c := &TraceCollector{Attack: a, WantLen: wantLen, Start: start, Max: max}
-	err := trace.EachSource(sources, c.Done, c.Ingest)
-	if err != nil {
-		return c.Stats, err
+	err := c.Collect(sources, strict)
+	return c.Stats, err
+}
+
+// Collect is the one ingest loop: it drains sources in order until the
+// range is filled, then folds the last batch. strict demands the full
+// range be present.
+func (c *TraceCollector) Collect(sources []trace.Source, strict bool) error {
+	if err := trace.EachSource(sources, c.Done, c.Ingest); err != nil {
+		return err
 	}
 	if err := c.Flush(); err != nil {
-		return c.Stats, err
+		return err
 	}
 	if strict && !c.Done() {
-		return c.Stats, fmt.Errorf("%w: have %d matching records, range needs %d",
-			ErrTraceShort, c.accepted, start+max)
+		return fmt.Errorf("%w: have %d matching records, range needs %d",
+			ErrTraceShort, c.accepted, c.Start+c.Max)
 	}
-	return c.Stats, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,7 +98,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	var results []cliutil.RunResult
 	for _, c := range cases {
 		path := filepath.Join(dir, c.file)
-		size, err := c.spec.WriteCapture(path, c.n)
+		size, err := c.spec.WriteCapture(context.Background(), path, c.n)
 		if err != nil {
 			return Result{}, nil, err
 		}

@@ -12,6 +12,7 @@ import (
 
 	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
+	"rc4break/internal/online"
 	"rc4break/internal/recovery"
 	"rc4break/internal/snapshot"
 )
@@ -52,10 +53,12 @@ func newLeaseCoordinator(t *testing.T, lanes, merged uint64, ttl time.Duration, 
 			Budget:      lanes * testLaneRecords,
 			LaneRecords: testLaneRecords,
 		},
-		Pool:     &countPool{observed: merged * testLaneRecords},
-		Oracle:   &netsim.CookieServer{Secret: []byte("x")},
-		LeaseTTL: ttl,
-		Tracer:   tracer,
+		Pool:          &countPool{observed: merged * testLaneRecords},
+		Oracle:        &netsim.CookieServer{Secret: []byte("x")},
+		Cadence:       online.Cadence{First: testLaneRecords},
+		MaxCandidates: 1,
+		LeaseTTL:      ttl,
+		Tracer:        tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,8 @@ func (r *rpcConn) upload(ev Evidence) Ack {
 // with the listener's address.
 func serve(t *testing.T, job JobSpec, pool Pool, oracle online.Oracle) (*Coordinator, string) {
 	t.Helper()
-	coord, err := NewCoordinator(Config{Job: job, Pool: pool, Oracle: oracle, LeaseTTL: time.Minute})
+	coord, err := NewCoordinator(Config{Job: job, Pool: pool, Oracle: oracle, LeaseTTL: time.Minute,
+		Cadence: online.Cadence{First: job.LaneRecords}, MaxCandidates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package job
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rc4break/internal/cookieattack"
@@ -206,40 +208,75 @@ func TestExactCaptureMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestCheckpointedMatchesCaptureTo pins the CLIs' chunked exact capture:
-// with the checkpoint interval below, at and above the loop's step, the
-// periodic writes land on exact multiples of the interval and the file the
-// CLI finally writes holds CaptureTo's evidence byte for byte.
+// TestCheckpointedMatchesCaptureTo pins the CLIs' granule writes: with the
+// capture chunk below, at and above the target, CaptureTo's granules end at
+// the multiples of the chunk and then at the target; in exact mode the
+// checkpoint file after each granule short of the target holds the
+// evidence of capturing to that end, and model mode writes none. In model
+// mode each granule is one draw: a chunkless runtime called at the same
+// ends folds the same bytes.
 func TestCheckpointedMatchesCaptureTo(t *testing.T) {
-	spec := Spec{Attack: "cookie", Mode: "exact", Seed: 3, Secret: testSecret}
 	const target = 9000
-	for _, every := range []uint64{1000, 4096, 1 << 20} {
-		path := filepath.Join(t.TempDir(), "run.snap")
-		rt, err := New(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Checkpointed(path, every)(target); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if lastWrite := target / every * every; lastWrite == 0 {
-			if !os.IsNotExist(err) {
-				t.Fatalf("every=%d: checkpoint written before the first interval (err %v)", every, err)
+	for _, mode := range []string{"exact", "model"} {
+		for _, chunk := range []uint64{1000, 4096, 1 << 20} {
+			spec := Spec{Attack: "cookie", Mode: mode, Seed: 3, Secret: testSecret}
+			ref, err := New(spec, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if err != nil {
-			t.Fatal(err)
-		} else if !bytes.Equal(got, evidenceOf(t, spec, lastWrite)) {
-			t.Fatalf("every=%d: last periodic write differs from CaptureTo(%d) evidence", every, lastWrite)
-		}
-		if err := rt.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		if got, err = os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, evidenceOf(t, spec, target)) {
-			t.Fatalf("every=%d: final checkpoint differs from CaptureTo(%d) evidence", every, target)
+			spec.CaptureChunk = chunk
+			rt, err := New(spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "run.snap")
+			CLI{Checkpoint: path}.bind(context.Background(), rt)
+			save := rt.EachGranule
+			if save == nil {
+				save = func(_ uint64, _ bool, capture func() error) error { return capture() }
+			}
+			var ends []uint64
+			rt.EachGranule = func(end uint64, last bool, capture func() error) error {
+				ends = append(ends, end)
+				if err := save(end, last, capture); err != nil {
+					return err
+				}
+				if err := ref.CaptureTo(end); err != nil {
+					return err
+				}
+				got, err := os.ReadFile(path)
+				switch {
+				case last:
+					// The caller writes the granule that reaches the target.
+				case mode == "model":
+					if !os.IsNotExist(err) {
+						t.Errorf("model chunk %d: checkpoint written at %d (err %v)", chunk, end, err)
+					}
+				default:
+					want, werr := ref.Evidence()
+					if werr != nil || err != nil || !bytes.Equal(got, want) {
+						t.Errorf("exact chunk %d: checkpoint at %d differs from capturing to it (err %v, %v)", chunk, end, err, werr)
+					}
+				}
+				return nil
+			}
+			if err := rt.CaptureTo(target); err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for end := chunk; end < target; end += chunk {
+				want = append(want, end)
+			}
+			if want = append(want, target); !slices.Equal(ends, want) {
+				t.Fatalf("%s chunk %d: granules end at %v, want %v", mode, chunk, ends, want)
+			}
+			got, err := rt.Evidence()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantEv, err := ref.Evidence(); err != nil || !bytes.Equal(got, wantEv) {
+				t.Fatalf("%s chunk %d: granular capture differs from the chunkless one (err %v)", mode, chunk, err)
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/signal"
 	"time"
 
 	"rc4break/internal/cliutil"
@@ -19,17 +18,19 @@ import (
 
 // CLI is one attack-command run once its flags are parsed: the flow the
 // cookie and TKIP commands share. The job's schedule is the runtime's
-// spec. Offline runs collect this shard to the spec's Budget (resumed
-// observations included), checkpoint it, pool the Merge shards, and
-// recover in a single final online.Run round at the pooled observation
-// count. Online runs capture and decode on the spec's Cadence until the
-// oracle confirms a candidate or Budget is spent. Every round walks up to
-// MaxCandidates. Both end in the same summary and -json result.
+// spec, captured in its granules (Runtime.CaptureTo). Offline runs collect
+// this shard to the spec's Budget (resumed observations included),
+// checkpoint it, pool the Merge shards, and recover in a single final
+// online.Run round at the pooled observation count. Online runs capture
+// and decode on the spec's Cadence until the oracle confirms a candidate
+// or Budget is spent. Every round walks up to MaxCandidates. Both end in
+// the same summary and -json result.
 type CLI struct {
-	// Checkpoint, when set, receives the shard's snapshot: after offline
-	// collection (before any merge), and after every online round.
-	Checkpoint      string
-	CheckpointEvery uint64
+	// Checkpoint, when set, receives the shard's snapshot: in exact mode
+	// at every granule end short of a capture target, after offline
+	// collection (before any merge), after every online round, and when a
+	// signal stops the capture.
+	Checkpoint string
 	// Merge lists shard snapshots to pool before offline recovery.
 	Merge       []string
 	CollectOnly bool
@@ -59,12 +60,16 @@ func Resume(spec Spec, path string) (*Runtime, error) {
 	return rt, err
 }
 
-// Run drives rt through the command's flow. It returns
-// cliutil.ErrInterrupted after a flushed SIGINT, and an error after a
-// failed attack, once the -json result is out.
-func (c CLI) Run(rt *Runtime) error {
+// Run drives rt through the command's flow. Once ctx is done, exact and
+// trace captures stop at their next fold batch and model captures at the
+// next granule end; Run then flushes the checkpoint and returns ctx's
+// error. It returns an error after a failed attack, once the -json result
+// is out.
+func (c CLI) Run(ctx context.Context, rt *Runtime) error {
+	c.bind(ctx, rt)
 	spec := rt.spec
-	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: spec.MaxCandidates, Logf: cliutil.IndentLogf}
+	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: spec.MaxCandidates,
+		Feed: online.FeedFunc(rt.CaptureTo), Logf: cliutil.IndentLogf}
 	if c.Online {
 		switch {
 		case c.CollectOnly || len(c.Merge) > 0:
@@ -77,22 +82,20 @@ func (c CLI) Run(rt *Runtime) error {
 		fmt.Printf("[2/4] online closed loop: budget %d %s, first decode at %d, %s cadence, %d candidates/round...\n",
 			spec.Budget, rt.Unit, spec.FirstDecode, spec.Cadence(), cfg.MaxCandidates)
 		cfg.Cadence, cfg.Budget = spec.Cadence(), spec.Budget
-		cfg.Feed = online.FeedFunc(rt.Checkpointed(c.Checkpoint, c.CheckpointEvery))
 		cfg.Checkpoint = func() error { return c.save(rt) }
 	} else {
 		if err := c.collect(rt); err != nil || c.CollectOnly {
-			return err
+			return c.interrupted(rt, err)
 		}
 		// The pooled evidence is the whole budget, so the round decodes
 		// without capturing and is the loop's last.
 		fmt.Printf("[3/4] recovering: one decode round at %d %s, walking up to %d candidates...\n",
 			rt.Observed(), rt.Unit, cfg.MaxCandidates)
-		cfg.Budget = rt.Observed()
-		cfg.Feed = online.FeedFunc(rt.CaptureTo)
+		cfg.Cadence, cfg.Budget = online.Cadence{First: rt.Observed()}, rt.Observed()
 	}
 	res, err := online.Run(cfg)
-	if errors.Is(err, cliutil.ErrInterrupted) {
-		return err
+	if errors.Is(err, context.Canceled) {
+		return c.interrupted(rt, err)
 	}
 	result := cliutil.OnlineRunResult(spec.Attack, rt.mode, res, err)
 	result.Online = c.Online
@@ -130,7 +133,7 @@ func (c CLI) collect(rt *Runtime) error {
 	fmt.Printf("[2/4] collecting %d %s (%s mode; %s)...\n", remaining, rt.Unit, rt.mode, c.Live(remaining))
 	if remaining == 0 {
 		fmt.Println("      shard target already reached")
-	} else if err := rt.Checkpointed(c.Checkpoint, c.CheckpointEvery)(budget); err != nil {
+	} else if err := rt.CaptureTo(budget); err != nil {
 		return err
 	}
 	if summary := rt.Summary(); summary != "" {
@@ -170,6 +173,42 @@ func (c CLI) collect(rt *Runtime) error {
 		fmt.Println("      collect-only: skipping recovery phase")
 	}
 	return nil
+}
+
+// bind makes ctx stop rt's captures and, with Checkpoint set, rewrites the
+// checkpoint at every exact-mode granule end short of a capture target. A
+// model granule is one draw of tens of milliseconds, far cheaper than the
+// write, and trace files are read in one granule. The granule that reaches
+// a target is saved by its caller: online, only after the decode at that
+// point has run, so a resumed run never skips the decode.
+func (c CLI) bind(ctx context.Context, rt *Runtime) {
+	rt.ctx = ctx
+	if c.Checkpoint != "" && rt.mode == "exact" {
+		rt.EachGranule = func(_ uint64, last bool, capture func() error) error {
+			if err := capture(); err != nil || last {
+				return err
+			}
+			return c.save(rt)
+		}
+	}
+}
+
+// interrupted passes err through, first flushing the checkpoint when err
+// is a signal's stop.
+func (c CLI) interrupted(rt *Runtime, err error) error {
+	switch {
+	case !errors.Is(err, context.Canceled):
+		return err
+	case c.Checkpoint == "":
+		fmt.Printf("      interrupted at %d %s (no -checkpoint set; progress lost)\n", rt.Observed(), rt.Unit)
+		return err
+	}
+	if serr := rt.SaveFile(c.Checkpoint); serr != nil {
+		return serr
+	}
+	fmt.Printf("      interrupted: checkpoint flushed at %d %s -> %s (rerun with -resume %s)\n",
+		rt.Observed(), rt.Unit, c.Checkpoint, c.Checkpoint)
+	return err
 }
 
 // save writes the shard's snapshot to Checkpoint, when set.
@@ -236,9 +275,9 @@ func LoadOrTrainModel(path string, keysPerTSC uint64, workers int, logf func(for
 
 // RunWorker joins the cmd/fleetd coordinator at addr as capture worker id
 // and collects leased lanes (CollectLane) until the coordinator declares
-// the run over or SIGINT arrives, reporting in the attack CLIs' indented
+// the run over or ctx is done, reporting in the attack CLIs' indented
 // style. The coordinator checks the spec's Fingerprint at the door.
-func (s Spec) RunWorker(addr, id string) error {
+func (s Spec) RunWorker(ctx context.Context, addr, id string) error {
 	fp, err := s.Fingerprint()
 	if err != nil {
 		return err
@@ -259,8 +298,6 @@ func (s Spec) RunWorker(addr, id string) error {
 		Tracer:  obs.NewJournal(proc, 1024),
 		Collect: s.CollectLane,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	fmt.Printf("[2/2] fleet worker joining %s...\n", addr)
 	stats, err := w.Run(ctx)
 	fmt.Printf("      worker done: %d lanes (%d %s) uploaded, %d rejected as already covered\n",

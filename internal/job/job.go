@@ -16,26 +16,26 @@
 // TKIP exact streams carry seed 0. Which snapshots a job may resume from or
 // merge is the attack's own rule (online.Evidence.OpenShard).
 //
-// Model-mode evidence depends on where Runtime.CaptureTo is called: each
-// call draws its sufficient statistics from
-// cliutil.ContinuationSeed(seed, observed), so a call is never re-chunked
-// here. The CLI offline path draws once, the online paths once per cadence
-// point, the service once per granule, and fleet lanes from
-// cliutil.LaneSeed. Exact-mode evidence does not depend on where calls
-// fall: the live victim is one more trace source, so its records and
-// frames fold through the same cookieattack and tkip TraceCollector batch
-// that pcap ingest uses, and the CLIs advance it in bounded
-// cliutil.CheckpointLoop chunks.
+// Capture follows one schedule in every shape: Runtime.CaptureTo walks the
+// spec's absolute capture granules (multiples of Spec.CaptureChunk, plus
+// the target it was asked for), and each model-mode granule is one draw
+// from cliutil.ContinuationSeed(seed, observed). The CLIs (offline and
+// online), attackd, SoloRun and the experiments therefore fold the same
+// model evidence for the same normalized spec, and a run stopped at any
+// granule end resumes to an uninterrupted run's bytes; fleet lanes draw
+// from cliutil.LaneSeed instead. Exact-mode evidence does not depend on
+// where granules fall: the live victim is one more trace source, so its
+// records and frames fold through the same cookieattack and tkip
+// TraceCollector batch that pcap ingest uses.
 package job
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
@@ -61,9 +61,19 @@ type Runtime struct {
 	Oracle online.Oracle
 	// Unit names one observation in status lines: "records" or "frames".
 	Unit string
+	// EachGranule, when set, runs every capture granule of CaptureTo:
+	// capture advances the evidence to end, and last reports that end is
+	// the CaptureTo target. attackd holds a scheduler slot and a
+	// job.granule span across it; the CLIs write an exact-mode
+	// -checkpoint after it.
+	EachGranule func(end uint64, last bool, capture func() error) error
 
-	spec     Spec
-	mode     string
+	spec Spec
+	mode string
+	// ctx stops a capture early: exact and trace captures check it at
+	// each fold batch, model captures before each granule. CaptureTo then
+	// returns its error.
+	ctx      context.Context
 	capture  func(target uint64) error
 	simulate func(rng *rand.Rand, n uint64) error
 	// exactFrom positions the exact victim at observation skip and returns
@@ -121,13 +131,41 @@ func New(spec Spec, evidence []byte) (*Runtime, error) {
 // Observed reports the observations folded into the evidence so far.
 func (r *Runtime) Observed() uint64 { return r.Decoder.Observed() }
 
-// CaptureTo advances the evidence to target observations (trace files may
-// end short of it). A target at or below Observed is a no-op.
+// CaptureTo advances the evidence to target observations in the spec's
+// capture granules: each ends at the smaller of target and the next
+// multiple of Spec.CaptureChunk (with no chunk, target is one granule), and
+// a model-mode granule is one draw. Granule ends are absolute, so a run
+// stopped or resumed at any end captures exactly what an uninterrupted run
+// does. Trace files are read in one granule, since each read re-parses
+// the files from their start, and may end short of target: the walk stops
+// at the first granule that falls short. A target at or below Observed is
+// a no-op.
 func (r *Runtime) CaptureTo(target uint64) error {
-	if target <= r.Observed() {
-		return nil
+	for at := r.Observed(); at < target; at = r.Observed() {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		end := target
+		if c := r.spec.CaptureChunk; c > 0 && r.mode != "trace" {
+			end = min(target, (at/c+1)*c)
+		}
+		capture := func() error {
+			if err := r.capture(end); err != nil || r.Observed() >= end {
+				return err
+			}
+			return r.ctx.Err() // nil: the capture files ran out
+		}
+		var err error
+		if r.EachGranule != nil {
+			err = r.EachGranule(end, end == target, capture)
+		} else {
+			err = capture()
+		}
+		if err != nil || r.Observed() < end {
+			return err
+		}
 	}
-	return r.capture(target)
+	return nil
 }
 
 // Evidence serializes the attack state as snapshot-envelope bytes.
@@ -147,28 +185,6 @@ func (r *Runtime) Summary() string {
 		return ""
 	}
 	return r.summary()
-}
-
-// Checkpointed returns the capture function the CLIs drive. Model and
-// trace captures run in one call each. Exact captures run under
-// cliutil.CheckpointLoop in bounded chunks, so path (when set) is
-// rewritten every `every` observations and flushed promptly on
-// SIGINT/SIGTERM, which returns cliutil.ErrInterrupted.
-func (r *Runtime) Checkpointed(path string, every uint64) func(target uint64) error {
-	if r.mode != "exact" {
-		return r.CaptureTo
-	}
-	return func(target uint64) error {
-		return cliutil.CheckpointLoop{
-			Target:    target,
-			Path:      path,
-			Every:     every,
-			Unit:      r.Unit,
-			Save:      func() error { return r.SaveFile(path) },
-			Progress:  r.Observed,
-			AdvanceTo: r.CaptureTo,
-		}.Run()
-	}
 }
 
 // Coordinator builds the fleet coordinator's side of the job from the
@@ -295,7 +311,7 @@ func (s Spec) build(evidence []byte) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.Unit = s.unit()
+	rt.Unit, rt.ctx = s.unit(), context.Background()
 	if evidence == nil {
 		return rt, nil
 	}
@@ -354,13 +370,14 @@ func TKIPTrailer() []int { return tkip.TrailerPositions(len(TKIPVictim().MSDU)) 
 // Ethernet/TCP segments of the HTTPS flow; TKIP frames from TKIPVictim go
 // out as radiotap 802.11 and need no model. The extension picks the
 // container, as trace.WriteFile does, and the file appears under path only
-// once complete: a failed write, or one stopped by SIGINT/SIGTERM (which
-// returns cliutil.ErrInterrupted), leaves nothing there. Served back
-// through Traces, the file yields the live exact stream's evidence byte
-// for byte.
-func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
+// once complete: a failed write, or one ctx stopped (which returns ctx's
+// error), leaves nothing there. Served back through Traces, the file
+// yields the live exact stream's evidence byte for byte.
+func (s Spec) WriteCapture(ctx context.Context, path string, n uint64) (int64, error) {
 	var link uint32
-	var write func(trace.PacketWriter) error
+	// open starts the capture on pw and returns the writer of its next
+	// observations.
+	var open func(pw trace.PacketWriter) (func(k uint64) error, error)
 	switch s.Attack {
 	case "cookie":
 		_, req, err := CookieLayout(s.Secret)
@@ -372,35 +389,31 @@ func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
 			return 0, err
 		}
 		link = trace.LinkTypeEthernet
-		write = func(pw trace.PacketWriter) error {
+		open = func(pw trace.PacketWriter) (func(uint64) error, error) {
 			sw, err := netsim.NewStreamWriter(pw, link)
-			if err != nil {
-				return err
-			}
-			return victim.WriteTrace(sw, n)
+			return func(k uint64) error { return victim.WriteTrace(sw, k) }, err
 		}
 	case "tkip":
 		victim := TKIPVictim()
 		link = trace.LinkTypeRadiotap
-		write = func(pw trace.PacketWriter) error {
+		open = func(pw trace.PacketWriter) (func(uint64) error, error) {
 			fw, err := netsim.NewFrameWriter(pw, link, victim.Session)
-			if err != nil {
-				return err
-			}
-			return victim.WriteTrace(fw, n)
+			return func(k uint64) error { return victim.WriteTrace(fw, k) }, err
 		}
 	default:
 		return 0, fmt.Errorf("job: unknown attack %q (want cookie or tkip)", s.Attack)
 	}
-	// SIGINT or SIGTERM fails the next packet write, and trace.WriteFile
-	// then leaves nothing under path.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	err := trace.WriteFile(path, link, func(pw trace.PacketWriter) error {
-		return write(interruptible{pw, sig})
+		write, err := open(pw)
+		// ctx is checked every writeStep observations.
+		for left := n; err == nil && left > 0; left -= min(left, writeStep) {
+			if err = ctx.Err(); err == nil {
+				err = write(min(left, writeStep))
+			}
+		}
+		return err
 	})
-	if errors.Is(err, cliutil.ErrInterrupted) {
+	if err != nil && ctx.Err() != nil {
 		fmt.Printf("      interrupted: nothing written to %s\n", path)
 	}
 	if err != nil {
@@ -413,20 +426,9 @@ func (s Spec) WriteCapture(path string, n uint64) (int64, error) {
 	return info.Size(), nil
 }
 
-// interruptible is a PacketWriter whose writes fail with
-// cliutil.ErrInterrupted once a signal is buffered in sig.
-type interruptible struct {
-	trace.PacketWriter
-	sig chan os.Signal
-}
-
-// WritePacket implements trace.PacketWriter.
-func (w interruptible) WritePacket(data []byte) error {
-	if len(w.sig) > 0 {
-		return cliutil.ErrInterrupted
-	}
-	return w.PacketWriter.WritePacket(data)
-}
+// writeStep bounds how long WriteCapture runs past a stop: a few
+// milliseconds of records or frames.
+const writeStep = 4096
 
 func (s Spec) buildCookie() (*Runtime, error) {
 	cfg, req, err := CookieLayout(s.Secret)
@@ -451,9 +453,10 @@ func (s Spec) buildCookie() (*Runtime, error) {
 			st.Packets, st.Records, st.Matched, st.OtherRecords, st.DeadFlows, float64(st.Bytes)/(1<<20))
 	}
 	wantLen := len(cfg.Plaintext) + tlsrec.MACSize
-	rt.ingest = func(skip, n uint64, strict bool) (err error) {
-		st, err = cookieattack.CollectTraceFiles(attack, wantLen, s.traceFiles(), skip, n, strict)
-		return err
+	rt.ingest = func(skip, n uint64, strict bool) error {
+		c := &cookieattack.TraceCollector{Attack: attack, WantLen: wantLen, Start: skip, Max: n, Ctx: rt.ctx}
+		defer func() { st = c.Stats }()
+		return c.Collect(trace.FileSources(s.traceFiles()), strict)
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
 		victim, err := HTTPSVictim(s.Seed, req)
@@ -466,7 +469,7 @@ func (s Spec) buildCookie() (*Runtime, error) {
 		c := &cookieattack.TraceCollector{Attack: attack, WantLen: wantLen}
 		return func(target uint64) error {
 			defer func() { st = c.Stats }()
-			for c.Max = target - skip; !c.Done(); {
+			for c.Max, c.Ctx = target-skip, rt.ctx; !c.Done(); {
 				if err := c.Feed(victim.SendRequest()); err != nil {
 					return err
 				}
@@ -504,9 +507,10 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 		return fmt.Sprintf("capture: %d packets, %d TKIP frames (%d matched, %d dup, %d frag, %d other-length, %d skipped), %.1f MB of capture payload",
 			st.Packets, st.Frames, st.Matched, st.Duplicates, st.Fragmented, st.OtherLength, st.Skipped, float64(st.Bytes)/(1<<20))
 	}
-	rt.ingest = func(skip, n uint64, strict bool) (err error) {
-		st, err = tkip.CollectTraceFiles(attack, victim.FrameLen(), s.traceFiles(), skip, n, strict)
-		return err
+	rt.ingest = func(skip, n uint64, strict bool) error {
+		c := &tkip.TraceCollector{Attack: attack, WantLen: victim.FrameLen(), Start: skip, Max: n, Ctx: rt.ctx}
+		defer func() { st = c.Stats }()
+		return c.Collect(trace.FileSources(s.traceFiles()), strict)
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
 		victim.Skip(skip) // frames are independently keyed by TSC: O(1)
@@ -515,7 +519,7 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 		c := &tkip.TraceCollector{Attack: attack, WantLen: victim.FrameLen()}
 		return func(target uint64) error {
 			defer func() { st = c.Stats }()
-			for c.Max = target - skip; !c.Done(); {
+			for c.Max, c.Ctx = target-skip, rt.ctx; !c.Done(); {
 				c.Offer(victim.Transmit())
 			}
 			c.Flush()

@@ -48,10 +48,12 @@ type Spec struct {
 	DecodeEvery uint64 `json:"decode_every,omitempty"`
 	// MaxCandidates bounds each round's candidate walk.
 	MaxCandidates int `json:"max_candidates,omitempty"`
-	// CaptureChunk is attackd's capture granule: the scheduler grants one
-	// slot per granule, and granule boundaries are absolute multiples of
-	// this value, so every possible suspension point is a point an
-	// uninterrupted run also passes through.
+	// CaptureChunk is the capture granule Runtime.CaptureTo walks in every
+	// front end: granule ends are absolute multiples of this value (plus
+	// each capture target), a model-mode granule is one draw, attackd
+	// grants one scheduler slot per granule, and the CLIs rewrite an
+	// exact-mode -checkpoint at each end. Every possible suspension point is thus a
+	// point an uninterrupted run also passes through.
 	CaptureChunk uint64 `json:"capture_chunk,omitempty"`
 	// CheckpointRounds persists attackd's evidence blob every N
 	// unsuccessful decode rounds. Terminal states always persist.
@@ -88,7 +90,7 @@ var defaults = map[string]Spec{
 		FirstDecode: 1 << 27,
 		// The paper walks 2^23 candidates; 2^16 per round keeps a
 		// 16-character decode to a fraction of a second (README "Online
-		// mode") and is online.DefaultMaxCandidates.
+		// mode").
 		MaxCandidates: 1 << 16,
 	},
 	"tkip": {

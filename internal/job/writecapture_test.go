@@ -2,14 +2,13 @@ package job
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"rc4break/internal/cliutil"
 	"rc4break/internal/fleet"
 	"rc4break/internal/snapshot"
 	"rc4break/internal/trace"
@@ -45,7 +44,7 @@ func TestWriteCaptureServesExactLane(t *testing.T) {
 		for _, c := range containers {
 			t.Run(a.spec.Attack+c.ext, func(t *testing.T) {
 				path := filepath.Join(dir, a.spec.Attack+c.ext)
-				size, err := a.spec.WriteCapture(path, a.n)
+				size, err := a.spec.WriteCapture(context.Background(), path, a.n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,43 +93,19 @@ func TestWriteCaptureServesExactLane(t *testing.T) {
 	}
 }
 
-// TestWriteCaptureInterrupted pins the interrupted capture write: SIGINT
-// during a long write returns cliutil.ErrInterrupted promptly and leaves
+// TestWriteCaptureInterrupted pins the stopped capture write: a write whose
+// context is canceled part way returns the context's error and leaves
 // nothing in the directory, neither the capture nor its temporary file.
 func TestWriteCaptureInterrupted(t *testing.T) {
-	// The test's own subscription keeps SIGINT from killing the test
-	// binary before WriteCapture listens for it.
-	keep := make(chan os.Signal, 1)
-	signal.Notify(keep, os.Interrupt)
-	defer signal.Stop(keep)
-
 	dir := t.TempDir()
-	done := make(chan error, 1)
-	go func() {
-		// About 55 MB of frames: seconds of writing unless interrupted.
-		_, err := Spec{Attack: "tkip", Mode: "exact"}.WriteCapture(filepath.Join(dir, "big.pcap"), 1<<19)
-		done <- err
-	}()
-	self, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	// About 55 MB of frames: seconds of writing unless stopped.
+	_, err := Spec{Attack: "tkip", Mode: "exact"}.WriteCapture(ctx, filepath.Join(dir, "big.pcap"), 1<<19)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteCapture returned %v, want the context's cancellation", err)
 	}
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case err := <-done:
-			if !errors.Is(err, cliutil.ErrInterrupted) {
-				t.Fatalf("WriteCapture returned %v, want an interrupt", err)
-			}
-			if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
-				t.Fatalf("interrupted write left %v", left)
-			}
-			return
-		case <-tick.C:
-			if err := self.Signal(os.Interrupt); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("stopped write left %v", left)
 	}
 }

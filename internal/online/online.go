@@ -13,16 +13,16 @@
 // The runtime is attack-agnostic: cookieattack.Attack and tkip.Attack both
 // implement Decoder (and Evidence, its checkpointable form), and
 // netsim.CookieServer / tkip.TrailerOracle implement Oracle. Evidence
-// arrives through a pluggable Feed: in-process capturers
-// wrap a job.Runtime's capture function in FeedFunc (model captures draw
-// each cadence chunk in one shot; the CLIs advance exact captures in
-// bounded chunks under cliutil.CheckpointLoop, checkpointed, SIGINT-safe
-// and resumable mid-cadence), the service advances it in scheduler-gated granules, and
-// the fleet coordinator implements Feed directly, blocking until enough
-// worker lanes have merged. Decode points are absolute observation counts,
-// so a resumed run lands on exactly the cadence an uninterrupted run would
-// use, and a feed that overshoots a point (whole-lane granularity) simply
-// decodes at the overshot count.
+// arrives through a pluggable Feed: in-process capturers wrap a
+// job.Runtime's CaptureTo in FeedFunc (the runtime walks the job's capture
+// granules, so the CLIs, the service and the experiments share one
+// schedule), and the fleet coordinator implements Feed directly, blocking
+// until enough worker lanes have merged. Decode points are absolute
+// observation counts, so a resumed run lands on exactly the cadence an
+// uninterrupted run would use, and a feed that overshoots a point
+// (whole-lane granularity) simply decodes at the overshot count. The
+// schedule has no defaults here: job.Spec.Normalize owns them, and Run
+// refuses a zero first decode or candidate bound.
 package online
 
 import (
@@ -105,20 +105,10 @@ type FeedFunc func(target uint64) error
 // AdvanceTo implements Feed.
 func (f FeedFunc) AdvanceTo(target uint64) error { return f(target) }
 
-// DefaultFirstDecode is the default first decode point: early enough to
-// catch strong-evidence runs, late enough that the first list is not pure
-// noise at paper-like scales.
-const DefaultFirstDecode = 1 << 20
-
-// DefaultMaxCandidates bounds a round's candidate walk when the caller
-// does not say.
-const DefaultMaxCandidates = 1 << 16
-
 // Cadence enumerates the observation counts at which decode rounds run.
-// The zero value is the default geometric cadence 2^20, 2^21, 2^22, ...
 type Cadence struct {
-	// First is the observation count of the first decode attempt; 0 means
-	// DefaultFirstDecode.
+	// First is the observation count of the first decode attempt; Run
+	// refuses 0.
 	First uint64
 	// Every, when nonzero, spaces decode points arithmetically (First,
 	// First+Every, ...). Zero selects the geometric cadence First,
@@ -142,9 +132,6 @@ func (c Cadence) String() string {
 // one.
 func (c Cadence) Next(observed uint64) uint64 {
 	first := c.First
-	if first == 0 {
-		first = DefaultFirstDecode
-	}
 	if observed < first {
 		return first
 	}
@@ -171,8 +158,8 @@ type Config struct {
 	Decoder Decoder
 	Oracle  Oracle
 	Cadence Cadence
-	// MaxCandidates bounds each round's candidate walk; 0 means
-	// DefaultMaxCandidates.
+	// MaxCandidates bounds each round's candidate walk; Run refuses a
+	// bound below 1.
 	MaxCandidates int
 	// Budget is the maximum total observations. The final decode runs at
 	// Budget (or wherever the feed's last granule lands at or past it); if
@@ -227,18 +214,27 @@ type Result struct {
 // without an oracle-confirmed candidate.
 var ErrBudgetExhausted = errors.New("online: observation budget exhausted without an oracle-confirmed hit")
 
+// ErrNoFirstDecode and ErrNoCandidates refuse a Config whose Cadence.First
+// is 0 or whose MaxCandidates is below 1: such a run would never decode, or
+// decode without walking a candidate.
+var (
+	ErrNoFirstDecode = errors.New("online: cadence has no first decode point")
+	ErrNoCandidates  = errors.New("online: candidate bound below 1")
+)
+
 // Run drives the closed loop: capture to the next cadence point, decode,
 // walk the list against the oracle, stop at the first confirmed hit.
 func Run(cfg Config) (Result, error) {
 	if cfg.Decoder == nil || cfg.Oracle == nil || cfg.Feed == nil {
 		return Result{}, errors.New("online: Decoder, Oracle and an evidence Feed are required")
 	}
-	if cfg.Budget == 0 {
+	switch {
+	case cfg.Budget == 0:
 		return Result{}, errors.New("online: zero observation budget")
-	}
-	maxC := cfg.MaxCandidates
-	if maxC <= 0 {
-		maxC = DefaultMaxCandidates
+	case cfg.Cadence.First == 0:
+		return Result{}, ErrNoFirstDecode
+	case cfg.MaxCandidates <= 0:
+		return Result{}, ErrNoCandidates
 	}
 	var res Result
 	runSpan := cfg.Tracer.Start(cfg.TraceParent, "online.run",
@@ -274,7 +270,7 @@ func Run(cfg Config) (Result, error) {
 		res.Rounds++
 		decSpan := cfg.Tracer.Start(runCtx, "online.decode",
 			obs.Int("round", int64(res.Rounds)), obs.U64("observed", res.Observed))
-		src, err := cfg.Decoder.Decode(maxC)
+		src, err := cfg.Decoder.Decode(cfg.MaxCandidates)
 		if err != nil {
 			decSpan.End()
 			return res, err
@@ -282,7 +278,7 @@ func Run(cfg Config) (Result, error) {
 		res.DecodeTime += decSpan.End()
 
 		walkSpan := cfg.Tracer.Start(runCtx, "online.walk", obs.Int("round", int64(res.Rounds)))
-		hit, rank, walked := res.walk(src, cfg.Oracle, maxC, rejected, !last)
+		hit, rank, walked := res.walk(src, cfg.Oracle, cfg.MaxCandidates, rejected, !last)
 		walkSpan.SetAttrs(obs.Int("walked", int64(walked)), obs.U64("checks", res.Checks))
 		res.OracleTime += walkSpan.End()
 		if hit != nil {

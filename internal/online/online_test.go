@@ -25,10 +25,10 @@ func TestCadenceNext(t *testing.T) {
 		want     uint64
 	}{
 		// Default geometric: 2^20, 2^21, ...
-		{online.Cadence{}, 0, 1 << 20},
-		{online.Cadence{}, 1 << 20, 1 << 21},
-		{online.Cadence{}, 1<<20 + 1, 1 << 21},
-		{online.Cadence{}, 3 << 20, 1 << 22},
+		{online.Cadence{First: 1 << 20}, 0, 1 << 20},
+		{online.Cadence{First: 1 << 20}, 1 << 20, 1 << 21},
+		{online.Cadence{First: 1 << 20}, 1<<20 + 1, 1 << 21},
+		{online.Cadence{First: 1 << 20}, 3 << 20, 1 << 22},
 		// Explicit geometric base.
 		{online.Cadence{First: 1000}, 0, 1000},
 		{online.Cadence{First: 1000}, 999, 1000},
@@ -189,10 +189,12 @@ func TestRunCaptureErrorPropagates(t *testing.T) {
 	dec := &fakeDecoder{truth: []byte("x")}
 	boom := errors.New("boom")
 	_, err := online.Run(online.Config{
-		Decoder: dec,
-		Oracle:  &fakeOracle{truth: []byte("x")},
-		Budget:  1 << 21,
-		Feed:    online.FeedFunc(func(uint64) error { return boom }),
+		Decoder:       dec,
+		Oracle:        &fakeOracle{truth: []byte("x")},
+		Cadence:       online.Cadence{First: 1 << 20},
+		MaxCandidates: 1,
+		Budget:        1 << 21,
+		Feed:          online.FeedFunc(func(uint64) error { return boom }),
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -210,5 +212,20 @@ func TestRunValidation(t *testing.T) {
 		Feed:    online.FeedFunc(func(uint64) error { return nil }),
 	}); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+	// Without a first decode point Cadence.Next never advances, and
+	// without a candidate bound no round walks anything.
+	for _, c := range []struct {
+		cfg  online.Config
+		want error
+	}{
+		{online.Config{MaxCandidates: 1}, online.ErrNoFirstDecode},
+		{online.Config{Cadence: online.Cadence{First: 1}}, online.ErrNoCandidates},
+	} {
+		c.cfg.Decoder, c.cfg.Oracle, c.cfg.Budget = dec, &fakeOracle{}, 1
+		c.cfg.Feed = online.FeedFunc(func(uint64) error { return nil })
+		if _, err := online.Run(c.cfg); !errors.Is(err, c.want) {
+			t.Errorf("Run(%+v) = %v, want %v", c.cfg.Cadence, err, c.want)
+		}
 	}
 }

@@ -26,79 +26,25 @@ func newRuntime(spec JobSpec, evidence []byte) (*job.Runtime, error) {
 	return job.New(spec, evidence)
 }
 
-// chunkedFeed is the service's online.Feed: it advances capture in absolute
-// granules — the next boundary is the smaller of the decode target and the
-// next multiple of chunk — acquiring one scheduler slot per granule. The
-// boundary sequence is a pure function of (chunk, target history), shared
-// bitwise by gated service runs, ungated solo runs, and resumed runs.
-type chunkedFeed struct {
-	chunk    uint64
-	observed func() uint64
-	capture  func(target uint64) error
-	// gate/ungate bracket each granule with a scheduler slot; nil for solo
-	// runs. onAdvance reports observation deltas (the records/s metric).
-	gate      func() error
-	ungate    func()
-	onAdvance func(n uint64)
-	// holding marks the slot retained past the granule that reached the
-	// decode target: the online loop decodes immediately after AdvanceTo
-	// returns, and the gated decoder inherits this slot instead of gating
-	// again. Without the carry-over, a stop signal could land between
-	// "evidence reached the decode point" and "decode ran" — a state no
-	// uninterrupted run passes through, which would desync the resumed run's
-	// cadence (the pending decode would be skipped, since cadence points are
-	// derived from the observed count).
-	holding bool
-}
-
-// AdvanceTo implements online.Feed.
-func (f *chunkedFeed) AdvanceTo(target uint64) error {
-	for {
-		at := f.observed()
-		if at >= target {
-			return nil
-		}
-		next := target
-		if f.chunk > 0 {
-			if b := (at/f.chunk + 1) * f.chunk; b < next {
-				next = b
-			}
-		}
-		if f.gate != nil && !f.holding {
-			if err := f.gate(); err != nil {
-				return err
-			}
-		}
-		err := f.capture(next)
-		if f.gate != nil {
-			if err == nil && next >= target {
-				f.holding = true // carry the slot into the decode round
-			} else {
-				f.holding = false
-				f.ungate()
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if f.onAdvance != nil {
-			f.onAdvance(f.observed() - at)
-		}
-	}
-}
-
-// gatedDecoder wraps a job's decoder so each decode round holds one
-// scheduler slot — decode rounds are the expensive half of the loop, and
-// fair-share has to cover them, not just capture. It also counts rounds
-// (the server's event/checkpoint bookkeeping) and reports each round's
-// decode latency: the duration of its job.decode span.
+// gatedDecoder wraps a job's decoder so each capture granule (Granule)
+// and each decode round holds one scheduler slot — decode rounds are the
+// expensive half of the loop, and fair-share has to cover them, not just
+// capture. It also counts rounds (the server's event/checkpoint
+// bookkeeping) and reports each round's decode latency: the duration of
+// its job.decode span.
 type gatedDecoder struct {
 	online.Decoder
-	// feed is the run's chunkedFeed; a slot it held through the final
-	// capture granule is inherited here instead of gating again.
-	feed    *chunkedFeed
-	gate    func() error
-	ungate  func()
+	gate   func() error
+	ungate func()
+	// holding marks the slot retained past the granule that reached the
+	// decode target: the online loop decodes immediately after capture
+	// returns, and Decode inherits this slot instead of gating again.
+	// Without the carry-over, a stop signal could land between "evidence
+	// reached the decode point" and "decode ran" — a state no
+	// uninterrupted run passes through, which would desync the resumed
+	// run's cadence (the pending decode would be skipped, since cadence
+	// points are derived from the observed count).
+	holding bool
 	rounds  int
 	onRound func(elapsed time.Duration)
 	// tracer/parent record one job.decode span per round under the job's
@@ -107,15 +53,29 @@ type gatedDecoder struct {
 	parent obs.SpanContext
 }
 
-func (d *gatedDecoder) Decode(max int) (src recovery.CandidateSource, err error) {
-	if d.gate != nil {
-		if d.feed != nil && d.feed.holding {
-			d.feed.holding = false // slot carried over from capture
-		} else if err := d.gate(); err != nil {
-			return nil, err
+// Granule runs one capture granule under a scheduler slot: the
+// job.Runtime EachGranule hook. The slot of the granule that reaches the
+// decode target is kept for the decode round.
+func (d *gatedDecoder) Granule(last bool, capture func() error) error {
+	if !d.holding {
+		if err := d.gate(); err != nil {
+			return err
 		}
-		defer d.ungate()
 	}
+	err := capture()
+	if d.holding = err == nil && last; !d.holding {
+		d.ungate()
+	}
+	return err
+}
+
+func (d *gatedDecoder) Decode(max int) (src recovery.CandidateSource, err error) {
+	if d.holding {
+		d.holding = false // slot carried over from capture
+	} else if err := d.gate(); err != nil {
+		return nil, err
+	}
+	defer d.ungate()
 	d.rounds++
 	span := d.tracer.Start(d.parent, "job.decode", obs.Int("round", int64(d.rounds)), obs.Int("max", int64(max)))
 	src, err = d.Decoder.Decode(max)
@@ -172,7 +132,7 @@ func SoloRun(spec JobSpec) (online.Result, []byte, error) {
 		Cadence:       spec.Cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
-		Feed:          &chunkedFeed{chunk: spec.CaptureChunk, observed: rt.Observed, capture: rt.CaptureTo},
+		Feed:          online.FeedFunc(rt.CaptureTo),
 	})
 	if runErr != nil && !errors.Is(runErr, online.ErrBudgetExhausted) {
 		return res, nil, runErr

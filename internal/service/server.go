@@ -374,22 +374,8 @@ func (s *Server) runJob(j *Job) {
 		s.markRunning(j, rt.Observed())
 		return nil
 	}
-	feed := &chunkedFeed{
-		chunk:    spec.CaptureChunk,
-		observed: rt.Observed,
-		capture: func(target uint64) error {
-			gs := s.cfg.Tracer.Start(jobCtx, "job.granule", obs.U64("target", target))
-			err := rt.CaptureTo(target)
-			s.granuleSeconds.ObserveDuration(gs.End())
-			return err
-		},
-		gate:      gate,
-		ungate:    s.sched.Release,
-		onAdvance: func(n uint64) { s.obsTotal.Add(float64(n)) },
-	}
 	dec := &gatedDecoder{
 		Decoder: rt.Decoder,
-		feed:    feed,
 		gate:    gate,
 		ungate:  s.sched.Release,
 		tracer:  s.cfg.Tracer,
@@ -399,6 +385,18 @@ func (s *Server) runJob(j *Job) {
 			s.decodeSeconds.Add(d.Seconds())
 			s.roundSeconds.ObserveDuration(d)
 		},
+	}
+	rt.EachGranule = func(end uint64, last bool, capture func() error) error {
+		at := rt.Observed()
+		err := dec.Granule(last, func() error {
+			gs := s.cfg.Tracer.Start(jobCtx, "job.granule", obs.U64("target", end))
+			defer func() { s.granuleSeconds.ObserveDuration(gs.End()) }()
+			return capture()
+		})
+		if err == nil {
+			s.obsTotal.Add(float64(rt.Observed() - at))
+		}
+		return err
 	}
 	// The evidence already holds rounds from a previous incarnation; the
 	// decoder only counts this process's rounds.
@@ -411,7 +409,7 @@ func (s *Server) runJob(j *Job) {
 		Cadence:       spec.Cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
-		Feed:          feed,
+		Feed:          online.FeedFunc(rt.CaptureTo),
 		Checkpoint: func() error {
 			sinceCheckpoint++
 			persist := sinceCheckpoint >= spec.CheckpointRounds

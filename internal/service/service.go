@@ -9,14 +9,16 @@
 // bytes, success rank, round count and oracle checks are a pure function of
 // its JobSpec, never of what else the service was running, how slots were
 // interleaved, or how often the process was killed and restarted. The
-// mechanism is the same one the fleet layer uses — capture advances in
-// absolute granules (multiples of the spec's CaptureChunk plus the absolute
-// decode points), each granule's simulation RNG derives from
-// cliutil.ContinuationSeed at the granule start, and exact-mode streams
-// fast-forward via the victims' O(1) Skip — so any suspension point the
-// scheduler or a crash can produce is a point an uninterrupted run also
-// passes through. SoloRun is the reference implementation of that pure
-// function; the load acceptance test pins the service against it.
+// mechanism is job.Runtime.CaptureTo's, which the attack CLIs share:
+// capture advances in absolute granules (multiples of the spec's
+// CaptureChunk plus the absolute decode points), each granule's simulation
+// RNG derives from cliutil.ContinuationSeed at the granule start, and
+// exact-mode streams fast-forward via the victims' O(1) Skip — so any
+// suspension point the scheduler or a crash can produce is a point an
+// uninterrupted run also passes through. The service adds only a scheduler
+// slot per granule and per decode round. SoloRun is the reference
+// implementation of that pure function; the load acceptance test pins the
+// service against it.
 package service
 
 import (

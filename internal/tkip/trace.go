@@ -1,6 +1,7 @@
 package tkip
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -84,7 +85,11 @@ type TraceCollector struct {
 	// owned by earlier lanes) and at most Max are observed (0 = no bound).
 	Start, Max uint64
 	Stats      TraceStats
+	// Ctx, when set, stops collection early: once it is done, the fold
+	// batch that follows is the last and Done reports true.
+	Ctx context.Context
 
+	stopped  bool
 	accepted uint64
 	seen     map[TSC]struct{}
 	order    []TSC
@@ -97,9 +102,10 @@ type TraceCollector struct {
 	bodies []byte
 }
 
-// Done reports whether a bounded collector has filled its range.
+// Done reports whether a bounded collector has filled its range, or Ctx
+// has stopped it.
 func (c *TraceCollector) Done() bool {
-	return c.Max != 0 && c.accepted >= c.Start+c.Max
+	return c.stopped || c.Max != 0 && c.accepted >= c.Start+c.Max
 }
 
 // Ingest drains one capture stream into the attack, stopping early once a
@@ -198,6 +204,7 @@ func (c *TraceCollector) Flush() {
 	}
 	c.Attack.ObserveFrames(c.batch)
 	c.batch = c.batch[:0]
+	c.stopped = c.Ctx != nil && c.Ctx.Err() != nil
 }
 
 // dup reports whether the TSC was accepted recently, remembering it
@@ -234,16 +241,24 @@ func CollectTraceFiles(a *Attack, wantLen int, paths []string, start, max uint64
 	return collectTrace(a, wantLen, trace.FileSources(paths), start, max, strict)
 }
 
-// collectTrace is the one ingest loop behind both entry points.
+// collectTrace runs Collect on a fresh collector for both entry points.
 func collectTrace(a *Attack, wantLen int, sources []trace.Source, start, max uint64, strict bool) (TraceStats, error) {
 	c := &TraceCollector{Attack: a, WantLen: wantLen, Start: start, Max: max}
+	err := c.Collect(sources, strict)
+	return c.Stats, err
+}
+
+// Collect is the one ingest loop: it drains sources in order until the
+// range is filled, then folds the last batch. strict demands the full
+// range be present.
+func (c *TraceCollector) Collect(sources []trace.Source, strict bool) error {
 	if err := trace.EachSource(sources, c.Done, c.Ingest); err != nil {
-		return c.Stats, err
+		return err
 	}
 	c.Flush()
 	if strict && !c.Done() {
-		return c.Stats, fmt.Errorf("%w: have %d matching frames, range needs %d",
-			ErrTraceShort, c.accepted, start+max)
+		return fmt.Errorf("%w: have %d matching frames, range needs %d",
+			ErrTraceShort, c.accepted, c.Start+c.Max)
 	}
-	return c.Stats, nil
+	return nil
 }

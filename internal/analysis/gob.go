@@ -6,8 +6,8 @@ import (
 )
 
 // SnapshotGob pins the gob schema of every value that flows into a snapshot
-// envelope. Each call to snapshot.WriteGob, snapshot.WriteFileGob, or
-// snapshot.EncodeGob must pass a payload whose concrete named type is
+// envelope. Each call to snapshot.WriteGob, snapshot.WriteFileGob,
+// snapshot.EncodeGob, or snapshot.WriteColumns (its gob header) must pass a payload whose concrete named type is
 // registered in GobManifest with its current schema fingerprint (SchemaOf).
 // An unregistered type, an interface-typed payload the pass cannot resolve,
 // or a fingerprint that no longer matches the manifest is a finding — silent
@@ -32,6 +32,7 @@ var gobSinkParam = map[string]int{
 	"WriteGob":     2,
 	"WriteFileGob": 2,
 	"EncodeGob":    0,
+	"WriteColumns": 2,
 }
 
 func runSnapshotGob(pass *Pass) error {

@@ -1,30 +1,32 @@
 package cookieattack
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 
+	"rc4break/internal/durable"
 	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
 )
 
 // SnapshotKind tags cookie-attack evidence snapshots inside the shared
-// envelope format.
-const SnapshotKind = "rc4break.cookieattack.attack.v1"
+// envelope format. Version 2 is a column payload (snapshot.WriteColumns):
+// an attackHeader, then the FM counts and the ABSAB weights, link by link.
+// Version 1 gob snapshots are refused with snapshot.ErrOldLayout.
+const SnapshotKind = "rc4break.cookieattack.attack.v2"
 
-// attackState is the gob payload of an attack snapshot: the full
+// attackHeader is the gob header of an attack snapshot: the full
 // configuration (so a resume rebuilds the anchors without external input),
 // the config fingerprint (so merges across mismatched layouts are rejected
-// before any counter is touched), and the accumulated evidence.
-type attackState struct {
+// before any counter is touched), the record count and the width of the
+// FM count cells that follow it.
+type attackHeader struct {
 	Config      Config
 	Fingerprint [16]byte
 	Stream      snapshot.StreamInfo
-	FM          [][]uint64
-	ABSAB       [][]float64
 	Records     uint64
+	Width       int
 }
 
 // configFingerprint digests the request layout every shard must share for
@@ -41,23 +43,14 @@ func (a *Attack) Fingerprint() [16]byte { return a.fp }
 // Snapshots are safe to take mid-capture: OpenShard reads them back for
 // resume, -merge and fleet lane uploads.
 func (a *Attack) WriteSnapshot(w io.Writer) error {
-	return snapshot.WriteGob(w, SnapshotKind, a.state())
+	width := snapshot.CountWidth(a.fm...)
+	h := attackHeader{Config: a.cfg, Fingerprint: a.fp, Stream: a.Stream, Records: a.Records, Width: width}
+	return snapshot.WriteColumns(w, SnapshotKind, h, width, a.fm, a.absab)
 }
 
 // WriteSnapshotFile durably persists the attack's evidence at path.
 func (a *Attack) WriteSnapshotFile(path string) error {
-	return snapshot.WriteFileGob(path, SnapshotKind, a.state())
-}
-
-func (a *Attack) state() attackState {
-	return attackState{
-		Config:      a.cfg,
-		Fingerprint: a.fp,
-		Stream:      a.Stream,
-		FM:          a.fm,
-		ABSAB:       a.absab,
-		Records:     a.Records,
-	}
+	return durable.WriteFile(path, a.WriteSnapshot)
 }
 
 // CaptureStream implements online.Evidence.
@@ -68,31 +61,36 @@ func (a *Attack) CaptureStream() *snapshot.StreamInfo { return &a.Stream }
 // then the persisted evidence is merged into the fresh accumulators through
 // the same check as OpenShard.
 func ReadSnapshot(r io.Reader) (*Attack, error) {
-	var st attackState
-	if err := snapshot.ReadGob(r, SnapshotKind, &st); err != nil {
+	var h attackHeader
+	cols, err := snapshot.ReadColumns(r, SnapshotKind, &h)
+	if err != nil {
 		return nil, err
 	}
-	a, err := New(st.Config)
+	a, err := New(h.Config)
 	if err != nil {
 		return nil, fmt.Errorf("cookieattack: snapshot config invalid: %w", err)
 	}
-	sh, err := a.shard(st)
+	sh, err := a.shard(h, cols)
 	if err != nil {
 		return nil, err
 	}
-	a.Stream = st.Stream
+	a.Stream = h.Stream
 	return a, sh.Merge()
 }
 
 // OpenShard implements online.Evidence: snap must hold evidence captured
-// against the receiver's request layout.
+// against the receiver's request layout. The shard keeps snap's columns
+// and adds them into the receiver's tables when merged.
 func (a *Attack) OpenShard(snap []byte) (online.Shard, error) {
-	var st attackState
-	if err := snapshot.ReadGob(bytes.NewReader(snap), SnapshotKind, &st); err != nil {
+	var h attackHeader
+	cols, err := snapshot.OpenColumns(snap, SnapshotKind, &h)
+	if err != nil {
 		return online.Shard{}, err
 	}
-	return a.shard(st)
+	return a.shard(h, cols)
 }
+
+var errLayout = errors.New("cookieattack: evidence was captured against a different request layout (fingerprint mismatch)")
 
 // Merge folds another shard's evidence into the receiver. Both shards must
 // have been captured against the same request layout, so independently
@@ -103,39 +101,43 @@ func (a *Attack) Merge(o *Attack) error {
 	if o == nil {
 		return errors.New("cookieattack: nil merge source")
 	}
-	sh, err := a.shard(o.state())
-	if err != nil {
-		return err
+	if o.fp != a.fp {
+		return errLayout
 	}
-	return sh.Merge()
+	for r := 0; r < a.chain; r++ {
+		dst, fdst := a.fm[r], a.absab[r]
+		for i, v := range o.fm[r] {
+			dst[i] += v
+		}
+		for i, v := range o.absab[r] {
+			fdst[i] += v
+		}
+	}
+	a.Records += o.Records
+	return nil
 }
 
 // shard is the one compatibility check on foreign evidence, behind
-// resume, -merge and fleet lane uploads: st must carry the receiver's
-// request-layout fingerprint and evidence of the receiver's shape. It reads
-// only the receiver's configuration; the returned Merge adds st's counters.
-func (a *Attack) shard(st attackState) (online.Shard, error) {
-	if st.Fingerprint != a.fp {
-		return online.Shard{}, errors.New("cookieattack: evidence was captured against a different request layout (fingerprint mismatch)")
+// resume, -merge and fleet lane uploads: h must carry the receiver's
+// request-layout fingerprint and cols exactly the receiver's evidence
+// shape. It reads only the receiver's configuration; the returned Merge
+// adds the columns' counters.
+func (a *Attack) shard(h attackHeader, cols []byte) (online.Shard, error) {
+	if h.Fingerprint != a.fp {
+		return online.Shard{}, errLayout
 	}
-	shaped := len(st.FM) == a.chain && len(st.ABSAB) == a.chain
-	for r := 0; shaped && r < a.chain; r++ {
-		shaped = len(st.FM[r]) == 65536 && len(st.ABSAB[r]) == 65536
+	if err := snapshot.CheckColumns(cols, h.Width, a.chain<<16, a.chain<<16); err != nil {
+		return online.Shard{}, fmt.Errorf("cookieattack: snapshot evidence shape mismatch: %w", err)
 	}
-	if !shaped {
-		return online.Shard{}, errors.New("cookieattack: snapshot evidence shape mismatch")
-	}
-	return online.Shard{Stream: st.Stream, Observed: st.Records, Merge: func() error {
-		for r := 0; r < a.chain; r++ {
-			dst, fdst := a.fm[r], a.absab[r]
-			for i, v := range st.FM[r] {
-				dst[i] += v
-			}
-			for i, v := range st.ABSAB[r] {
-				fdst[i] += v
-			}
+	return online.Shard{Stream: h.Stream, Observed: h.Records, Merge: func() error {
+		rest := cols
+		for _, row := range a.fm {
+			rest = snapshot.AddCounts(row, rest, h.Width)
 		}
-		a.Records += st.Records
+		for _, row := range a.absab {
+			rest = snapshot.AddFloats(row, rest)
+		}
+		a.Records += h.Records
 		return nil
 	}}, nil
 }

@@ -2,6 +2,7 @@ package cookieattack
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"os"
@@ -205,5 +206,68 @@ func benchmarkSimulate(b *testing.B, workers int) {
 		if err := a.SimulateStatistics(rng, []byte(cookie), 1<<28); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// attackStateV1 is the gob payload cookie snapshots carried before the
+// column layout, kind rc4break.cookieattack.attack.v1.
+type attackStateV1 struct {
+	Config      Config
+	Fingerprint [16]byte
+	Stream      snapshot.StreamInfo
+	FM          [][]uint64
+	ABSAB       [][]float64
+	Records     uint64
+}
+
+// TestSnapshotRefusesV1 pins the v1 decision: a gob snapshot of the old
+// layout is refused with snapshot.ErrOldLayout by ReadSnapshot and by
+// OpenShard, the check behind -resume, -merge and fleet uploads.
+func TestSnapshotRefusesV1(t *testing.T) {
+	cookie := "0123456789abcdef"
+	a, err := New(testConfig(cookie))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SimulateStatistics(rand.New(rand.NewSource(5)), []byte(cookie), 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	var payload, env bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(attackStateV1{Config: a.cfg, Fingerprint: a.fp, FM: a.fm, ABSAB: a.absab, Records: a.Records}); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(&env, "rc4break.cookieattack.attack.v1", payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(env.Bytes())); !errors.Is(err, snapshot.ErrOldLayout) {
+		t.Fatalf("ReadSnapshot of a v1 snapshot: want ErrOldLayout, got %v", err)
+	}
+	if _, err := a.OpenShard(env.Bytes()); !errors.Is(err, snapshot.ErrOldLayout) {
+		t.Fatalf("OpenShard of a v1 snapshot: want ErrOldLayout, got %v", err)
+	}
+}
+
+// TestSnapshotColumnsExact pins the v2 layout of a real lane: counts at
+// the narrowest width that holds them, then every ABSAB weight, with no
+// byte to spare.
+func TestSnapshotColumnsExact(t *testing.T) {
+	cookie := "0123456789abcdef"
+	a, err := New(testConfig(cookie))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SimulateStatistics(rand.New(rand.NewSource(6)), []byte(cookie), 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	var h attackHeader
+	cols, err := snapshot.OpenColumns(snapshotBytes(t, a), SnapshotKind, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Width != snapshot.CountWidth(a.fm...) || h.Records != a.Records {
+		t.Fatalf("header = width %d, %d records", h.Width, h.Records)
+	}
+	if want := a.chain << 16 * (h.Width + 8); len(cols) != want {
+		t.Fatalf("%d column bytes, want %d", len(cols), want)
 	}
 }

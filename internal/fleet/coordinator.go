@@ -14,9 +14,10 @@ import (
 	"rc4break/internal/snapshot"
 )
 
-// Shard is a validated, decoded lane upload awaiting its merge turn — the
-// opaque value a Pool's Validate hands to its Merge. CookiePool and
-// TKIPPool hand over the online.Shard their attack's OpenShard returned.
+// Shard is a validated lane upload awaiting its merge turn — the opaque
+// value a Pool's Validate hands to its Merge. CookiePool and TKIPPool hand
+// over the online.Shard their attack's OpenShard returned, which holds the
+// upload's bytes until it merges.
 type Shard any
 
 // Pool is the coordinator-side evidence pool: one per attack. CookiePool
@@ -25,7 +26,7 @@ type Shard any
 // resume and the CLIs' -merge apply, then the lease's stream identity and
 // observation count. Observed, Decode, Merge and WriteSnapshotFile are
 // called with the coordinator's lock held, so implementations need no
-// synchronization of their own; Validate runs WITHOUT the lock (it decodes
+// synchronization of their own; Validate runs WITHOUT the lock (it checks
 // multi-megabyte uploads and must not stall other RPCs) and therefore may
 // only read immutable pool configuration — fingerprints, the trained
 // model, the attacked positions — never mutable evidence state.
@@ -35,10 +36,10 @@ type Pool interface {
 	// Decode ranks candidates from the merged evidence (online.Decoder's
 	// decode half).
 	Decode(max int) (recovery.CandidateSource, error)
-	// Validate decodes one lane snapshot (the attack's own envelope bytes)
-	// and checks it against the pool's configuration and the lane's
-	// expected identity and count, so a bad upload is rejected at the RPC
-	// layer instead of poisoning the pool.
+	// Validate opens one lane snapshot (the attack's own envelope bytes,
+	// checksum not yet verified) and checks it against the pool's
+	// configuration and the lane's expected identity and count, so a bad
+	// upload is rejected at the RPC layer instead of poisoning the pool.
 	Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error)
 	// Merge folds a validated shard into the pool.
 	Merge(s Shard) error
@@ -412,7 +413,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			if err := snapshot.DecodeGob(payload, &ev); err != nil {
 				return
 			}
-			rep = reply(kindAck, c.handleEvidence(ev))
+			// The lane's snapshot frame follows, read verbatim: the pool's
+			// Validate is its one checksum pass.
+			snap, err := snapshot.ReadFrame(conn, maxLaneBytes)
+			if err != nil {
+				return
+			}
+			rep = reply(kindAck, c.handleEvidence(ev, snap))
 		case kindRelease:
 			var rl Release
 			if err := snapshot.DecodeGob(payload, &rl); err != nil {
@@ -512,15 +519,17 @@ func (c *Coordinator) handleRelease(rl Release) Ack {
 	return Ack{Lane: rl.Lane, OK: true, Merged: c.cfg.Pool.Observed(), Stop: c.stopped}
 }
 
-// handleEvidence validates and stages one lane upload. Rejections mirror
-// the offline -merge path: mismatched identity, wrong record count, or a
-// lane whose observations are already counted (the duplicate a re-leased
-// lane's original owner produces when it wakes up late) are refused and the
+// handleEvidence validates and stages one lane upload, the lane's snapshot
+// envelope snap under its Evidence header ev. Rejections mirror the
+// offline -merge path: mismatched identity, wrong record count, or a lane
+// whose observations are already counted (the duplicate a re-leased lane's
+// original owner produces when it wakes up late) are refused and the
 // worker told why; its capture work is already covered, so the refusal is
-// informational, not fatal. The expensive part — decoding the snapshot —
-// runs between two short locked sections so concurrent RPCs (and the
-// decode loop) are never stalled behind a gob decode.
-func (c *Coordinator) handleEvidence(ev Evidence) Ack {
+// informational, not fatal. The expensive part — verifying and opening
+// the snapshot — runs between two short locked sections so concurrent RPCs
+// (and the decode loop) are never stalled behind it. A staged lane keeps
+// snap, whose columns its merge adds into the pool.
+func (c *Coordinator) handleEvidence(ev Evidence, snap []byte) Ack {
 	// Fold the worker's piggybacked spans first, acceptance aside: even a
 	// rejected duplicate represents real capture work worth rendering.
 	c.cfg.Tracer.Fold(ev.Spans)
@@ -528,11 +537,11 @@ func (c *Coordinator) handleEvidence(ev Evidence) Ack {
 		return ack
 	}
 	ingest := c.cfg.Tracer.Start(c.laneSpanContext(ev.Lane), "fleet.ingest",
-		obs.U64("lane", ev.Lane), obs.Str("worker", ev.Worker), obs.Int("bytes", int64(len(ev.Snapshot))))
+		obs.U64("lane", ev.Lane), obs.Str("worker", ev.Worker), obs.Int("bytes", int64(len(snap))))
 	// Unlocked: Validate only reads immutable pool configuration (see the
 	// Pool contract), so it can overlap other uploads, leases, and decode.
 	want := c.job.LaneStream(ev.Lane)
-	shard, err := c.cfg.Pool.Validate(ev.Snapshot, want, ev.Records)
+	shard, err := c.cfg.Pool.Validate(snap, want, ev.Records)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

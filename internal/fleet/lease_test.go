@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rc4break/internal/cookieattack"
 	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
@@ -81,11 +82,21 @@ func leaseFor(t *testing.T, c *Coordinator, worker string) (lane uint64, ok bool
 	return 0, false
 }
 
+// testLane is the snapshot frame a countPool lane upload carries: any
+// well-framed envelope, since countPool never opens it.
+var testLane = func() []byte {
+	var b bytes.Buffer
+	if err := snapshot.Write(&b, "rc4break.fleet.test-lane.v1", []byte("lane")); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}()
+
 func uploadLane(t *testing.T, c *Coordinator, worker string, lane uint64) Ack {
 	t.Helper()
 	_, records := c.job.LaneExtent(lane)
 	return c.handleEvidence(Evidence{Worker: worker, Lane: lane, Stream: c.job.LaneStream(lane),
-		Records: records, Snapshot: []byte("lane")})
+		Records: records}, testLane)
 }
 
 // laneOutcomes lists the outcome attribute of every fleet.lane span the
@@ -210,34 +221,53 @@ func serveOnPipe(c *Coordinator) (net.Conn, <-chan struct{}) {
 	return client, done
 }
 
-// TestOversizedMessageClosesConnection pins the wire bound: a peer that
-// announces a 1 GiB payload is cut off once it has sent maxMsgBytes, and
-// a normal worker on the same coordinator still completes its lanes.
+// TestOversizedMessageClosesConnection pins the wire bounds of both frames
+// of an upload: a peer whose Evidence header, or whose lane snapshot after
+// a valid header, announces a 1 GiB payload is cut off within the frame's
+// bound (maxCtrlBytes, maxLaneBytes), and a normal worker on the same
+// coordinator still completes its lanes.
 func TestOversizedMessageClosesConnection(t *testing.T) {
 	c := newLeaseCoordinator(t, 2, 0, time.Minute, nil)
 
-	client, done := serveOnPipe(c)
+	// oversized is the head of an envelope of kind claiming 1 GiB.
+	oversized := func(kind string) []byte {
+		var head bytes.Buffer
+		head.WriteString(snapshot.Magic)
+		head.Write(binary.BigEndian.AppendUint32(nil, snapshot.Version))
+		head.Write(binary.BigEndian.AppendUint32(nil, uint32(len(kind))))
+		head.WriteString(kind)
+		head.Write(binary.BigEndian.AppendUint64(nil, 1<<30))
+		return head.Bytes()
+	}
 	var header bytes.Buffer
-	header.WriteString(snapshot.Magic)
-	header.Write(binary.BigEndian.AppendUint32(nil, snapshot.Version))
-	header.Write(binary.BigEndian.AppendUint32(nil, uint32(len(kindEvidence))))
-	header.WriteString(kindEvidence)
-	header.Write(binary.BigEndian.AppendUint64(nil, 1<<30))
-	sent, err := client.Write(header.Bytes())
-	chunk := make([]byte, 1<<20)
-	for err == nil && sent <= 1<<30 {
-		var n int
-		n, err = client.Write(chunk)
-		sent += n
+	if err := writeMsg(&header, kindEvidence, Evidence{Worker: "w", Stream: c.job.LaneStream(0), Records: testLaneRecords}); err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		t.Fatal("coordinator read a 1 GiB payload")
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		bound  int
+	}{
+		{"evidence header", oversized(kindEvidence), maxCtrlBytes},
+		{"lane snapshot", append(header.Bytes(), oversized(cookieattack.SnapshotKind)...), header.Len() + maxLaneBytes},
+	} {
+		client, done := serveOnPipe(c)
+		sent, err := client.Write(tc.prefix)
+		chunk := make([]byte, 1<<20)
+		for err == nil && sent <= 1<<30 {
+			var n int
+			n, err = client.Write(chunk)
+			sent += n
+		}
+		if err == nil {
+			t.Fatalf("%s: coordinator read a 1 GiB payload", tc.name)
+		}
+		if sent > tc.bound {
+			t.Fatalf("%s: coordinator read %d bytes, bound is %d", tc.name, sent, tc.bound)
+		}
+		<-done
+		client.Close()
 	}
-	if sent > maxMsgBytes {
-		t.Fatalf("coordinator read %d bytes of one message, bound is %d", sent, maxMsgBytes)
-	}
-	<-done
-	client.Close()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -248,7 +278,7 @@ func TestOversizedMessageClosesConnection(t *testing.T) {
 		Addr:    l.Addr().String(),
 		ID:      "honest",
 		Attack:  "cookie",
-		Collect: func(JobSpec, Lease) ([]byte, error) { return []byte("lane"), nil },
+		Collect: func(JobSpec, Lease) ([]byte, error) { return testLane, nil },
 		MaxWait: 5 * time.Millisecond,
 	}
 	type result struct {
@@ -285,8 +315,8 @@ func FuzzCoordinatorDispatch(f *testing.F) {
 	for _, err := range []error{
 		writeMsg(&session, kindHello, Hello{Worker: "w"}),
 		writeMsg(&session, kindLeaseRequest, LeaseRequest{Worker: "w"}),
-		writeMsg(&session, kindEvidence, Evidence{Worker: "w", Lane: 0,
-			Stream: snapshot.StreamInfo{Mode: "model", Seed: 1}, Records: testLaneRecords, Snapshot: []byte("lane")}),
+		writeEvidence(&session, Evidence{Worker: "w", Lane: 0,
+			Stream: snapshot.StreamInfo{Mode: "model", Seed: 1}, Records: testLaneRecords}, testLane),
 		writeMsg(&session, kindRelease, Release{Worker: "w", Lane: 1}),
 		writeMsg(&session, kindLeaseRequest, LeaseRequest{Worker: "w"}),
 	} {

@@ -21,14 +21,17 @@
 //     worker that rejoins starts from its last acked state by construction:
 //     acked lanes are done, everything else was never its responsibility.
 //
-//   - Wire format. Every message is one internal/snapshot envelope
-//     (length-prefixed, kind-tagged, CRC-64-checksummed) of at most
-//     maxMsgBytes, and lane evidence payloads are the attacks' own snapshot
-//     envelopes — the exact bytes a -checkpoint file would hold — validated
-//     by the same fingerprint and stream checks the offline -merge path
-//     applies. A duplicate lane upload (a re-leased lane's original owner
-//     waking up late) is rejected at the RPC layer the same way -merge
-//     rejects a duplicated shard.
+//   - Wire format. Every control message is one internal/snapshot
+//     envelope (length-prefixed, kind-tagged, CRC-64-checksummed) of at
+//     most maxCtrlBytes. A lane upload is two frames: an Evidence header
+//     envelope naming the lane, then the attack's own snapshot envelope —
+//     the exact bytes a -checkpoint file would hold — written verbatim and
+//     read raw under the exact lane bound maxLaneBytes. Its checksum is
+//     computed once by the worker's WriteSnapshot and verified once by the
+//     coordinator's pool, through the same fingerprint and stream checks
+//     the offline -merge path applies. A duplicate lane upload (a
+//     re-leased lane's original owner waking up late) is rejected at the
+//     RPC layer the same way -merge rejects a duplicated shard.
 //
 //   - Ordering. Evidence merges are float-accumulating, so the coordinator
 //     merges lanes strictly in lane order (uploads arriving early stage in
@@ -65,7 +68,7 @@ const (
 	kindLease        = "rc4break.fleet.lease.v1"
 	kindWait         = "rc4break.fleet.wait.v1"
 	kindStop         = "rc4break.fleet.stop.v1"
-	kindEvidence     = "rc4break.fleet.evidence.v1"
+	kindEvidence     = "rc4break.fleet.evidence.v2"
 	kindAck          = "rc4break.fleet.ack.v1"
 	kindRelease      = "rc4break.fleet.release.v1"
 )
@@ -171,20 +174,19 @@ type Release struct {
 	Lane   uint64
 }
 
-// Evidence uploads one captured lane: the attack's own snapshot envelope
-// bytes, exactly as WriteSnapshot produces them, plus the lane identity the
-// coordinator validates against the lease it issued. Spans piggybacks the
+// Evidence heads one lane upload: the lane identity the coordinator
+// validates against the lease it issued. The lane's snapshot envelope
+// follows it as a second frame (writeEvidence). Spans piggybacks the
 // worker's drained trace journal on the upload it already makes — the
 // coordinator folds them into its own journal, so one /debug/trace scrape
 // on the coordinator shows the whole fleet. Spans never feed validation or
 // the evidence pool.
 type Evidence struct {
-	Worker   string
-	Lane     uint64
-	Stream   snapshot.StreamInfo
-	Records  uint64
-	Snapshot []byte
-	Spans    []obs.Record
+	Worker  string
+	Lane    uint64
+	Stream  snapshot.StreamInfo
+	Records uint64
+	Spans   []obs.Record
 }
 
 // Ack is the coordinator's receipt for an Evidence upload — the worker's
@@ -204,21 +206,22 @@ type Ack struct {
 	Stop bool
 }
 
-// maxLaneBytes bounds the gob encoding of one cookie lane's evidence, the
-// largest legal payload: cookieattack.MaxCookieLen+1 chain links × 65,536
-// cells, each a uint64 digraph count plus a float64 ABSAB weight, at gob's
-// worst case of 9 bytes for either value. For the paper's 16-character
-// cookie that is 17 × 65,536 × 18 B ≈ 19.1 MiB (measured lanes take
-// 10-13 MB). A TKIP lane is at most 256 classes × 12 positions × 256
-// counts × 9 B ≈ 6.8 MiB.
-const maxLaneBytes = (cookieattack.MaxCookieLen + 1) << 16 * 18
+// maxLaneBytes bounds one lane's snapshot envelope, the largest legal
+// upload: a cookie lane of cookieattack.MaxCookieLen+1 chain links × 65,536
+// cells, each an 8-byte digraph count (the widest column cell) plus an
+// 8-byte ABSAB weight, behind at most the envelope's framing and a column
+// header. For the paper's 16-character cookie that is 17 × 65,536 × 16 B
+// ≈ 17 MiB; measured lanes of 2^27 records use 4-byte counts, 13.4 MB. A
+// TKIP lane is at most 256 classes × 12 positions × 256 counts × 8 B
+// ≈ 6 MiB.
+const maxLaneBytes = snapshot.MaxFraming + 4 + snapshot.MaxColumnHeader +
+	(cookieattack.MaxCookieLen+1)<<16*(8+8)
 
-// maxMsgBytes bounds one wire message: readMsg stops after this many bytes
-// whatever payload length an envelope claims, so a peer cannot make the
-// coordinator buffer more. Above the lane's evidence it leaves room for
-// the rest of an upload: the attack config, the stream identity and the
-// piggybacked spans.
-const maxMsgBytes = maxLaneBytes + 4<<20
+// maxCtrlBytes bounds every other wire message — Hello, LeaseRequest,
+// Release, the Evidence header with its piggybacked spans, and the
+// coordinator's replies: readMsg refuses a longer envelope from its head,
+// so a peer cannot make either side buffer more.
+const maxCtrlBytes = 4 << 20
 
 // writeMsg sends one protocol message as a snapshot envelope.
 func writeMsg(w io.Writer, kind string, v any) error {
@@ -245,24 +248,42 @@ func reply[M any](kind string, v M) wireReply {
 }
 
 // writeReply sends one pre-encoded envelope, refusing one the peer's
-// readMsg would cut off at maxMsgBytes.
+// readMsg would refuse.
 func writeReply(w io.Writer, r wireReply) error {
 	if r.err != nil {
 		return r.err
 	}
 	// Envelope framing: magic, version, kind length, kind, payload length,
 	// payload, CRC.
-	if n := snapshot.MagicLen + 4 + 4 + len(r.kind) + 8 + len(r.payload) + 8; n > maxMsgBytes {
-		return fmt.Errorf("fleet: %d-byte %s message exceeds the %d-byte wire bound", n, r.kind, maxMsgBytes)
+	if n := snapshot.MagicLen + 4 + 4 + len(r.kind) + 8 + len(r.payload) + 8; n > maxCtrlBytes {
+		return fmt.Errorf("fleet: %d-byte %s message exceeds the %d-byte wire bound", n, r.kind, maxCtrlBytes)
 	}
 	return snapshot.Write(w, r.kind, r.payload)
 }
 
-// readMsg reads one envelope of at most maxMsgBytes and returns its kind and
-// raw payload; the caller dispatches on kind and decodes with
-// snapshot.DecodeGob. A longer envelope fails as truncated.
+// readMsg reads one control envelope of at most maxCtrlBytes and returns
+// its kind and raw payload; the caller dispatches on kind and decodes with
+// snapshot.DecodeGob. A longer envelope is refused from its head.
 func readMsg(r io.Reader) (string, []byte, error) {
-	return snapshot.Read(io.LimitReader(r, maxMsgBytes))
+	env, err := snapshot.ReadFrame(r, maxCtrlBytes)
+	if err != nil {
+		return "", nil, err
+	}
+	return snapshot.Parse(env)
+}
+
+// writeEvidence sends one lane upload: the Evidence header, then the
+// lane's snapshot envelope verbatim, already checksummed by the attack's
+// WriteSnapshot.
+func writeEvidence(w io.Writer, ev Evidence, snap []byte) error {
+	if len(snap) > maxLaneBytes {
+		return fmt.Errorf("fleet: %d-byte lane snapshot exceeds the %d-byte lane bound", len(snap), maxLaneBytes)
+	}
+	if err := writeMsg(w, kindEvidence, ev); err != nil {
+		return err
+	}
+	_, err := w.Write(snap)
+	return err
 }
 
 // readExpect reads one message that must be of the given kind, decoding it

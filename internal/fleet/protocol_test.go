@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"math"
 	"net"
@@ -63,10 +62,13 @@ func (r *rpcConn) lease() Lease {
 	return decode[Lease](r.t, payload)
 }
 
-// upload sends one lane's evidence and returns the coordinator's ack.
-func (r *rpcConn) upload(ev Evidence) Ack {
+// upload sends one lane's evidence header and snapshot and returns the
+// coordinator's ack.
+func (r *rpcConn) upload(ev Evidence, snap []byte) Ack {
 	r.t.Helper()
-	r.send(kindEvidence, ev)
+	if err := writeEvidence(r.conn, ev, snap); err != nil {
+		r.t.Fatal(err)
+	}
 	kind, payload := r.recv()
 	if kind != kindAck {
 		r.t.Fatalf("evidence got %q", kind)
@@ -184,42 +186,41 @@ func testCookieRPCRejections(t *testing.T) {
 	if ls0.Lane != 0 || ls0.Records != 1<<10 {
 		t.Fatalf("first lease = %+v", ls0)
 	}
-	ev0 := Evidence{Worker: "w", Lane: ls0.Lane, Stream: ls0.Stream, Records: ls0.Records, Snapshot: collect(ls0)}
-	if ack := rpc.upload(ev0); !ack.OK {
+	ev0, snap0 := Evidence{Worker: "w", Lane: ls0.Lane, Stream: ls0.Stream, Records: ls0.Records}, collect(ls0)
+	if ack := rpc.upload(ev0, snap0); !ack.OK {
 		t.Fatalf("clean upload rejected: %s", ack.Err)
 	}
 
 	// The same lane again — the late twin of a re-leased lane — is a
 	// duplicate, rejected like the -merge path rejects a same-stream shard.
-	if ack := rpc.upload(ev0); ack.OK || !strings.Contains(ack.Err, "duplicate") {
+	if ack := rpc.upload(ev0, snap0); ack.OK || !strings.Contains(ack.Err, "duplicate") {
 		t.Fatalf("duplicate upload: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// An upload whose declared stream is another lane's does not match its
 	// lease and is refused before any decoding happens.
 	ls1 := rpc.lease()
-	ev := Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls0.Stream, Records: ls1.Records, Snapshot: collect(ls1)}
-	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "does not match the lease") {
+	ev := Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls0.Stream, Records: ls1.Records}
+	if ack := rpc.upload(ev, collect(ls1)); ack.OK || !strings.Contains(ack.Err, "does not match the lease") {
 		t.Fatalf("mismatched stream: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// A record count differing from the lease is refused.
-	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records - 1, Snapshot: collect(ls1)}
-	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "lease specified") {
+	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records - 1}
+	if ack := rpc.upload(ev, collect(ls1)); ack.OK || !strings.Contains(ack.Err, "lease specified") {
 		t.Fatalf("short count: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// A snapshot whose own stream stamp disagrees with the envelope header
 	// fails pool validation.
 	wrong := Lease{Lane: ls1.Lane, Records: ls1.Records, Stream: job.LaneStream(3)}
-	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records, Snapshot: collect(wrong)}
-	if ack := rpc.upload(ev); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") {
+	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records}
+	if ack := rpc.upload(ev, collect(wrong)); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") {
 		t.Fatalf("stamp mismatch: ok=%v err=%q", ack.OK, ack.Err)
 	}
 
 	// The honest retry of lane 1 still lands.
-	ev = Evidence{Worker: "w", Lane: ls1.Lane, Stream: ls1.Stream, Records: ls1.Records, Snapshot: collect(ls1)}
-	if ack := rpc.upload(ev); !ack.OK {
+	if ack := rpc.upload(ev, collect(ls1)); !ack.OK {
 		t.Fatalf("honest retry rejected: %s", ack.Err)
 	}
 
@@ -269,9 +270,7 @@ func testTKIPRPCRejections(t *testing.T) {
 	}
 
 	ls := rpc.lease()
-	lane := func(snap []byte) Evidence {
-		return Evidence{Worker: "w", Lane: ls.Lane, Stream: ls.Stream, Records: ls.Records, Snapshot: snap}
-	}
+	ev := Evidence{Worker: "w", Lane: ls.Lane, Stream: ls.Stream, Records: ls.Records}
 	bad := []struct {
 		name, want string
 		snap       []byte
@@ -281,11 +280,11 @@ func testTKIPRPCRejections(t *testing.T) {
 		{"another count", "lease specified", collect(model, ls.Stream, ls.Lane, ls.Records-1)},
 	}
 	for _, c := range bad {
-		if ack := rpc.upload(lane(c.snap)); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") || !strings.Contains(ack.Err, c.want) {
+		if ack := rpc.upload(ev, c.snap); ack.OK || !strings.Contains(ack.Err, "snapshot invalid") || !strings.Contains(ack.Err, c.want) {
 			t.Fatalf("%s: ok=%v err=%q, want a %q refusal", c.name, ack.OK, ack.Err, c.want)
 		}
 	}
-	if ack := rpc.upload(lane(collect(model, ls.Stream, ls.Lane, ls.Records))); !ack.OK {
+	if ack := rpc.upload(ev, collect(model, ls.Stream, ls.Lane, ls.Records)); !ack.OK {
 		t.Fatalf("honest lane rejected: %s", ack.Err)
 	}
 	if uploads, rejected, done := coord.Stats(); uploads != 1 || rejected != uint64(len(bad)) || done != 1 {
@@ -311,11 +310,23 @@ func TestJobSpecLanes(t *testing.T) {
 	}
 }
 
-// TestWorstCaseLaneFitsWireBound pins maxMsgBytes to the lane it was sized
+// worstLane reads and rewrites a cookie snapshot's column header; gob
+// matches fields by name, so it stands in for the attack's own type.
+type worstLane struct {
+	Config      cookieattack.Config
+	Fingerprint [16]byte
+	Stream      snapshot.StreamInfo
+	Records     uint64
+	Width       int
+}
+
+// TestWorstCaseLaneFitsWireBound pins maxLaneBytes to the lane it was sized
 // for: a cookieattack.MaxCookieLen cookie lane whose every digraph count
-// and ABSAB weight takes gob's worst case of 9 bytes. Its evidence must
-// reach maxLaneBytes (the worst case is really built) and, as a whole
-// Evidence upload, still be sendable.
+// needs the widest, 8-byte column cell. That lane must be a valid cookie
+// snapshot and fit maxLaneBytes, leaving no more slack than the framing
+// and column-header allowance, so the bound is the layout's own; and it
+// must cross the wire as a two-frame upload whose header fits
+// maxCtrlBytes.
 func TestWorstCaseLaneFitsWireBound(t *testing.T) {
 	secret := strings.Repeat("C", cookieattack.MaxCookieLen)
 	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
@@ -333,56 +344,45 @@ func TestWorstCaseLaneFitsWireBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err := snapshot.Read(bytes.NewReader(snapshotOf(t, a.WriteSnapshot)))
-	if err != nil {
+	var lane worstLane
+	if _, err := snapshot.OpenColumns(snapshotOf(t, a.WriteSnapshot), cookieattack.SnapshotKind, &lane); err != nil {
 		t.Fatal(err)
 	}
-	// Gob matches fields by name, so this struct reads and rewrites the
-	// attack's own snapshot payload.
-	var lane struct {
-		Config      cookieattack.Config
-		Fingerprint [16]byte
-		Stream      snapshot.StreamInfo
-		FM          [][]uint64
-		ABSAB       [][]float64
-		Records     uint64
-	}
-	if err := snapshot.DecodeGob(payload, &lane); err != nil {
-		t.Fatal(err)
-	}
-	if len(lane.FM) != cookieattack.MaxCookieLen+1 {
-		t.Fatalf("lane has %d chain links, want %d", len(lane.FM), cookieattack.MaxCookieLen+1)
-	}
-	// Gob sends a float64 byte-reversed as an unsigned integer, so a
-	// nonzero low mantissa byte makes it a full 9-byte value.
-	worst := math.Float64frombits(0x3ff00000000000ff)
-	for r := range lane.FM {
-		for c := range lane.FM[r] {
-			lane.FM[r][c], lane.ABSAB[r][c] = math.MaxUint64, worst
+	links := cookieattack.MaxCookieLen + 1
+	fm, absab := make([][]uint64, links), make([][]float64, links)
+	for r := range fm {
+		fm[r], absab[r] = make([]uint64, 1<<16), make([]float64, 1<<16)
+		for c := range fm[r] {
+			fm[r][c], absab[r][c] = math.MaxUint64, math.MaxFloat64
 		}
 	}
-	lane.Records = math.MaxUint64
-	var enc, env bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(lane); err != nil {
+	lane.Records, lane.Width = math.MaxUint64, 8
+	var env bytes.Buffer
+	//rc4lint:allow gob test-only stand-in for the registered cookieattack.attackHeader
+	if err := snapshot.WriteColumns(&env, cookieattack.SnapshotKind, lane, lane.Width, fm, absab); err != nil {
 		t.Fatal(err)
 	}
-	if enc.Len() < maxLaneBytes {
-		t.Fatalf("worst-case lane encodes to %d bytes, below maxLaneBytes %d: not the worst case", enc.Len(), maxLaneBytes)
+	if env.Len() > maxLaneBytes {
+		t.Fatalf("worst-case lane is %d bytes, above maxLaneBytes %d", env.Len(), maxLaneBytes)
 	}
-	if err := snapshot.Write(&env, kind, enc.Bytes()); err != nil {
-		t.Fatal(err)
+	if slack := maxLaneBytes - env.Len(); slack > snapshot.MaxFraming+4+snapshot.MaxColumnHeader {
+		t.Fatalf("worst-case lane is %d bytes, %d below maxLaneBytes: not the worst case", env.Len(), slack)
 	}
 	if _, err := cookieattack.ReadSnapshot(bytes.NewReader(env.Bytes())); err != nil {
 		t.Fatalf("worst-case lane is not a valid cookie snapshot: %v", err)
 	}
 	var wire bytes.Buffer
-	ev := Evidence{Worker: "w", Lane: math.MaxUint64, Records: math.MaxUint64, Snapshot: env.Bytes(),
+	ev := Evidence{Worker: "w", Lane: math.MaxUint64, Records: math.MaxUint64,
 		Stream: snapshot.StreamInfo{Mode: "model", Seed: math.MinInt64, Lane: math.MaxUint64}}
-	if err := writeMsg(&wire, kindEvidence, ev); err != nil {
+	if err := writeEvidence(&wire, ev, env.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Len() > maxMsgBytes {
-		t.Fatalf("worst-case upload is %d bytes, bound %d", wire.Len(), maxMsgBytes)
+	if kind, _, err := readMsg(&wire); err != nil || kind != kindEvidence {
+		t.Fatalf("evidence header read back as %q, %v", kind, err)
 	}
-	t.Logf("worst-case upload %d bytes of %d", wire.Len(), maxMsgBytes)
+	got, err := snapshot.ReadFrame(&wire, maxLaneBytes)
+	if err != nil || !bytes.Equal(got, env.Bytes()) {
+		t.Fatalf("lane frame did not cross the wire verbatim: %v", err)
+	}
+	t.Logf("worst-case lane %d bytes of %d", env.Len(), maxLaneBytes)
 }

@@ -32,9 +32,9 @@ type Worker struct {
 	// differs from the job's.
 	Fingerprint [16]byte
 	// Collect captures one leased lane and returns the attack snapshot
-	// envelope bytes (WriteSnapshot output) for upload. An error aborts the
-	// worker; the lane lease then expires server-side and is re-captured
-	// elsewhere.
+	// envelope bytes (WriteSnapshot output), sent verbatim as the upload's
+	// second frame. An error aborts the worker; the lane lease then
+	// expires server-side and is re-captured elsewhere.
 	Collect func(job JobSpec, lease Lease) ([]byte, error)
 	Logf    func(format string, args ...interface{})
 	// Dial overrides the transport (tests); nil means net.Dial("tcp", Addr).
@@ -161,17 +161,16 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 				}
 				return stats, fmt.Errorf("fleet: collecting lane %d: %w", lease.Lane, err)
 			}
-			if err := writeMsg(conn, kindEvidence, Evidence{
-				Worker:   w.ID,
-				Lane:     lease.Lane,
-				Stream:   lease.Stream,
-				Records:  lease.Records,
-				Snapshot: snap,
+			if err := writeEvidence(conn, Evidence{
+				Worker:  w.ID,
+				Lane:    lease.Lane,
+				Stream:  lease.Stream,
+				Records: lease.Records,
 				// Drain piggybacks every finished span (this lane's collect,
 				// plus anything the attack layers recorded) on the upload the
 				// worker already makes — no extra RPC.
 				Spans: w.Tracer.Drain(),
-			}); err != nil {
+			}, snap); err != nil {
 				return stats, err
 			}
 			var ack Ack

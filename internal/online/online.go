@@ -64,10 +64,11 @@ type Evidence interface {
 	// CaptureStream is the identity of the capture stream the evidence
 	// was folded from; a pool of many streams leaves it zero.
 	CaptureStream() *snapshot.StreamInfo
-	// OpenShard decodes snapshot bytes and checks that they were taken
+	// OpenShard opens snapshot bytes and checks that they were taken
 	// under the receiver's configuration. It reads only that
 	// configuration, never the evidence, so it may run while the evidence
-	// changes.
+	// changes. The shard may keep snap until it merges, so the caller
+	// must not modify snap before then.
 	OpenShard(snap []byte) (Shard, error)
 }
 

@@ -15,8 +15,12 @@
 //   - a CRC-64 trailer over the whole envelope, so truncation and bit flips
 //     are detected before any payload reaches a decoder.
 //
-// Payloads themselves are gob-encoded by the owning package; the envelope is
-// deliberately ignorant of their shape.
+// The envelope is deliberately ignorant of its payload's shape. Small
+// payloads (models, manifests, fleet messages) are gob-encoded by the
+// owning package (WriteGob, EncodeGob). Attack evidence is a column
+// payload (columns.go): a small gob header, then the fixed-shape tables as
+// raw little-endian columns that readers add straight into their own
+// tables.
 package snapshot
 
 import (
@@ -56,18 +60,36 @@ const maxKindLen = 256
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
+// fixedLen is the length of an envelope's fixed prefix: magic, version and
+// kind length.
+const fixedLen = MagicLen + 4 + 4
+
+// MaxFraming is the most an envelope adds around its payload: the fixed
+// prefix, the longest kind, the payload length and the CRC-64 trailer.
+const MaxFraming = fixedLen + maxKindLen + 8 + 8
+
+// maxPayload bounds a payload length field; anything longer indicates
+// corruption.
+const maxPayload = 1 << 40
+
+// appendHead appends an envelope's head, everything before the payload.
+func appendHead(b []byte, kind string, payloadLen int) ([]byte, error) {
+	if len(kind) == 0 || len(kind) > maxKindLen {
+		return nil, fmt.Errorf("snapshot: kind length %d out of range [1,%d]", len(kind), maxKindLen)
+	}
+	b = append(b, Magic...)
+	b = binary.BigEndian.AppendUint32(b, Version)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(kind)))
+	b = append(b, kind...)
+	return binary.BigEndian.AppendUint64(b, uint64(payloadLen)), nil
+}
+
 // Write emits one envelope: magic, version, kind, payload, CRC-64 trailer.
 func Write(w io.Writer, kind string, payload []byte) error {
-	if len(kind) == 0 || len(kind) > maxKindLen {
-		return fmt.Errorf("snapshot: kind length %d out of range [1,%d]", len(kind), maxKindLen)
+	header, err := appendHead(make([]byte, 0, MaxFraming), kind, len(payload))
+	if err != nil {
+		return err
 	}
-	header := make([]byte, 0, MagicLen+4+4+len(kind)+8)
-	header = append(header, Magic...)
-	header = binary.BigEndian.AppendUint32(header, Version)
-	header = binary.BigEndian.AppendUint32(header, uint32(len(kind)))
-	header = append(header, kind...)
-	header = binary.BigEndian.AppendUint64(header, uint64(len(payload)))
-
 	crc := crc64.Update(0, crcTable, header)
 	crc = crc64.Update(crc, crcTable, payload)
 
@@ -79,7 +101,7 @@ func Write(w io.Writer, kind string, payload []byte) error {
 	}
 	var trailer [8]byte
 	binary.BigEndian.PutUint64(trailer[:], crc)
-	_, err := w.Write(trailer[:])
+	_, err = w.Write(trailer[:])
 	return err
 }
 
@@ -88,53 +110,116 @@ func Write(w io.Writer, kind string, payload []byte) error {
 // yields ErrNotSnapshot; short streams yield ErrTruncated; a trailer
 // mismatch yields ErrChecksum.
 func Read(r io.Reader) (kind string, payload []byte, err error) {
-	fixed := make([]byte, MagicLen+4+4)
-	if err := readFull(r, fixed); err != nil {
+	head, total, err := readHead(r)
+	if err != nil {
 		return "", nil, err
-	}
-	if string(fixed[:MagicLen]) != Magic {
-		return "", nil, ErrNotSnapshot
-	}
-	version := binary.BigEndian.Uint32(fixed[MagicLen:])
-	if version == 0 || version > Version {
-		return "", nil, fmt.Errorf("snapshot: envelope version %d not supported (this build reads up to version %d)", version, Version)
-	}
-	kindLen := binary.BigEndian.Uint32(fixed[MagicLen+4:])
-	if kindLen == 0 || kindLen > maxKindLen {
-		return "", nil, fmt.Errorf("snapshot: corrupt kind length %d", kindLen)
-	}
-	rest := make([]byte, int(kindLen)+8)
-	if err := readFull(r, rest); err != nil {
-		return "", nil, err
-	}
-	kind = string(rest[:kindLen])
-	payloadLen := binary.BigEndian.Uint64(rest[kindLen:])
-	const maxPayload = 1 << 40
-	if payloadLen > maxPayload {
-		return "", nil, fmt.Errorf("snapshot: corrupt payload length %d", payloadLen)
 	}
 	// Copy incrementally rather than trusting the untrusted length field
 	// with one up-front allocation: a corrupt length on a short file ends
 	// at ErrTruncated with memory bounded by the actual stream size.
-	var payloadBuf bytes.Buffer
-	if n, err := io.CopyN(&payloadBuf, r, int64(payloadLen)); err != nil {
-		if err == io.EOF && n < int64(payloadLen) {
+	env := bytes.NewBuffer(head)
+	if n, err := io.CopyN(env, r, int64(total)-int64(len(head))); err != nil {
+		if err == io.EOF && n < int64(total)-int64(len(head)) {
 			return "", nil, ErrTruncated
 		}
 		return "", nil, err
 	}
-	payload = payloadBuf.Bytes()
-	var trailer [8]byte
-	if err := readFull(r, trailer[:]); err != nil {
+	return Parse(env.Bytes())
+}
+
+// ReadFrame reads one envelope from r and returns its bytes verbatim,
+// checksum unverified, for a reader that hands them on to Parse: the
+// fleet coordinator reads each lane upload this way and its pool's
+// OpenShard verifies it, so the lane is checksummed once. An envelope
+// longer than max is refused from its head alone, before anything is
+// allocated for its payload; one within max is read into one buffer of
+// its exact size.
+func ReadFrame(r io.Reader, max int) ([]byte, error) {
+	head, total, err := readHead(r)
+	if err != nil {
+		return nil, err
+	}
+	if total > uint64(max) {
+		return nil, fmt.Errorf("snapshot: %d-byte envelope exceeds the %d-byte bound", total, max)
+	}
+	env := make([]byte, total)
+	copy(env, head)
+	if err := readFull(r, env[len(head):]); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// readHead reads an envelope's head (magic, version, kind and payload
+// length) and returns it with the envelope's total length.
+func readHead(r io.Reader) (head []byte, total uint64, err error) {
+	head = make([]byte, fixedLen, MaxFraming)
+	if err := readFull(r, head); err != nil {
+		return nil, 0, err
+	}
+	kindLen, err := checkPrefix(head)
+	if err != nil {
+		return nil, 0, err
+	}
+	head = head[:fixedLen+kindLen+8]
+	if err := readFull(r, head[fixedLen:]); err != nil {
+		return nil, 0, err
+	}
+	payloadLen := binary.BigEndian.Uint64(head[len(head)-8:])
+	if payloadLen > maxPayload {
+		return nil, 0, fmt.Errorf("snapshot: corrupt payload length %d", payloadLen)
+	}
+	return head, uint64(len(head)) + payloadLen + 8, nil
+}
+
+// checkPrefix validates an envelope's fixed prefix and returns its kind
+// length.
+func checkPrefix(fixed []byte) (int, error) {
+	if string(fixed[:MagicLen]) != Magic {
+		return 0, ErrNotSnapshot
+	}
+	version := binary.BigEndian.Uint32(fixed[MagicLen:])
+	if version == 0 || version > Version {
+		return 0, fmt.Errorf("snapshot: envelope version %d not supported (this build reads up to version %d)", version, Version)
+	}
+	kindLen := binary.BigEndian.Uint32(fixed[MagicLen+4:])
+	if kindLen == 0 || kindLen > maxKindLen {
+		return 0, fmt.Errorf("snapshot: corrupt kind length %d", kindLen)
+	}
+	return int(kindLen), nil
+}
+
+// Parse verifies the one envelope env holds, as Read does for a stream,
+// and returns its kind and payload. The payload aliases env: nothing is
+// copied, so opening a multi-megabyte upload costs one checksum pass.
+func Parse(env []byte) (kind string, payload []byte, err error) {
+	if len(env) < fixedLen {
+		return "", nil, ErrTruncated
+	}
+	kindLen, err := checkPrefix(env)
+	if err != nil {
 		return "", nil, err
 	}
-	crc := crc64.Update(0, crcTable, fixed)
-	crc = crc64.Update(crc, crcTable, rest)
-	crc = crc64.Update(crc, crcTable, payload)
-	if binary.BigEndian.Uint64(trailer[:]) != crc {
+	if len(env) < fixedLen+kindLen+8 {
+		return "", nil, ErrTruncated
+	}
+	kind = string(env[fixedLen : fixedLen+kindLen])
+	payloadLen := binary.BigEndian.Uint64(env[fixedLen+kindLen:])
+	body := env[fixedLen+kindLen+8:]
+	if payloadLen > maxPayload {
+		return "", nil, fmt.Errorf("snapshot: corrupt payload length %d", payloadLen)
+	}
+	if uint64(len(body)) < payloadLen+8 {
+		return "", nil, ErrTruncated
+	}
+	if extra := uint64(len(body)) - payloadLen - 8; extra != 0 {
+		return "", nil, fmt.Errorf("snapshot: %d stray bytes after the envelope", extra)
+	}
+	end := len(env) - 8
+	if binary.BigEndian.Uint64(env[end:]) != crc64.Checksum(env[:end], crcTable) {
 		return "", nil, ErrChecksum
 	}
-	return kind, payload, nil
+	return kind, body[:payloadLen:payloadLen], nil
 }
 
 func readFull(r io.Reader, buf []byte) error {

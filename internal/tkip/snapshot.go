@@ -1,62 +1,56 @@
 package tkip
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 
+	"rc4break/internal/durable"
 	"rc4break/internal/online"
 	"rc4break/internal/snapshot"
 )
 
 // AttackSnapshotKind tags §5.3 capture-state snapshots inside the shared
-// envelope format.
-const AttackSnapshotKind = "rc4break.tkip.attack.v1"
+// envelope format. Version 2 is a column payload (snapshot.WriteColumns):
+// an attackHeader, then the per-TSC counts. Version 1 gob snapshots are
+// refused with snapshot.ErrOldLayout.
+const AttackSnapshotKind = "rc4break.tkip.attack.v2"
 
-// attackState is the gob payload of an attack snapshot: the attacked
-// positions and per-TSC ciphertext histograms, plus the fingerprint of the
-// model the statistics will be evaluated against, which shard checks
-// before any counter is restored.
-type attackState struct {
+// attackHeader is the gob header of an attack snapshot: the attacked
+// positions, the fingerprint of the model the statistics will be evaluated
+// against, which shard checks before any counter is restored, the frame
+// count and the width of the count cells that follow it.
+type attackHeader struct {
 	ModelFingerprint [16]byte
 	Stream           snapshot.StreamInfo
 	Positions        []int
-	Counts           []uint64
 	Frames           uint64
+	Width            int
 }
 
-func (a *Attack) state() (attackState, error) {
+// header describes the capture state for a snapshot or a merge.
+func (a *Attack) header() (attackHeader, error) {
 	fp, err := a.Model.Fingerprint()
 	if err != nil {
-		return attackState{}, err
+		return attackHeader{}, err
 	}
-	return attackState{
-		ModelFingerprint: fp,
-		Stream:           a.Stream,
-		Positions:        a.Positions,
-		Counts:           a.counts,
-		Frames:           a.Frames,
-	}, nil
+	width := snapshot.CountWidth(a.counts)
+	return attackHeader{ModelFingerprint: fp, Stream: a.Stream, Positions: a.Positions, Frames: a.Frames, Width: width}, nil
 }
 
 // WriteSnapshot persists the capture state as one checksummed envelope.
 func (a *Attack) WriteSnapshot(w io.Writer) error {
-	st, err := a.state()
+	h, err := a.header()
 	if err != nil {
 		return err
 	}
-	return snapshot.WriteGob(w, AttackSnapshotKind, st)
+	return snapshot.WriteColumns(w, AttackSnapshotKind, h, h.Width, [][]uint64{a.counts}, nil)
 }
 
 // WriteSnapshotFile durably persists the capture state at path.
 func (a *Attack) WriteSnapshotFile(path string) error {
-	st, err := a.state()
-	if err != nil {
-		return err
-	}
-	return snapshot.WriteFileGob(path, AttackSnapshotKind, st)
+	return durable.WriteFile(path, a.WriteSnapshot)
 }
 
 // CaptureStream implements online.Evidence.
@@ -67,30 +61,34 @@ func (a *Attack) CaptureStream() *snapshot.StreamInfo { return &a.Stream }
 // through the same check as OpenShard, so the snapshot must have been
 // taken against the same trained model (validated by fingerprint).
 func ReadAttackSnapshot(r io.Reader, model *PerTSCModel) (*Attack, error) {
-	var st attackState
-	if err := snapshot.ReadGob(r, AttackSnapshotKind, &st); err != nil {
+	var h attackHeader
+	cols, err := snapshot.ReadColumns(r, AttackSnapshotKind, &h)
+	if err != nil {
 		return nil, err
 	}
-	a, err := NewAttack(model, st.Positions)
+	a, err := NewAttack(model, h.Positions)
 	if err != nil {
 		return nil, fmt.Errorf("tkip: snapshot positions invalid: %w", err)
 	}
-	sh, err := a.shard(st)
+	sh, err := a.shard(h, cols)
 	if err != nil {
 		return nil, err
 	}
-	a.Stream = st.Stream
+	a.Stream = h.Stream
 	return a, sh.Merge()
 }
 
 // OpenShard implements online.Evidence: snap must hold capture state taken
-// against the receiver's model at the receiver's positions.
+// against the receiver's model at the receiver's positions. The shard
+// keeps snap's columns and adds them into the receiver's counts when
+// merged.
 func (a *Attack) OpenShard(snap []byte) (online.Shard, error) {
-	var st attackState
-	if err := snapshot.ReadGob(bytes.NewReader(snap), AttackSnapshotKind, &st); err != nil {
+	var h attackHeader
+	cols, err := snapshot.OpenColumns(snap, AttackSnapshotKind, &h)
+	if err != nil {
 		return online.Shard{}, err
 	}
-	return a.shard(st)
+	return a.shard(h, cols)
 }
 
 // Merge folds another shard's capture statistics into the receiver. Both
@@ -101,41 +99,51 @@ func (a *Attack) Merge(o *Attack) error {
 	if o == nil {
 		return errors.New("tkip: nil merge source")
 	}
-	st, err := o.state()
+	h, err := o.header()
 	if err != nil {
 		return err
 	}
-	sh, err := a.shard(st)
-	if err != nil {
+	if err := a.check(h); err != nil {
 		return err
 	}
-	return sh.Merge()
+	for i, v := range o.counts {
+		a.counts[i] += v
+	}
+	a.Frames += o.Frames
+	return nil
 }
 
-// shard is the one compatibility check on foreign capture state, behind
+// check is the one compatibility check on foreign capture state, behind
 // resume, -merge and fleet lane uploads: a capture resumed or merged under
 // a different model would silently mix likelihood spaces, and one at other
 // positions would add unrelated counters. It reads only the receiver's
-// configuration; the returned Merge adds st's counters.
-func (a *Attack) shard(st attackState) (online.Shard, error) {
+// configuration.
+func (a *Attack) check(h attackHeader) error {
 	fp, err := a.Model.Fingerprint()
 	if err != nil {
+		return err
+	}
+	if fp != h.ModelFingerprint {
+		return errors.New("tkip: capture state was taken against a different model (fingerprint mismatch)")
+	}
+	if !slices.Equal(h.Positions, a.Positions) {
+		return errors.New("tkip: capture state attacks different positions")
+	}
+	return nil
+}
+
+// shard opens a snapshot's columns after check: they must hold exactly the
+// receiver's count shape. The returned Merge adds them into the receiver.
+func (a *Attack) shard(h attackHeader, cols []byte) (online.Shard, error) {
+	if err := a.check(h); err != nil {
 		return online.Shard{}, err
 	}
-	if fp != st.ModelFingerprint {
-		return online.Shard{}, errors.New("tkip: capture state was taken against a different model (fingerprint mismatch)")
+	if err := snapshot.CheckColumns(cols, h.Width, len(a.counts), 0); err != nil {
+		return online.Shard{}, fmt.Errorf("tkip: snapshot count shape mismatch: %w", err)
 	}
-	if !slices.Equal(st.Positions, a.Positions) {
-		return online.Shard{}, errors.New("tkip: capture state attacks different positions")
-	}
-	if len(st.Counts) != len(a.counts) {
-		return online.Shard{}, errors.New("tkip: snapshot count shape mismatch")
-	}
-	return online.Shard{Stream: st.Stream, Observed: st.Frames, Merge: func() error {
-		for i, v := range st.Counts {
-			a.counts[i] += v
-		}
-		a.Frames += st.Frames
+	return online.Shard{Stream: h.Stream, Observed: h.Frames, Merge: func() error {
+		snapshot.AddCounts(a.counts, cols, h.Width)
+		a.Frames += h.Frames
 		return nil
 	}}, nil
 }

@@ -278,3 +278,44 @@ func benchmarkSimulateCaptures(b *testing.B, workers int) {
 		}
 	}
 }
+
+// attackStateV1 is the gob payload TKIP capture snapshots carried before
+// the column layout, kind rc4break.tkip.attack.v1.
+type attackStateV1 struct {
+	ModelFingerprint [16]byte
+	Stream           snapshot.StreamInfo
+	Positions        []int
+	Counts           []uint64
+	Frames           uint64
+}
+
+// TestAttackSnapshotRefusesV1 pins the v1 decision: a gob snapshot of the
+// old layout is refused with snapshot.ErrOldLayout by ReadAttackSnapshot
+// and by OpenShard, the check behind -resume, -merge and fleet uploads.
+func TestAttackSnapshotRefusesV1(t *testing.T) {
+	model, positions, pt := testModelAndPositions(t)
+	a, err := NewAttack(model, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SimulateCaptures(rand.New(rand.NewSource(4)), pt, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := model.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload, env bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(attackStateV1{ModelFingerprint: fp, Positions: positions, Counts: a.counts, Frames: a.Frames}); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(&env, "rc4break.tkip.attack.v1", payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadAttackSnapshot(bytes.NewReader(env.Bytes()), model); !errors.Is(err, snapshot.ErrOldLayout) {
+		t.Fatalf("ReadAttackSnapshot of a v1 snapshot: want ErrOldLayout, got %v", err)
+	}
+	if _, err := a.OpenShard(env.Bytes()); !errors.Is(err, snapshot.ErrOldLayout) {
+		t.Fatalf("OpenShard of a v1 snapshot: want ErrOldLayout, got %v", err)
+	}
+}

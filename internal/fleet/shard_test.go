@@ -51,8 +51,8 @@ func cookieReceiver(t testing.TB, secret string, records uint64) v2Receiver {
 	if err := lane.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	links := (len(secret) + 1) << 16
-	return v2Receiver{kind: cookieattack.SnapshotKind, pool: pool, lane: buf.Bytes(), counts: links, float: links}
+	cells := (len(secret) + 1) << 16 // chain links × 65,536 digraphs
+	return v2Receiver{kind: cookieattack.SnapshotKind, pool: pool, lane: buf.Bytes(), counts: cells, float: cells}
 }
 
 func tkipReceiver(t testing.TB) v2Receiver {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,33 +142,42 @@ func FuzzOpenShardV2(f *testing.F) {
 }
 
 // TestOpenShardRefusesBeforeAllocating pins the v2 reader's order of
-// checks on a full-size 17-link cookie lane: a crafted count width, a
-// column length off by one cell, or a corrupt header is refused without
-// any allocation near the lane's size — the header is bounded, and the
-// columns are never copied.
+// checks on a full-size 17-link cookie lane: a header declaring a width
+// other than 1, 2, 4 or 8 (with columns of that width), a column length
+// off by one cell, or a corrupt header is refused without any allocation
+// near the lane's size — the header is bounded, and the columns are never
+// copied.
 func TestOpenShardRefusesBeforeAllocating(t *testing.T) {
 	r := cookieReceiver(t, strings.Repeat("C", cookieattack.MaxCookieLen), 1<<20)
 	header, width := r.split(t)
 	exact := width*r.counts + 8*r.float
+	// withWidth is the honest header declaring another count width.
+	withWidth := func(w int) []byte {
+		var h worstLane
+		if err := snapshot.DecodeGob(header, &h); err != nil {
+			t.Fatal(err)
+		}
+		h.Width = w
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(h); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
 	garbled := append([]byte(nil), header...)
 	for i := len(garbled) / 2; i < len(garbled); i++ {
 		garbled[i] = 0xff
 	}
-	cases := []struct {
+	for _, c := range []struct {
 		name string
 		env  []byte
 	}{
-		{"width 3", r.envelope(t, header, 3*r.counts+8*r.float, 1)},
+		{"width 3", r.envelope(t, withWidth(3), 3*r.counts+8*r.float, 1)},
+		{"width 16", r.envelope(t, withWidth(16), 16*r.counts+8*r.float, 1)},
 		{"one cell short", r.envelope(t, header, exact-width, 1)},
 		{"one cell long", r.envelope(t, header, exact+8, 1)},
 		{"garbled header", r.envelope(t, garbled, exact, 1)},
-	}
-	if width != 3 {
-		// The honest width with a width-3 column length is the crafted
-		// width case seen from the other side.
-		cases[0].env = r.envelope(t, header, exact+r.counts, 1)
-	}
-	for _, c := range cases {
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := r.pool.OpenShard(c.env)
@@ -179,8 +189,11 @@ func TestOpenShardRefusesBeforeAllocating(t *testing.T) {
 			t.Fatalf("%s: refusal allocated %d bytes for a %d-byte lane", c.name, alloc, len(c.env))
 		}
 	}
-	// The honest lane opens.
+	// The honest lane, and its header re-encoded unchanged, open.
 	if _, err := r.pool.OpenShard(r.lane); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := r.pool.OpenShard(r.envelope(t, withWidth(width), exact, 1)); err != nil {
+		t.Fatalf("re-encoded honest header refused: %v", err)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"rc4break/internal/cliutil"
@@ -105,18 +106,6 @@ func main() {
 	if *resume != "" {
 		fleetLogf("resumed pool %s: %d observations", *resume, cfg.Pool.Observed())
 	}
-	report := func(res online.Result, err error) {
-		if err == nil {
-			if o, ok := cfg.Oracle.(*tkip.TrailerOracle); ok {
-				fleetLogf("trailer confirmed at rank %d after %d frames; MIC key %x", res.Rank, res.Observed, o.MICKey)
-			} else {
-				fleetLogf("cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)",
-					res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
-			}
-		}
-		writeJSON(*jsonOut, spec.Attack, spec.Mode, res, err)
-	}
-
 	// Latency histograms behind -http: lease-grant-to-upload round trips,
 	// evidence ingest (validate+stage+merge), and closed-loop decode rounds.
 	// The coordinator feeds them through duration hooks on its injected
@@ -184,7 +173,10 @@ func main() {
 		fmt.Printf("[fleet] metrics on http://%s/metrics, spans on /debug/trace\n", hl.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM (a service manager's stop) must flush -checkpoint as Ctrl-C
+	// does: every lane merged since the last decode round lives only in
+	// memory until then.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	res, runErr := coord.Run(ctx)
 
@@ -198,17 +190,25 @@ func main() {
 	fmt.Printf("[fleet] %d lane uploads accepted, %d rejected, %d/%d lanes done\n",
 		uploads, rejected, lanesDone, fj.Lanes())
 	if runErr != nil && !errors.Is(runErr, online.ErrBudgetExhausted) {
-		report(res, runErr)
+		coord.Close()
+		writeJSON(*jsonOut, spec.Attack, spec.Mode, res, runErr)
 		fatal(runErr)
 	}
-	if errors.Is(runErr, online.ErrBudgetExhausted) {
+	switch o, ok := cfg.Oracle.(*tkip.TrailerOracle); {
+	case runErr != nil:
 		fmt.Printf("[fleet] budget exhausted after %d observations without a confirmed candidate\n", res.Observed)
+	case ok:
+		fleetLogf("trailer confirmed at rank %d after %d frames; MIC key %x", res.Rank, res.Observed, o.MICKey)
+	default:
+		fleetLogf("cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)",
+			res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
 	}
-	report(res, runErr)
 
 	// Keep answering straggler workers with stop before closing, so they
 	// exit cleanly instead of on a connection error. Close also ends the
-	// run-level span, so the trace file is written after it.
+	// run-level span, so the trace file is written after it, and waits out
+	// every connection handler, so nothing a straggler logs can follow the
+	// -json line.
 	time.Sleep(*linger)
 	coord.Close()
 	if *traceOut != "" {
@@ -217,6 +217,7 @@ func main() {
 		}
 		fmt.Printf("[fleet] chrome trace -> %s\n", *traceOut)
 	}
+	writeJSON(*jsonOut, spec.Attack, spec.Mode, res, runErr)
 	if runErr != nil {
 		os.Exit(1)
 	}

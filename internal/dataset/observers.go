@@ -352,10 +352,10 @@ func (m *Multi) KeystreamLen() int {
 const ObserverSnapshotKind = "rc4break.dataset.observer.v1"
 
 // Save serializes an observer's concrete value inside the shared snapshot
-// envelope: magic marker, format version, kind, gob payload, and a CRC-64
-// trailer. A file from a future incompatible layout therefore fails with an
-// explicit version message instead of an opaque gob decode error, and
-// truncation or bit flips are caught before the decoder runs. The
+// envelope: magic marker, format version, kind, gob payload, and a 64-bit
+// CRC trailer. A file from a future incompatible layout therefore fails
+// with an explicit version message instead of an opaque gob decode error,
+// and truncation or bit flips are caught before the decoder runs. The
 // cmd/biasgen tool uses this to persist datasets for later analysis by
 // cmd/biastest.
 func Save(w io.Writer, obs Observer) error {

@@ -349,9 +349,12 @@ func (p coordinatorPool) AdvanceTo(target uint64) error {
 }
 
 // mergeStagedLocked merges staged lanes, in lane order, while the pool is
-// below the merge limit.
+// below the merge limit and the run is not over: once Shutdown returns the
+// pool is final, and the caller of Run may read it (fleetd writes its
+// -checkpoint) while an upload that was validated before the stop is
+// still being handled.
 func (c *Coordinator) mergeStagedLocked() {
-	for c.failure == nil && c.cfg.Pool.Observed() < c.mergeLimit {
+	for c.failure == nil && !c.stopped && c.cfg.Pool.Observed() < c.mergeLimit {
 		st, ok := c.staged[c.nextMerge]
 		if !ok {
 			return

@@ -22,7 +22,7 @@
 //     acked lanes are done, everything else was never its responsibility.
 //
 //   - Wire format. Every control message is one internal/snapshot
-//     envelope (length-prefixed, kind-tagged, CRC-64-checksummed) of at
+//     envelope (length-prefixed, kind-tagged, CRC-checksummed) of at
 //     most maxCtrlBytes. A lane upload is two frames: an Evidence header
 //     envelope naming the lane, then the attack's own snapshot envelope —
 //     the exact bytes a -checkpoint file would hold — written verbatim and

@@ -17,9 +17,10 @@ import (
 // themselves complete snapshot envelopes (an attack's WriteSnapshot bytes),
 // so every consumer revalidates the inner envelope's kind, CRC and
 // fingerprint on load — the store adds content addressing on top without
-// reinventing the integrity layer.
+// reinventing the integrity layer. Blob kind v2 is addressed by SHA-256
+// (snapshot.BlobKey); a v1 blob is refused with snapshot.ErrOldLayout.
 const (
-	blobKind     = "rc4break.service.blob.v1"
+	blobKind     = "rc4break.service.blob.v2"
 	manifestKind = "rc4break.service.job.v1"
 )
 
@@ -80,8 +81,8 @@ func (st *Store) GetBlob(key [16]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != blobKind {
-		return nil, fmt.Errorf("service: blob %x holds envelope kind %q", key, kind)
+	if err := snapshot.CheckKind(kind, blobKind); err != nil {
+		return nil, fmt.Errorf("service: blob %x: %w", key, err)
 	}
 	if got := snapshot.BlobKey(blobKind, payload); got != key {
 		return nil, fmt.Errorf("service: blob %x content hashes to %x (store corrupted)", key, got)

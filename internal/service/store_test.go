@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,6 +81,35 @@ func TestStoreGetBlobDetectsMismatchedContent(t *testing.T) {
 	}
 	if _, err := st.GetBlob(key); err == nil {
 		t.Fatal("GetBlob served an envelope of the wrong kind")
+	}
+}
+
+// TestStoreRefusesOldBlobLayout files a blob as earlier builds wrote it, a
+// version-1 (CRC-64) envelope of kind blob.v1 addressed by FNV-1a: GetBlob
+// must report the retired layout, not a corrupted store.
+func TestStoreRefusesOldBlobLayout(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kind = "rc4break.service.blob.v1"
+	payload := []byte("evidence from an earlier build")
+	env := []byte(snapshot.Magic)
+	env = binary.BigEndian.AppendUint32(env, 1)
+	env = binary.BigEndian.AppendUint32(env, uint32(len(kind)))
+	env = append(env, kind...)
+	env = binary.BigEndian.AppendUint64(env, uint64(len(payload)))
+	env = append(env, payload...)
+	env = binary.BigEndian.AppendUint64(env, crc64.Checksum(env, crc64.MakeTable(crc64.ECMA)))
+	key, err := ParseKey("0123456789abcdef0123456789abcdef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.blobPath(key), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.GetBlob(key); !errors.Is(err, snapshot.ErrOldLayout) {
+		t.Fatalf("GetBlob of a blob.v1 blob: want snapshot.ErrOldLayout, got %v", err)
 	}
 }
 

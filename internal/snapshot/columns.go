@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"math/bits"
@@ -24,10 +23,10 @@ import (
 //   - the float cells, row after row, each the 8 little-endian bytes of
 //     its IEEE-754 bits.
 //
-// The envelope's CRC-64 covers all of it. A reader checks the exact column
-// length its own shape implies (CheckColumns) and then adds the cells
-// straight into its tables (AddCounts, AddFloats), so no intermediate
-// table is ever decoded.
+// The envelope's checksum trailer covers all of it. A reader checks the
+// exact column length its own shape implies (CheckColumns) and then adds
+// the cells straight into its tables (AddCounts, AddFloats), so no
+// intermediate table is ever decoded.
 
 // MaxColumnHeader bounds a column payload's gob header. Headers hold a
 // configuration and a stream identity, a few hundred bytes; a longer one
@@ -98,7 +97,7 @@ func WriteColumns(w io.Writer, kind string, header any, width int, counts [][]ui
 	if cw.err != nil {
 		return cw.err
 	}
-	_, err = w.Write(binary.BigEndian.AppendUint64(nil, cw.crc))
+	_, err = w.Write(binary.BigEndian.AppendUint64(nil, cw.crc.sum()))
 	return err
 }
 
@@ -114,18 +113,18 @@ func validWidth(width int) bool {
 	return width == 1 || width == 2 || width == 4 || width == 8
 }
 
-// chunkWriter streams envelope bytes through buf, updating the CRC-64 of
+// chunkWriter streams envelope bytes through buf, updating the checksum of
 // everything it flushes.
 type chunkWriter struct {
 	w   io.Writer
 	buf []byte
-	crc uint64
+	crc checksum
 	err error
 }
 
 func (c *chunkWriter) flush() {
 	if c.err == nil && len(c.buf) > 0 {
-		c.crc = crc64.Update(c.crc, crcTable, c.buf)
+		c.crc = c.crc.update(c.buf)
 		_, c.err = c.w.Write(c.buf)
 	}
 	c.buf = c.buf[:0]
@@ -201,11 +200,8 @@ func ReadColumns(r io.Reader, kind string, header any) ([]byte, error) {
 }
 
 func decodeColumns(got string, payload []byte, kind string, header any) ([]byte, error) {
-	if got != kind {
-		if olderKind(got, kind) {
-			return nil, fmt.Errorf("%w: envelope holds %q, this build reads %q", ErrOldLayout, got, kind)
-		}
-		return nil, fmt.Errorf("snapshot: envelope holds %q, want %q", got, kind)
+	if err := CheckKind(got, kind); err != nil {
+		return nil, err
 	}
 	if len(payload) < 4 {
 		return nil, errors.New("snapshot: column payload has no header")
@@ -218,6 +214,19 @@ func decodeColumns(got string, payload []byte, kind string, header any) ([]byte,
 		return nil, fmt.Errorf("snapshot: column header: %w", err)
 	}
 	return payload[4+n:], nil
+}
+
+// CheckKind reports whether an envelope of kind got may be read as kind
+// want: nil if they are equal, an error wrapping ErrOldLayout if got names
+// an older version of want, and a kind mismatch otherwise.
+func CheckKind(got, want string) error {
+	switch {
+	case got == want:
+		return nil
+	case olderKind(got, want):
+		return fmt.Errorf("%w: envelope holds %q, this build reads %q", ErrOldLayout, got, want)
+	}
+	return fmt.Errorf("snapshot: envelope holds %q, want %q", got, want)
 }
 
 // olderKind reports whether got names an older version of want: the same

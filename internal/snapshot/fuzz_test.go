@@ -7,13 +7,15 @@ import (
 
 // FuzzRead hammers the envelope parser: arbitrary bytes must never panic
 // or allocate past the input's actual size (the incremental payload copy),
-// and any envelope it accepts must re-encode to a parseable envelope.
+// and any envelope it accepts, of either version, must re-encode to a
+// parseable envelope.
 func FuzzRead(f *testing.F) {
 	var valid bytes.Buffer
 	if err := Write(&valid, "rc4break.fuzz.v1", []byte("payload-bytes")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	f.Add(v1Envelope("rc4break.fuzz.v1", []byte("payload-bytes")))
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +93,81 @@ func TestFutureVersionRejectedClearly(t *testing.T) {
 	_, _, err := Read(bytes.NewReader(full))
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want clear version error, got %v", err)
+	}
+}
+
+// TestTrailerKnownAnswers pins each half of the version-2 trailer to its
+// standard check value, the CRC of "123456789": CRC-32C in the high half,
+// CRC-32 (IEEE) in the low half.
+func TestTrailerKnownAnswers(t *testing.T) {
+	c := checksum{}.update([]byte("123456789"))
+	if c.castagnoli != 0xE3069283 || c.ieee != 0xCBF43926 {
+		t.Fatalf("CRC-32C %#x, CRC-32 %#x; want 0xe3069283, 0xcbf43926", c.castagnoli, c.ieee)
+	}
+	if got := (checksum{}).update([]byte("1234")).update([]byte("56789")).sum(); got != 0xE3069283CBF43926 {
+		t.Fatalf("trailer over split input = %#x, want 0xe3069283cbf43926", got)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, "kat", []byte("123456789")); err != nil {
+		t.Fatal(err)
+	}
+	env := buf.Bytes()
+	if v := binary.BigEndian.Uint32(env[MagicLen:]); v != 2 {
+		t.Fatalf("Write emitted version %d, want 2", v)
+	}
+	if got, want := binary.BigEndian.Uint64(env[len(env)-8:]), (checksum{}).update(env[:len(env)-8]).sum(); got != want {
+		t.Fatalf("trailer %#x, want CRC-32C||CRC-32 %#x", got, want)
+	}
+}
+
+// v1Envelope builds a version-1 envelope as earlier builds wrote it: the
+// same head and payload, under a CRC-64 (ECMA) trailer.
+func v1Envelope(kind string, payload []byte) []byte {
+	env := []byte(Magic)
+	env = binary.BigEndian.AppendUint32(env, 1)
+	env = binary.BigEndian.AppendUint32(env, uint32(len(kind)))
+	env = append(env, kind...)
+	env = binary.BigEndian.AppendUint64(env, uint64(len(payload)))
+	env = append(env, payload...)
+	return binary.BigEndian.AppendUint64(env, crc64.Checksum(env, crc64.MakeTable(crc64.ECMA)))
+}
+
+// TestVersion1EnvelopeReads reads a CRC-64 envelope through both readers:
+// models, datasets, manifests and pool files written before version 2
+// must still load.
+func TestVersion1EnvelopeReads(t *testing.T) {
+	payload := []byte("a model trained by an earlier build")
+	env := v1Envelope("old.kind.v1", payload)
+	kind, got, err := Read(bytes.NewReader(env))
+	if err != nil || kind != "old.kind.v1" || !bytes.Equal(got, payload) {
+		t.Fatalf("Read of a v1 envelope: kind %q payload %q err %v", kind, got, err)
+	}
+	if kind, got, err = Parse(env); err != nil || kind != "old.kind.v1" || !bytes.Equal(got, payload) {
+		t.Fatalf("Parse of a v1 envelope: kind %q payload %q err %v", kind, got, err)
+	}
+	env[len(env)-20] ^= 0x04
+	if _, _, err := Parse(env); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped v1 payload: want ErrChecksum, got %v", err)
+	}
+}
+
+// TestVersionFlipCaughtByChecksum relabels each version as the other: the
+// version field is covered by the trailer, so the reader checks the wrong
+// trailer and must refuse the envelope.
+func TestVersionFlipCaughtByChecksum(t *testing.T) {
+	var v2 bytes.Buffer
+	if err := Write(&v2, "flip.kind", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		env []byte
+		to  uint32
+	}{{v2.Bytes(), 1}, {v1Envelope("flip.kind", []byte("payload")), 2}} {
+		env := append([]byte(nil), c.env...)
+		binary.BigEndian.PutUint32(env[MagicLen:], c.to)
+		if _, _, err := Parse(env); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("version relabelled %d: want ErrChecksum, got %v", c.to, err)
+		}
 	}
 }
 
@@ -192,5 +269,15 @@ func TestBlobKeyContentAddressing(t *testing.T) {
 	}
 	if BlobKey("k", nil) == BlobKey("k", []byte{0}) {
 		t.Fatal("empty payload must not alias a zero byte")
+	}
+}
+
+// TestBlobKeyIsTruncatedSHA256 pins the address construction: the first 16
+// bytes of SHA-256 over the 4-byte big-endian kind length, the kind and
+// the payload.
+func TestBlobKeyIsTruncatedSHA256(t *testing.T) {
+	sum := sha256.Sum256([]byte("\x00\x00\x00\x04blobevidence"))
+	if got := BlobKey("blob", []byte("evidence")); !bytes.Equal(got[:], sum[:16]) {
+		t.Fatalf("BlobKey = %x, want %x", got, sum[:16])
 	}
 }

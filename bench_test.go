@@ -340,6 +340,32 @@ func BenchmarkDoubleByteCandidates(b *testing.B) {
 	}
 }
 
+// BenchmarkPairDecode measures the list-Viterbi alone at the cookie job's
+// online depth: 8192 candidates over benchCookieAttack's precomputed
+// likelihoods, decoded between the cookie's real anchor bytes, with one
+// PairDecoder held across decodes as the online runtime holds it.
+// BenchmarkLikelihoodsCookie times the likelihood pass left out here.
+func BenchmarkPairDecode(b *testing.B) {
+	req, _, err := netsim.AlignedRequest("site.com", "auth", "0123456789abcdef", 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt, off := req.Marshal(), req.CookieOffset()
+	attack := benchCookieAttack(b)
+	lks, err := attack.Likelihoods()
+	if err != nil {
+		b.Fatal(err)
+	}
+	charset := httpmodel.CookieCharset()
+	var dec recovery.PairDecoder
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := dec.Decode(lks, pt[off-1], pt[off+16], 1<<13, charset); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTKIPTraining measures the per-TSC model training rate that the
 // §5.1 statistics generation is bound by (the paper spent 10 CPU-years on
 // its 2^32-keys-per-class model).

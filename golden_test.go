@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -31,6 +32,7 @@ var goldenDigests = map[string]string{
 	"capture/tkip.pcap":    "e18da27521386d8ea98958f9c714451b35f9b1c89c7c46c9665989de41cb070f",
 	"envelope":             "e5a3844804a81570207c0741b634902f588deb4756267523f2a52fb3d6767624",
 	"fleet-lane/cookie":    "6aefc99fc47c4c6d8a8984622c5d74e92e15cc4ce8485d46c4736de1253a9f5f",
+	"solorun/cookie/deep":  "69cef337a1bef03112640d2aaf094f0084914787a44b57d781b3dd56fec917df",
 	"solorun/cookie/exact": "7c05dc5c8ea41cba6943f4c9ed13d84e96e1d34bd58851616b4972505caac708",
 	"solorun/cookie/model": "705e764d55da968d0c2e2307a140f04b4ab28ebe824cae7a72dbc2d0adee402e",
 	"solorun/tkip/exact":   "6ee6fbd770ad1300d579b3d547cc25b1292b864f23bc1611f65be935663a6a07",
@@ -38,12 +40,23 @@ var goldenDigests = map[string]string{
 	"tkip-model-16":        "f7fa79aa90642e9b943404577878711a9f8b7d237129fc3c795553c3fe63f720",
 }
 
+// goldenDeepSpec is a model-mode cookie job at full-scale record counts
+// that succeeds deep in its candidate list, so the sampler's means and the
+// list-Viterbi's heap order (ties included) both decide goldenDeepResult.
+// Its evidence is the "solorun/cookie/deep" artifact.
+var goldenDeepSpec = job.Spec{Attack: "cookie", Mode: "model", Seed: 2, Secret: "C00kie",
+	Budget: 9 << 27, FirstDecode: 1 << 27, MaxCandidates: 1 << 13}
+
+var goldenDeepResult = online.Result{
+	Plaintext: []byte("C00kie"), Rank: 264, Observed: 1 << 29, Rounds: 3, Checks: 16477, Skipped: 171,
+}
+
 // TestGoldenDigests pins the exact bytes of small fixed artifacts: a bare
 // envelope, cookie and TKIP SoloRun evidence in model and exact mode, a
 // 16-key TKIP model file, one fleet lane and both capture containers
-// Spec.WriteCapture writes. It runs on amd64 only; the
-// bytes on other architectures (where float rounding may differ) are not
-// checked anywhere.
+// Spec.WriteCapture writes; and the Result of goldenDeepSpec's SoloRun. It
+// runs on amd64 only; the bytes on other architectures (where float
+// rounding may differ) are not checked anywhere.
 func TestGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64 only, not checked on %s", runtime.GOARCH)
@@ -51,6 +64,15 @@ func TestGoldenDigests(t *testing.T) {
 	got, err := goldenArtifacts(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, snap, err := service.SoloRun(goldenDeepSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["solorun/cookie/deep"] = snap
+	res.CaptureTime, res.DecodeTime, res.OracleTime, res.Elapsed = 0, 0, 0, 0
+	if !reflect.DeepEqual(res, goldenDeepResult) {
+		t.Errorf("deep cookie run: %+v, want %+v", res, goldenDeepResult)
 	}
 	var table []string
 	for name, b := range got {
@@ -70,8 +92,8 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// goldenArtifacts builds every artifact TestGoldenDigests pins, writing
-// the capture files under dir.
+// goldenArtifacts builds every artifact TestGoldenDigests pins except
+// goldenDeepSpec's evidence, writing the capture files under dir.
 func goldenArtifacts(dir string) (map[string][]byte, error) {
 	out := map[string][]byte{}
 	var env bytes.Buffer

@@ -364,3 +364,28 @@ func TestFMSamplerAmplifiedBias(t *testing.T) {
 		t.Errorf("amplified cell not visible: %d vs %d", zz, ref)
 	}
 }
+
+// TestFMModelMatchesDistribution pins FMModelAt against FMDistribution at
+// every counter: expanded to a dense table, the model's probabilities are
+// bit-equal to the table's.
+func TestFMModelMatchesDistribution(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		m := FMModelAt(i)
+		dense := make([]float64, 65536)
+		for n := range dense {
+			dense[n] = m.uniform
+		}
+		for _, c := range m.cells {
+			dense[int(c.X)<<8|int(c.Y)] = c.P
+		}
+		want := FMDistribution(i)
+		for n := range want {
+			if math.Float64bits(dense[n]) != math.Float64bits(want[n]) {
+				t.Fatalf("i=%d cell %#04x: model %v, FMDistribution %v", i, n, dense[n], want[n])
+			}
+		}
+	}
+	if FMModelAt(256+7) != FMModelAt(7) {
+		t.Error("counter not taken mod 256")
+	}
+}

@@ -97,7 +97,8 @@ type Attack struct {
 	vbuf    []uint16
 	vlo, vw int
 	Records uint64
-	// Workers bounds the parallelism of SimulateStatistics; 0 means
+	// Workers bounds the parallelism of SimulateStatistics, ObserveRecords
+	// and Likelihoods, which fan out over the chain links; 0 means
 	// GOMAXPROCS. Results are bitwise identical for any value.
 	Workers int
 	// Stream, when set by a capture driver, records which stream the
@@ -500,19 +501,7 @@ func (a *Attack) SimulateStatistics(rng *rand.Rand, truth []byte, nRecords uint6
 func (a *Attack) simulateLink(rng *rand.Rand, r int, pt1, pt2 byte, n float64) {
 	i := (a.cfg.CounterBase + r) % 256
 	// FM histogram: cell (c1,c2) sees keystream digraph (c1⊕pt1, c2⊕pt2).
-	dist := biases.FMDistribution(i)
-	hist := a.fm[r]
-	for c1 := 0; c1 < 256; c1++ {
-		z1 := c1 ^ int(pt1)
-		for c2 := 0; c2 < 256; c2++ {
-			mean := n * dist[z1*256+(c2^int(pt2))]
-			v := mean + math.Sqrt(mean)*rng.NormFloat64()
-			if v < 0 {
-				v = 0
-			}
-			hist[c1*256+c2] += uint64(v + 0.5)
-		}
-	}
+	biases.FMModelAt(i).SampleHistogram(rng, a.fm[r], pt1, pt2, n)
 	// ABSAB: aggregate hit weight on the true cell, aggregate miss
 	// noise across all cells.
 	var hitW, missMean, missVar float64

@@ -31,19 +31,8 @@ func simulatePairEvidence(rng *rand.Rand, mode PairRecoveryMode, truth1, truth2 
 	lk := new(recovery.PairLikelihoods)
 
 	if mode == ModeFMOnly || mode == ModeCombined {
-		dist := biases.FMDistribution(i)
 		hist := make([]uint64, 65536)
-		for c1 := 0; c1 < 256; c1++ {
-			z1 := c1 ^ int(truth1)
-			for c2 := 0; c2 < 256; c2++ {
-				mean := nf * dist[z1*256+(c2^int(truth2))]
-				v := mean + math.Sqrt(mean)*rng.NormFloat64()
-				if v < 0 {
-					v = 0
-				}
-				hist[c1*256+c2] = uint64(v + 0.5)
-			}
-		}
+		biases.FMModelAt(i).SampleHistogram(rng, hist, truth1, truth2, nf)
 		fm, err := recovery.FMPairLikelihoods(hist, i)
 		if err == nil {
 			lk.Add(fm)

@@ -303,7 +303,7 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 					fh = append(fh, frontier{score: e.score + lk.At(pv, v), pv: pv, idx: 0})
 				}
 			}
-			heap.Init(&fh)
+			fh.init()
 			nd.list, nd.fh, nd.popped = nd.list[:0], fh, false
 		}
 	}
@@ -359,7 +359,7 @@ func (d *PairDecoder) at(lks []*PairLikelihoods, r int, v byte, k int) (entry2, 
 				pv:    top.pv,
 				idx:   top.idx + 1,
 			}
-			heap.Fix(&fh, 0)
+			fh.down(0)
 		} else {
 			// Inline heap.Pop without the interface boxing (the popped
 			// frontier is discarded): same comparisons, same heap order.
@@ -367,7 +367,7 @@ func (d *PairDecoder) at(lks []*PairLikelihoods, r int, v byte, k int) (entry2, 
 			fh[0] = fh[last]
 			fh = fh[:last]
 			if last > 1 {
-				heap.Fix(&fh, 0)
+				fh.down(0)
 			}
 		}
 	}
@@ -395,18 +395,34 @@ type frontier struct {
 	idx   uint32
 }
 
+// frontierHeap is a max-heap on score. Its init and down are
+// container/heap's Init and down on the concrete type, without interface
+// calls: the same sift, so the same order, ties included. heap.Fix(h, 0)
+// is down(0) alone, because up(0) never moves.
 type frontierHeap []frontier
 
-func (h frontierHeap) Len() int            { return len(h) }
-func (h frontierHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h frontierHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x interface{}) { *h = append(*h, x.(frontier)) }
-func (h *frontierHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h frontierHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h frontierHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].score > h[j].score {
+			j = j2 // right child
+		}
+		if !(h[j].score > h[i].score) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // ScoreSequence computes the total log-likelihood of a full plaintext under

@@ -213,14 +213,17 @@ func (a *Attack) SimulateCaptures(rng *rand.Rand, pt []byte, n uint64) error {
 		seeds[class] = rng.Int63()
 	}
 	perClass := float64(n) / 256
+	m := a.Model
+	den := float64(m.Keys + 256)
 	err := dataset.ForShards(a.Workers, 256, func(class int) error {
 		crng := rand.New(rand.NewSource(seeds[class]))
 		base := class * len(a.Positions) * 256
 		for pi, pos := range a.Positions {
-			dist := a.Model.Distribution(byte(class), pos)
+			// Model.Distribution(class, pos), read in place.
+			counts := m.Counts[class*m.Positions*256+(pos-1)*256:][:256]
 			row := a.counts[base+pi*256 : base+pi*256+256]
 			for z := 0; z < 256; z++ {
-				mean := perClass * dist[z]
+				mean := perClass * ((float64(counts[z]) + 1) / den)
 				v := mean + math.Sqrt(mean)*crng.NormFloat64()
 				if v < 0 {
 					v = 0

@@ -280,3 +280,32 @@ func TestCheckpointedMatchesCaptureTo(t *testing.T) {
 		}
 	}
 }
+
+// TestExactTKIPGranulesMatchOneCall pins batched exact TKIP capture across
+// granule ends that fall inside rc4.MultiLanes lane groups and inside
+// netsim.BatchFrames batches: 1000-frame granules on two workers fold the
+// same evidence bytes as one CaptureTo on one worker.
+func TestExactTKIPGranulesMatchOneCall(t *testing.T) {
+	const target = 2*netsim.BatchFrames + 809
+	model, err := LoadOrTrainModel("", 8, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func(chunk uint64, workers int) []byte {
+		rt, err := New(Spec{Attack: "tkip", Mode: "exact", Model: model, CaptureChunk: chunk, Workers: workers}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.CaptureTo(target); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := rt.Evidence()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	if !bytes.Equal(capture(1000, 2), capture(0, 1)) {
+		t.Fatal("1000-frame granules fold different evidence than one CaptureTo")
+	}
+}

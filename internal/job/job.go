@@ -43,7 +43,6 @@ import (
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
-	"rc4break/internal/rc4"
 	"rc4break/internal/snapshot"
 	"rc4break/internal/tkip"
 	"rc4break/internal/tlsrec"
@@ -395,6 +394,7 @@ func (s Spec) WriteCapture(ctx context.Context, path string, n uint64) (int64, e
 		}
 	case "tkip":
 		victim := TKIPVictim()
+		victim.Workers = s.Workers
 		link = trace.LinkTypeRadiotap
 		open = func(pw trace.PacketWriter) (func(uint64) error, error) {
 			fw, err := netsim.NewFrameWriter(pw, link, victim.Session)
@@ -485,6 +485,7 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 		return nil, errors.New("job: tkip jobs need a trained model")
 	}
 	victim := TKIPVictim()
+	victim.Workers = s.Workers
 	session := victim.Session
 	attack, err := tkip.NewAttack(s.Model, TKIPTrailer())
 	if err != nil {
@@ -514,13 +515,24 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 	}
 	rt.exactFrom = func(skip uint64) (func(uint64) error, error) {
 		victim.Skip(skip) // frames are independently keyed by TSC: O(1)
-		// The victim's transmissions go through the §5.4 length and TSC
-		// filter and the batched fold pcap ingest uses.
+		// The victim's transmissions, generated netsim.BatchFrames at a
+		// time, go one by one through the §5.4 length and TSC filter and
+		// the batched fold pcap ingest uses.
 		c := &tkip.TraceCollector{Attack: attack, WantLen: victim.FrameLen()}
+		frames := make([]tkip.Frame, netsim.BatchFrames)
+		bodies := make([]byte, netsim.BatchFrames*victim.FrameLen())
 		return func(target uint64) error {
 			defer func() { st = c.Stats }()
 			for c.Max, c.Ctx = target-skip, rt.ctx; !c.Done(); {
-				c.Offer(victim.Transmit())
+				// A batch ends at the range's end; frames left unoffered
+				// by a stop go back to the victim.
+				n := min(c.Max-c.Stats.Matched, netsim.BatchFrames)
+				victim.TransmitBatch(frames[:n], bodies[:n*uint64(victim.FrameLen())])
+				k := uint64(0)
+				for ; k < n && !c.Done(); k++ {
+					c.Offer(frames[k])
+				}
+				victim.Rewind(n - k)
 			}
 			c.Flush()
 			return nil
@@ -529,12 +541,8 @@ func (s Spec) buildTKIP() (*Runtime, error) {
 	return rt, nil
 }
 
-// TrueTrailer decrypts one encapsulation with the real key to obtain the
-// plaintext MIC‖ICV of msdu, which model-mode capture feeds the sampler.
+// TrueTrailer is the plaintext MIC‖ICV every frame carrying msdu ends in,
+// which model-mode capture feeds the sampler.
 func TrueTrailer(s *tkip.Session, msdu []byte) []byte {
-	f := s.Encapsulate(msdu, 0)
-	key := tkip.MixKey(s.TK, s.TA, 0)
-	plain := make([]byte, len(f.Body))
-	rc4.MustNew(key[:]).XORKeyStream(plain, f.Body)
-	return plain[len(msdu):]
+	return s.Plaintext(msdu)[len(msdu):]
 }

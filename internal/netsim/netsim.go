@@ -10,14 +10,26 @@
 // bytes a live capture would provide (encrypted frame bodies plus cleartext
 // TSC; TLS record ciphertext), and the simulator produces those
 // byte-identically via the real tkip and tlsrec encapsulation paths.
+//
+// The Wi-Fi victim has two transmit paths with one output. Transmit runs
+// tkip.Session.Encapsulate per frame and is the protocol reference: the
+// forgery check and the tests decrypt against it. TransmitBatch is the
+// capture generator the exact-mode drivers use: it keys rc4.MultiLanes
+// frames at a time through the batched KSA, fanned over workers, and
+// TestTransmitBatchMatchesTransmit pins every frame it writes to
+// Transmit's.
 package netsim
 
 import (
+	"crypto/subtle"
 	"errors"
+	"runtime"
 
+	"rc4break/internal/dataset"
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/michael"
 	"rc4break/internal/packet"
+	"rc4break/internal/rc4"
 	"rc4break/internal/tkip"
 	"rc4break/internal/tlsrec"
 )
@@ -43,7 +55,12 @@ const (
 type WiFiVictim struct {
 	Session *tkip.Session
 	MSDU    []byte
+	// Workers bounds the goroutines TransmitBatch keys frames on (0 =
+	// GOMAXPROCS). Frame bytes do not depend on it.
+	Workers int
 	next    uint64
+	// shards holds TransmitBatch's per-worker state, reused across calls.
+	shards []*txShard
 }
 
 // NewWiFiVictim builds the victim with the paper's preferred packet shape:
@@ -81,9 +98,8 @@ func NewWiFiVictim(s *tkip.Session, payload []byte) *WiFiVictim {
 // key) while TSC1 stays 0 and TSC0 cycles, so captures stay inside the
 // trained per-TSC class space.
 func (v *WiFiVictim) Transmit() tkip.Frame {
-	i := v.next
+	tsc := victimTSC(v.next)
 	v.next++
-	tsc := tkip.TSC(i<<16 | i&0xff)
 	return v.Session.Encapsulate(v.MSDU, tsc)
 }
 
@@ -98,6 +114,106 @@ func (v *WiFiVictim) FrameLen() int { return len(v.MSDU) + tkip.TrailerSize }
 // already holds; the subsequent Transmit stream is byte-identical to an
 // uninterrupted victim's.
 func (v *WiFiVictim) Skip(n uint64) { v.next += n }
+
+// victimTSC is the TSC of the victim's transmission i: the full counter
+// increments while TSC1 stays 0 and TSC0 cycles.
+func victimTSC(i uint64) tkip.TSC { return tkip.TSC(i<<16 | i&0xff) }
+
+// BatchFrames is how many frames the capture drivers transmit per
+// TransmitBatch call: enough lane groups to amortize the per-call
+// plaintext, AES key schedule and worker fan-out, while the ~240 KB of
+// bodies stays cache-resident until the collector copies them out.
+const BatchFrames = 4096
+
+// TransmitBatch is len(frames) Transmit calls in one: it writes the
+// victim's next len(frames) frames into frames, their bodies into the
+// caller's flat buffer bodies (len(frames)·FrameLen bytes, frame k's at
+// k·FrameLen), and advances the victim by exactly len(frames). The
+// plaintext and TK's AES key schedule are built once per call; the
+// per-frame RC4 keys run rc4.MultiLanes at a time through the batched KSA,
+// with lane groups split over Workers goroutines. Every frame equals the
+// corresponding Transmit's bit for bit.
+func (v *WiFiVictim) TransmitBatch(frames []tkip.Frame, bodies []byte) {
+	n, flen := len(frames), v.FrameLen()
+	if len(bodies) != n*flen {
+		panic("netsim: TransmitBatch body buffer is not len(frames)·FrameLen bytes")
+	}
+	first := v.next
+	v.next += uint64(n)
+	plain := v.Session.Plaintext(v.MSDU)
+	mixer := tkip.NewMixer(v.Session.TK, v.Session.TA)
+	groups := (n + rc4.MultiLanes - 1) / rc4.MultiLanes
+	shards := v.Workers
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	shards = min(shards, groups)
+	for len(v.shards) < shards {
+		v.shards = append(v.shards, newTxShard())
+	}
+	// Shard sh owns a contiguous run of lane groups and its own scratch;
+	// frames are independent, so the split cannot change a byte.
+	_ = dataset.ForShards(shards, shards, func(sh int) error {
+		for g := groups * sh / shards; g < groups*(sh+1)/shards; g++ {
+			lo, hi := g*rc4.MultiLanes, min((g+1)*rc4.MultiLanes, n)
+			v.shards[sh].encrypt(mixer, plain, first+uint64(lo), frames[lo:hi], bodies[lo*flen:hi*flen])
+		}
+		return nil
+	})
+}
+
+// Rewind moves the victim back n transmissions: a capture loop that stops
+// part-way through a TransmitBatch gives back the frames it did not offer,
+// so the victim's position stays the count of frames offered.
+func (v *WiFiVictim) Rewind(n uint64) { v.next -= n }
+
+// txShard is one TransmitBatch worker's reused state: the batched cipher,
+// its keys, and the keystream destinations.
+type txShard struct {
+	mc   rc4.MultiCipher
+	keys [rc4.MultiLanes][16]byte
+	keyv [][]byte // keyv[l] is keys[l][:]
+	dsts [][]byte
+	pad  []byte // the destination of lanes past a short tail group
+}
+
+func newTxShard() *txShard {
+	st := &txShard{keyv: make([][]byte, rc4.MultiLanes), dsts: make([][]byte, rc4.MultiLanes)}
+	for l := range st.keyv {
+		st.keyv[l] = st.keys[l][:]
+	}
+	return st
+}
+
+// encrypt builds up to rc4.MultiLanes consecutive frames, the first being
+// transmission first: one batched KSA over their per-packet keys, one
+// keystream pass written straight into the bodies, then the plaintext
+// XORed in. Lanes past len(frames) rekey with frame 0's key and write
+// their keystream to a discarded pad row.
+func (st *txShard) encrypt(m *tkip.Mixer, plain []byte, first uint64, frames []tkip.Frame, bodies []byte) {
+	flen := len(plain)
+	if len(st.pad) != flen {
+		st.pad = make([]byte, flen)
+	}
+	for l := range rc4.MultiLanes {
+		if l >= len(frames) {
+			st.keys[l], st.dsts[l] = st.keys[0], st.pad
+			continue
+		}
+		tsc := victimTSC(first + uint64(l))
+		m.Mix(&st.keys[l], tsc)
+		body := bodies[l*flen : (l+1)*flen : (l+1)*flen]
+		frames[l] = tkip.Frame{TSC: tsc, Body: body}
+		st.dsts[l] = body
+	}
+	if err := st.mc.Rekey(st.keyv); err != nil {
+		panic("netsim: impossible TKIP key error: " + err.Error())
+	}
+	st.mc.Keystream(st.dsts)
+	for _, f := range frames {
+		subtle.XORBytes(f.Body, f.Body, plain)
+	}
+}
 
 // Sniffer filters captured frames by the injected packet's unique length
 // and de-duplicates retransmissions of the same TSC (§5.4). Its seen-set

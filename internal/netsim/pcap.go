@@ -21,15 +21,23 @@ func NewFrameWriter(w trace.PacketWriter, linkType uint32, s *tkip.Session) (*tr
 }
 
 // WriteTrace transmits the victim's next n frames into a capture instead
-// of the in-process sniffer. The victim's TSC sequence advances exactly as
-// n Transmit calls would, so a capture written here and a direct capture
-// of the same stream hold identical frames.
+// of the in-process sniffer, BatchFrames at a time through TransmitBatch.
+// The victim's TSC sequence advances exactly as n Transmit calls would, so
+// a capture written here and a direct capture of the same stream hold
+// identical frames.
 func (v *WiFiVictim) WriteTrace(fw *trace.FrameWriter, n uint64) error {
-	for i := uint64(0); i < n; i++ {
-		f := v.Transmit()
-		if err := fw.WriteFrame(uint64(f.TSC), f.Body); err != nil {
-			return err
+	size := min(n, BatchFrames)
+	frames := make([]tkip.Frame, size)
+	bodies := make([]byte, int(size)*v.FrameLen())
+	for n > 0 {
+		k := min(n, size)
+		v.TransmitBatch(frames[:k], bodies[:int(k)*v.FrameLen()])
+		for _, f := range frames[:k] {
+			if err := fw.WriteFrame(uint64(f.TSC), f.Body); err != nil {
+				return err
+			}
 		}
+		n -= k
 	}
 	return nil
 }

@@ -40,10 +40,7 @@ const laneGroup = 4
 // so lanes batch the same way.
 func (m *MultiCipher) ksa() {
 	for l := 0; l < MultiLanes; l++ {
-		blk := m.s[l*StateSize : l*StateSize+StateSize]
-		for p := range blk {
-			blk[p] = byte(p)
-		}
+		copy(m.s[l*StateSize:], identity[:])
 	}
 	for l0 := 0; l0 < MultiLanes; l0 += laneGroup {
 		m.ksaLanes(l0)

@@ -71,15 +71,22 @@ func (c *Cipher) Rekey(key []byte) error {
 	return nil
 }
 
+// identity is the KSA's starting permutation, S[n] = n, copied into every
+// state a key schedule starts from.
+var identity = func() (t [StateSize]byte) {
+	for n := range t {
+		t[n] = byte(n)
+	}
+	return t
+}()
+
 // ksa runs the Key Scheduling Algorithm. The key is first tiled into a
 // 256-byte buffer so the mixing loop indexes it linearly — no n%len(key)
 // division on the hot path, which is measurable at engine scale where every
 // generated keystream pays one KSA.
 func (c *Cipher) ksa(key []byte) {
 	s := &c.s
-	for n := 0; n < StateSize; n++ {
-		s[n] = byte(n)
-	}
+	*s = identity
 	var kbuf [StateSize]byte
 	for n := 0; n < StateSize; n += len(key) {
 		copy(kbuf[n:], key)

@@ -16,6 +16,7 @@ package tkip
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 
@@ -45,16 +46,36 @@ func (t TSC) PublicKeyBytes() (k0, k1, k2 byte) {
 // AES-based PRF of (TA, TSC) under TK — the uniform-random model of §2.2 —
 // and bytes 0..2 follow the mandated TSC structure.
 func MixKey(tk [16]byte, ta [6]byte, tsc TSC) [16]byte {
+	var key [16]byte
+	NewMixer(tk, ta).Mix(&key, tsc)
+	return key
+}
+
+// Mixer is MixKey with TK's AES key schedule expanded once, for callers that
+// key many frames under one session. Mix is safe for concurrent use.
+type Mixer struct {
+	block cipher.Block
+	ta    [6]byte
+}
+
+// NewMixer expands tk for MixKey's PRF.
+func NewMixer(tk [16]byte, ta [6]byte) *Mixer {
 	block, err := aes.NewCipher(tk[:])
 	if err != nil {
 		panic("tkip: impossible AES key error: " + err.Error())
 	}
-	var in, out [16]byte
-	copy(in[:6], ta[:])
-	binary.BigEndian.PutUint64(in[6:14], uint64(tsc))
-	block.Encrypt(out[:], in[:])
-	out[0], out[1], out[2] = tsc.PublicKeyBytes()
-	return out
+	return &Mixer{block: block, ta: ta}
+}
+
+// Mix writes the per-packet key for tsc to key: MixKey(tk, ta, tsc), bit for
+// bit. The PRF block is encrypted in place, so mixing into caller-owned
+// memory allocates nothing.
+func (m *Mixer) Mix(key *[16]byte, tsc TSC) {
+	*key = [16]byte{}
+	copy(key[:6], m.ta[:])
+	binary.BigEndian.PutUint64(key[6:14], uint64(tsc))
+	m.block.Encrypt(key[:], key[:])
+	key[0], key[1], key[2] = tsc.PublicKeyBytes()
 }
 
 // Session holds the keys of one TKIP direction (AP to client or reverse).
@@ -83,17 +104,22 @@ func (s *Session) micMessage(msdu []byte) []byte {
 	return append(hdr[:], msdu...)
 }
 
-// Encapsulate builds the encrypted frame for msdu at the given TSC:
-// append MIC and ICV, then RC4-encrypt under the mixed per-packet key
-// (Figure 2).
-func (s *Session) Encapsulate(msdu []byte, tsc TSC) Frame {
+// Plaintext is the body of every frame carrying msdu before encryption:
+// MSDU ‖ MIC ‖ ICV. It does not depend on the TSC.
+func (s *Session) Plaintext(msdu []byte) []byte {
 	mic := michael.Sum(s.MICKey, s.micMessage(msdu))
 	plain := make([]byte, 0, len(msdu)+TrailerSize)
 	plain = append(plain, msdu...)
 	plain = append(plain, mic[:]...)
 	icv := checksum.ICV(plain)
-	plain = append(plain, icv[:]...)
+	return append(plain, icv[:]...)
+}
 
+// Encapsulate builds the encrypted frame for msdu at the given TSC:
+// append MIC and ICV, then RC4-encrypt under the mixed per-packet key
+// (Figure 2).
+func (s *Session) Encapsulate(msdu []byte, tsc TSC) Frame {
+	plain := s.Plaintext(msdu)
 	key := MixKey(s.TK, s.TA, tsc)
 	c := rc4.MustNew(key[:])
 	c.XORKeyStream(plain, plain)

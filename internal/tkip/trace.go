@@ -91,9 +91,13 @@ type TraceCollector struct {
 
 	stopped  bool
 	accepted uint64
-	seen     map[TSC]struct{}
-	order    []TSC
+	// The dedup window: seen holds the remembered TSCs in acceptance
+	// order (a FIFO ring once dedupWindow long, next its oldest entry),
+	// and slots indexes them (see dup).
+	seen     []TSC
 	next     int
+	slots    []TSC
+	seenZero bool
 
 	// In-range frames are copied (the reader reuses its packet buffer
 	// across records, so the body view dies with the loop iteration) into
@@ -207,23 +211,83 @@ func (c *TraceCollector) Flush() {
 	c.stopped = c.Ctx != nil && c.Ctx.Err() != nil
 }
 
+// dedupSlotBits sizes the dedup index at 2^17 slots, twice the window, so
+// linear probes stay short at load factor 1/2.
+const (
+	dedupSlotBits = 17
+	dedupSlotMask = 1<<dedupSlotBits - 1
+)
+
 // dup reports whether the TSC was accepted recently, remembering it
-// otherwise. The window is a ring over a membership set.
+// otherwise. The window is the ring seen over an open-addressed,
+// linearly probed set in slots: 0 marks an empty slot (TSC 0 itself is
+// the flag seenZero), and a delete shifts the rest of its probe run back,
+// so the table never fills with tombstones however long the capture.
 func (c *TraceCollector) dup(t TSC) bool {
-	if c.seen == nil {
-		c.seen = make(map[TSC]struct{}, dedupWindow)
-		c.order = make([]TSC, dedupWindow)
+	if c.slots == nil {
+		c.seen = make([]TSC, 0, dedupWindow)
+		c.slots = make([]TSC, 1<<dedupSlotBits)
 	}
-	if _, dup := c.seen[t]; dup {
+	if c.has(t) {
 		return true
 	}
-	if len(c.seen) == dedupWindow {
-		delete(c.seen, c.order[c.next])
+	if len(c.seen) < dedupWindow {
+		c.seen = append(c.seen, t)
+	} else {
+		c.forget(c.seen[c.next])
+		c.seen[c.next] = t
+		c.next = (c.next + 1) % dedupWindow
 	}
-	c.seen[t] = struct{}{}
-	c.order[c.next] = t
-	c.next = (c.next + 1) % dedupWindow
+	if t == 0 {
+		c.seenZero = true
+		return false
+	}
+	i := dedupSlot(t)
+	for c.slots[i] != 0 {
+		i = (i + 1) & dedupSlotMask
+	}
+	c.slots[i] = t
 	return false
+}
+
+// dedupSlot is t's home slot: the top bits of a Fibonacci hash, which
+// spreads the victim's sparse i<<16 | i&0xff TSCs evenly.
+func dedupSlot(t TSC) int {
+	return int(uint64(t) * 0x9E3779B97F4A7C15 >> (64 - dedupSlotBits))
+}
+
+// has reports whether t is in the window.
+func (c *TraceCollector) has(t TSC) bool {
+	if t == 0 {
+		return c.seenZero
+	}
+	for i := dedupSlot(t); c.slots[i] != 0; i = (i + 1) & dedupSlotMask {
+		if c.slots[i] == t {
+			return true
+		}
+	}
+	return false
+}
+
+// forget removes t, which must be in the window, and shifts back every
+// later entry of its probe run that may fill the hole: one whose probe
+// distance from its home slot reaches back to the hole.
+func (c *TraceCollector) forget(t TSC) {
+	if t == 0 {
+		c.seenZero = false
+		return
+	}
+	hole := dedupSlot(t)
+	for c.slots[hole] != t {
+		hole = (hole + 1) & dedupSlotMask
+	}
+	for j := (hole + 1) & dedupSlotMask; c.slots[j] != 0; j = (j + 1) & dedupSlotMask {
+		if (j-dedupSlot(c.slots[j]))&dedupSlotMask >= (j-hole)&dedupSlotMask {
+			c.slots[hole] = c.slots[j]
+			hole = j
+		}
+	}
+	c.slots[hole] = 0
 }
 
 // CollectTraceReaders ingests a sequence of capture streams (one reader

@@ -18,6 +18,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 
 	"rc4break/internal/rc4"
 )
@@ -77,14 +78,17 @@ func DeriveKeys(master []byte, clientRandom, serverRandom [32]byte) (client, ser
 // state persists across records for the lifetime of the connection.
 type Conn struct {
 	cipher *rc4.Cipher
-	macKey [MACSize]byte
-	seq    uint64
+	// mac is HMAC-SHA1 keyed once with the connection's MAC key and reset
+	// per record; sum receives each record's MAC.
+	mac hash.Hash
+	sum [MACSize]byte
+	seq uint64
 }
 
 // NewConn creates a sending or receiving record stream from a key block.
 // RC4 is keyed once; none of the initial keystream is discarded (§2.3).
 func NewConn(kb KeyBlock) *Conn {
-	return &Conn{cipher: rc4.MustNew(kb.Key[:]), macKey: kb.MACKey}
+	return &Conn{cipher: rc4.MustNew(kb.Key[:]), mac: hmac.New(sha1.New, kb.MACKey[:])}
 }
 
 // Seal encrypts one application-data record containing payload and returns
@@ -136,9 +140,11 @@ func (c *Conn) Open(rec []byte) ([]byte, error) {
 }
 
 // computeMAC is the TLS record MAC: HMAC-SHA1 over sequence number, type,
-// version, length and payload.
+// version, length and payload. The result is c.sum, valid until the next
+// record.
 func (c *Conn) computeMAC(typ byte, payload []byte) []byte {
-	h := hmac.New(sha1.New, c.macKey[:])
+	h := c.mac
+	h.Reset()
 	var pre [13]byte
 	binary.BigEndian.PutUint64(pre[0:8], c.seq)
 	pre[8] = typ
@@ -146,7 +152,7 @@ func (c *Conn) computeMAC(typ byte, payload []byte) []byte {
 	binary.BigEndian.PutUint16(pre[11:13], uint16(len(payload)))
 	h.Write(pre[:])
 	h.Write(payload)
-	return h.Sum(nil)
+	return h.Sum(c.sum[:0])
 }
 
 // Seq reports how many records have been processed — used by attack code

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -266,6 +267,75 @@ func compareResults(t *testing.T, got, want cliutil.RunResult) {
 			got.Success, got.Rank, got.Plaintext, got.Observations,
 			want.Success, want.Rank, want.Plaintext, want.Observations)
 	}
+}
+
+// TestFlagSurface pins the command's flags as -h lists them: every name,
+// its type and its default. Usage text may change; these may not.
+func TestFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	want := []flagRow{
+		{"candidates", "int", ""},
+		{"capture-chunk", "uint", ""},
+		{"checkpoint", "string", ""},
+		{"ciphertexts", "uint", `1207959552`},
+		{"collect-only", "bool", ""},
+		{"decode-every", "uint", ""},
+		{"first-decode", "uint", ""},
+		{"fleet-worker", "string", ""},
+		{"json", "bool", ""},
+		{"merge", "string", ""},
+		{"mode", "string", `"model"`},
+		{"online", "bool", ""},
+		{"pcap", "string", ""},
+		{"resume", "string", ""},
+		{"secret", "string", `"Secur3C00kieVal+"`},
+		{"seed", "int", `1`},
+		{"worker-id", "string", ""},
+		{"workers", "int", ""},
+		{"write-pcap", "string", ""},
+	}
+	got := helpFlags(t, buildCLI(t))
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags from -h:\n%v\nwant (19 flags):\n%v", got, want)
+	}
+}
+
+// flagRow is one flag as -h lists it. A bool prints no type, and a zero
+// default prints none.
+type flagRow struct{ name, typ, def string }
+
+// helpFlags parses bin -h: each "  -name type" line starts a flag, and its
+// usage text's last line may end in " (default X)", a string's default
+// quoted (so usage prose such as "(default hostname-pid)" is not taken).
+func helpFlags(t *testing.T, bin string) []flagRow {
+	t.Helper()
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	var rows []flagRow
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			f := strings.Fields(line)
+			row := flagRow{name: f[0][1:], typ: "bool"}
+			if len(f) > 1 {
+				row.typ = f[1]
+			}
+			rows = append(rows, row)
+			continue
+		}
+		i := strings.LastIndex(line, " (default ")
+		if i < 0 || len(rows) == 0 || !strings.HasSuffix(line, ")") {
+			continue
+		}
+		row := &rows[len(rows)-1]
+		if def := line[i+len(" (default ") : len(line)-1]; row.typ != "string" || strings.HasPrefix(def, `"`) {
+			row.def = def
+		}
+	}
+	return rows
 }
 
 func buildCLI(t *testing.T) string {

@@ -192,6 +192,25 @@ func TestShortTraceShard(t *testing.T) {
 	}
 }
 
+// TestRefusesIgnoredFlag pins the usage error for a flag the chosen flow
+// never reads: -write-pcap does not resume, so naming -resume with it
+// exits 2 before anything is written.
+func TestRefusesIgnoredFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	dir := t.TempDir()
+	pcap := filepath.Join(dir, "x.pcapng")
+	_, stderr := runJSON(t, buildCLI(t), 2, "-write-pcap", pcap, "-ciphertexts", "4096",
+		"-resume", filepath.Join(dir, "s.snap"))
+	if !strings.Contains(stderr, "-write-pcap ignores -resume") {
+		t.Fatalf("refused for another reason: %s", stderr)
+	}
+	if _, err := os.Stat(pcap); !os.IsNotExist(err) {
+		t.Fatalf("refused run left %s: %v", pcap, err)
+	}
+}
+
 // interrupt runs the binary, sends it SIGINT once collection has begun, and
 // requires exit 130 after a flushed checkpoint.
 func interrupt(t *testing.T, bin string, args ...string) {

@@ -198,6 +198,34 @@ func TestShortTraceShard(t *testing.T) {
 	}
 }
 
+// TestRefusesIgnoredFlag pins the usage error for a flag the chosen flow
+// never reads: a fleet worker uploads its lanes and writes no -checkpoint,
+// and -write-pcap joins no fleet. Each exits 2 before any file is written.
+func TestRefusesIgnoredFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	snap, pcap := filepath.Join(dir, "w.snap"), filepath.Join(dir, "x.pcap")
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-fleet-worker", "127.0.0.1:1", "-checkpoint", snap}, "-fleet-worker ignores -checkpoint"},
+		{[]string{"-write-pcap", pcap, "-copies", "4096", "-fleet-worker", "127.0.0.1:1"}, "-write-pcap ignores -fleet-worker"},
+	} {
+		if _, stderr := runJSON(t, bin, 2, c.args...); !strings.Contains(stderr, c.msg) {
+			t.Fatalf("%v refused for another reason: %s", c.args, stderr)
+		}
+	}
+	for _, path := range []string{snap, pcap} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("refused run left %s: %v", path, err)
+		}
+	}
+}
+
 // interrupt runs the binary, sends it SIGINT once collection has begun, and
 // requires exit 130 after a flushed checkpoint.
 func interrupt(t *testing.T, bin string, args ...string) {

@@ -15,16 +15,15 @@ import (
 )
 
 // Shard is a validated lane upload awaiting its merge turn — the opaque
-// value a Pool's Validate hands to its Merge. CookiePool and TKIPPool hand
-// over the online.Shard their attack's OpenShard returned, which holds the
-// upload's bytes until it merges.
+// value a Pool's Validate hands to its Merge. EvidencePool hands over the
+// online.Shard its attack's OpenShard returned, which holds the upload's
+// bytes until it merges.
 type Shard any
 
-// Pool is the coordinator-side evidence pool: one per attack. CookiePool
-// and TKIPPool implement it over the attack's online.Evidence, and share
-// one Validate body: the attack's OpenShard, the same compatibility check
-// resume and the CLIs' -merge apply, then the lease's stream identity and
-// observation count. Observed, Decode, Merge and WriteSnapshotFile are
+// Pool is the coordinator-side evidence pool: one per job. EvidencePool
+// implements it over either attack's online.Evidence; its Validate is the
+// attack's OpenShard, the same compatibility check resume and the CLIs'
+// -merge apply, then the lease's stream identity and observation count. Observed, Decode, Merge and WriteSnapshotFile are
 // called with the coordinator's lock held, so implementations need no
 // synchronization of their own; Validate runs WITHOUT the lock (it checks
 // multi-megabyte uploads and must not stall other RPCs) and therefore may

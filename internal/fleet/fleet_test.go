@@ -368,7 +368,7 @@ func TestFleetTKIPMatchesSingleProcess(t *testing.T) {
 	pool := newAttack()
 	coord, err := fleet.NewCoordinator(fleet.Config{
 		Job:           job,
-		Pool:          &fleet.TKIPPool{Attack: pool, Model: model},
+		Pool:          &fleet.EvidencePool{Attack: pool},
 		Oracle:        newOracle(),
 		Cadence:       cad,
 		MaxCandidates: depth,

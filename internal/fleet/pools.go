@@ -1,73 +1,35 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
-	"rc4break/internal/cookieattack"
 	"rc4break/internal/online"
 	"rc4break/internal/recovery"
 	"rc4break/internal/snapshot"
-	"rc4break/internal/tkip"
 )
 
-// CookiePool adapts a cookieattack evidence pool to the coordinator. Lane
-// uploads are cookieattack snapshots that must pass the attack's
-// OpenShard check (the request layout fingerprint) and the lease checks.
-type CookiePool struct {
-	Attack *cookieattack.Attack
+// EvidencePool adapts an attack's evidence to the coordinator. A lane
+// upload must pass the attack's OpenShard check, the one resume and
+// -merge apply (the cookie request layout's or the TKIP model's
+// fingerprint), and then match the lease's stream identity and count.
+type EvidencePool struct {
+	Attack online.Evidence
 }
+
+// CookiePool is the cookie attack's pool, an EvidencePool over a
+// *cookieattack.Attack.
+type CookiePool = EvidencePool
 
 // Observed implements Pool.
-func (p *CookiePool) Observed() uint64 { return p.Attack.Observed() }
+func (p *EvidencePool) Observed() uint64 { return p.Attack.Observed() }
 
 // Decode implements Pool.
-func (p *CookiePool) Decode(max int) (recovery.CandidateSource, error) { return p.Attack.Decode(max) }
+func (p *EvidencePool) Decode(max int) (recovery.CandidateSource, error) { return p.Attack.Decode(max) }
 
-// Validate implements Pool.
-func (p *CookiePool) Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error) {
-	return validate(p.Attack, snap, want, records)
-}
-
-// Merge implements Pool.
-func (p *CookiePool) Merge(s Shard) error { return s.(online.Shard).Merge() }
-
-// WriteSnapshotFile implements Pool.
-func (p *CookiePool) WriteSnapshotFile(path string) error { return p.Attack.WriteSnapshotFile(path) }
-
-// TKIPPool adapts a tkip capture pool to the coordinator. Lane uploads are
-// tkip attack snapshots that must have been captured against Model, which
-// must be the model Attack decodes with, at Attack's positions.
-type TKIPPool struct {
-	Attack *tkip.Attack
-	Model  *tkip.PerTSCModel
-}
-
-// Observed implements Pool.
-func (p *TKIPPool) Observed() uint64 { return p.Attack.Observed() }
-
-// Decode implements Pool.
-func (p *TKIPPool) Decode(max int) (recovery.CandidateSource, error) { return p.Attack.Decode(max) }
-
-// Validate implements Pool.
-func (p *TKIPPool) Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error) {
-	if p.Model != p.Attack.Model {
-		return nil, errors.New("the pool's Model is not the model its Attack decodes with")
-	}
-	return validate(p.Attack, snap, want, records)
-}
-
-// Merge implements Pool.
-func (p *TKIPPool) Merge(s Shard) error { return s.(online.Shard).Merge() }
-
-// WriteSnapshotFile implements Pool.
-func (p *TKIPPool) WriteSnapshotFile(path string) error { return p.Attack.WriteSnapshotFile(path) }
-
-// validate is the one lane-upload check: the attack's own OpenShard (the
-// check resume and -merge apply), then the identity and observation count
-// the lease pinned.
-func validate(e online.Evidence, snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error) {
-	sh, err := e.OpenShard(snap)
+// Validate implements Pool. OpenShard reads only the evidence's
+// configuration, so it may run without the coordinator's lock.
+func (p *EvidencePool) Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error) {
+	sh, err := p.Attack.OpenShard(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -80,3 +42,9 @@ func validate(e online.Evidence, snap []byte, want snapshot.StreamInfo, records 
 	}
 	return sh, nil
 }
+
+// Merge implements Pool.
+func (p *EvidencePool) Merge(s Shard) error { return s.(online.Shard).Merge() }
+
+// WriteSnapshotFile implements Pool.
+func (p *EvidencePool) WriteSnapshotFile(path string) error { return p.Attack.WriteSnapshotFile(path) }

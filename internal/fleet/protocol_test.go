@@ -259,7 +259,7 @@ func testTKIPRPCRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := JobSpec{Attack: "tkip", Mode: "model", Seed: 7, Budget: 4 << 9, LaneRecords: 1 << 9, Fingerprint: fp}
-	coord, addr := serve(t, job, &TKIPPool{Attack: pool, Model: model}, &tkip.TrailerOracle{})
+	coord, addr := serve(t, job, &EvidencePool{Attack: pool}, &tkip.TrailerOracle{})
 	rpc := join(t, addr, job)
 	collect := func(m *tkip.PerTSCModel, stream snapshot.StreamInfo, lane, frames uint64) []byte {
 		a, err := tkip.CollectLane(m, positions, []byte{1, 2, 3}, stream, cliutil.LaneSeed(job.Seed, lane), frames, 0)

@@ -230,7 +230,7 @@ func TestCheckpointedMatchesCaptureTo(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "run.snap")
-			CLI{Checkpoint: path}.bind(context.Background(), rt)
+			cli{checkpoint: path}.bind(context.Background(), rt)
 			save := rt.EachGranule
 			if save == nil {
 				save = func(_ uint64, _ bool, capture func() error) error { return capture() }

@@ -16,63 +16,44 @@ import (
 	"rc4break/internal/tkip"
 )
 
-// CLI is one attack-command run once its flags are parsed: the flow the
-// cookie and TKIP commands share. The job's schedule is the runtime's
-// spec, captured in its granules (Runtime.CaptureTo). Offline runs collect
-// this shard to the spec's Budget (resumed observations included),
-// checkpoint it, pool the Merge shards, and recover in a single final
-// online.Run round at the pooled observation count. Online runs capture
-// and decode on the spec's Cadence until the oracle confirms a candidate
-// or Budget is spent. Every round walks up to MaxCandidates. Both end in
-// the same summary and -json result.
-type CLI struct {
-	// Checkpoint, when set, receives the shard's snapshot: in exact mode
+// cli is one attack-command run (Main) beyond its Spec: the flags that
+// pick and shape its flow, which the cookie and TKIP commands share. The
+// job's schedule is the runtime's spec, captured in its granules
+// (Runtime.CaptureTo). Offline runs collect this shard to the spec's
+// Budget (resumed observations included), checkpoint it, pool the merge
+// shards, and recover in a single final online.Run round at the pooled
+// observation count. Online runs capture and decode on the spec's Cadence
+// until the oracle confirms a candidate or Budget is spent. Every round
+// walks up to MaxCandidates. Both end in the same summary and -json
+// result.
+type cli struct {
+	// checkpoint, when set, receives the shard's snapshot: in exact mode
 	// at every granule end short of a capture target, after offline
 	// collection (before any merge), after every online round, and when a
 	// signal stops the capture.
-	Checkpoint string
-	// Merge lists shard snapshots to pool before offline recovery.
-	Merge       []string
-	CollectOnly bool
-	Online      bool
-	JSON        bool
-	// Live describes n observations at the attack's live capture rate.
-	Live func(n uint64) string
-	// Recovered prints the attack's own lines after a confirmed hit and
-	// returns the value the -json result reports as recovered.
-	Recovered func(res online.Result) []byte
+	checkpoint string
+	// merge lists shard snapshots (comma-separated) to pool before
+	// offline recovery.
+	merge                     string
+	resume, model             string
+	collectOnly, online, json bool
+	// writePcap and fleetWorker, when set, pick a flow of their own.
+	writePcap, fleetWorker, workerID string
 }
 
-// Resume builds spec's runtime, resumed from the snapshot file at path
-// when path is set.
-func Resume(spec Spec, path string) (*Runtime, error) {
-	var evidence []byte
-	if path != "" {
-		var err error
-		if evidence, err = os.ReadFile(path); err != nil {
-			return nil, fmt.Errorf("resume %s: %w", path, err)
-		}
-	}
-	rt, err := New(spec, evidence)
-	if err == nil && path != "" {
-		fmt.Printf("      resumed %s: %d %s of evidence\n", path, rt.Observed(), rt.Unit)
-	}
-	return rt, err
-}
-
-// Run drives rt through the command's flow. Once ctx is done, exact and
+// run drives rt through the command's flow. Once ctx is done, exact and
 // trace captures stop at their next fold batch and model captures at the
-// next granule end; Run then flushes the checkpoint and returns ctx's
+// next granule end; run then flushes the checkpoint and returns ctx's
 // error. It returns an error after a failed attack, once the -json result
 // is out.
-func (c CLI) Run(ctx context.Context, rt *Runtime) error {
+func (c cli) run(ctx context.Context, rt *Runtime) error {
 	c.bind(ctx, rt)
 	spec := rt.spec
 	cfg := online.Config{Decoder: rt.Decoder, Oracle: rt.Oracle, MaxCandidates: spec.MaxCandidates,
 		Feed: online.FeedFunc(rt.CaptureTo), Logf: cliutil.IndentLogf}
-	if c.Online {
+	if c.online {
 		switch {
-		case c.CollectOnly || len(c.Merge) > 0:
+		case c.collectOnly || c.merge != "":
 			return errors.New("-online composes with -checkpoint/-resume; -merge and -collect-only are offline-pool workflows")
 		case rt.mode == "trace":
 			return errors.New("-online captures live; -pcap is an offline/fleet ingest path")
@@ -84,7 +65,7 @@ func (c CLI) Run(ctx context.Context, rt *Runtime) error {
 		cfg.Cadence, cfg.Budget = spec.Cadence(), spec.Budget
 		cfg.Checkpoint = func() error { return c.save(rt) }
 	} else {
-		if err := c.collect(rt); err != nil || c.CollectOnly {
+		if err := c.collect(rt); err != nil || c.collectOnly {
 			return c.interrupted(rt, err)
 		}
 		// The pooled evidence is the whole budget, so the round decodes
@@ -98,39 +79,40 @@ func (c CLI) Run(ctx context.Context, rt *Runtime) error {
 		return c.interrupted(rt, err)
 	}
 	result := cliutil.OnlineRunResult(spec.Attack, rt.mode, res, err)
-	result.Online = c.Online
+	result.Online = c.online
 	if err != nil {
-		if jerr := result.Emit(c.JSON); jerr != nil {
+		if jerr := result.Emit(c.json); jerr != nil {
 			return jerr
 		}
 		return fmt.Errorf("attack failed: %w (try a larger budget or a deeper list)", err)
 	}
-	if c.Online {
+	if c.online {
 		if err := c.save(rt); err != nil {
 			return err
 		}
 		saved := spec.Budget - res.Observed
-		fmt.Printf("[3/4] online success: %d under the %d budget (%s saved)\n", saved, spec.Budget, c.Live(saved))
+		fmt.Printf("[3/4] online success: %d under the %d budget (%s saved)\n", saved, spec.Budget, spec.live(saved))
 	}
-	fmt.Printf("      oracle-confirmed candidate at rank %d after %d %s (%s)\n", res.Rank, res.Observed, rt.Unit, c.Live(res.Observed))
+	fmt.Printf("      oracle-confirmed candidate at rank %d after %d %s (%s)\n", res.Rank, res.Observed, rt.Unit, spec.live(res.Observed))
 	fmt.Printf("      %d decode rounds, %d oracle checks (+%d cache-skipped), wall-clock %v (capture %v, decode %v, oracle %v)\n",
 		res.Rounds, res.Checks, res.Skipped, res.Elapsed.Round(time.Millisecond), res.CaptureTime.Round(time.Millisecond),
 		res.DecodeTime.Round(time.Millisecond), res.OracleTime.Round(time.Millisecond))
-	result.Plaintext = hex.EncodeToString(c.Recovered(res))
-	return result.Emit(c.JSON)
+	plaintext, err := recovered(rt, res)
+	if err != nil {
+		return err
+	}
+	result.Plaintext = hex.EncodeToString(plaintext)
+	return result.Emit(c.json)
 }
 
 // collect is the offline capture phase: this shard up to the spec's
-// Budget, its checkpoint, then the Merge shards folded in. A shard of a
+// Budget, its checkpoint, then the merge shards folded in. A shard of a
 // capture stream already in the pool is refused: its observations would
 // count twice.
-func (c CLI) collect(rt *Runtime) error {
+func (c cli) collect(rt *Runtime) error {
 	budget := rt.spec.Budget
-	var remaining uint64
-	if budget > rt.Observed() {
-		remaining = budget - rt.Observed()
-	}
-	fmt.Printf("[2/4] collecting %d %s (%s mode; %s)...\n", remaining, rt.Unit, rt.mode, c.Live(remaining))
+	remaining := budget - min(budget, rt.Observed())
+	fmt.Printf("[2/4] collecting %d %s (%s mode; %s)...\n", remaining, rt.Unit, rt.mode, rt.spec.live(remaining))
 	if remaining == 0 {
 		fmt.Println("      shard target already reached")
 	} else if err := rt.CaptureTo(budget); err != nil {
@@ -147,7 +129,7 @@ func (c CLI) collect(rt *Runtime) error {
 	if stream := *rt.Decoder.CaptureStream(); rt.Observed() > 0 && stream != (snapshot.StreamInfo{}) {
 		seen[stream] = "this shard"
 	}
-	for _, path := range c.Merge {
+	for _, path := range cliutil.SplitList(c.merge) {
 		snap, err := os.ReadFile(path)
 		var sh online.Shard
 		if err == nil {
@@ -169,21 +151,21 @@ func (c CLI) collect(rt *Runtime) error {
 		}
 		fmt.Printf("      merged %s: +%d %s (pool now %d)\n", path, rt.Observed()-before, rt.Unit, rt.Observed())
 	}
-	if c.CollectOnly {
+	if c.collectOnly {
 		fmt.Println("      collect-only: skipping recovery phase")
 	}
 	return nil
 }
 
-// bind makes ctx stop rt's captures and, with Checkpoint set, rewrites the
+// bind makes ctx stop rt's captures and, with checkpoint set, rewrites the
 // checkpoint at every exact-mode granule end short of a capture target. A
 // model granule is one draw of tens of milliseconds, far cheaper than the
 // write, and trace files are read in one granule. The granule that reaches
 // a target is saved by its caller: online, only after the decode at that
 // point has run, so a resumed run never skips the decode.
-func (c CLI) bind(ctx context.Context, rt *Runtime) {
+func (c cli) bind(ctx context.Context, rt *Runtime) {
 	rt.ctx = ctx
-	if c.Checkpoint != "" && rt.mode == "exact" {
+	if c.checkpoint != "" && rt.mode == "exact" {
 		rt.EachGranule = func(_ uint64, last bool, capture func() error) error {
 			if err := capture(); err != nil || last {
 				return err
@@ -195,31 +177,31 @@ func (c CLI) bind(ctx context.Context, rt *Runtime) {
 
 // interrupted passes err through, first flushing the checkpoint when err
 // is a signal's stop.
-func (c CLI) interrupted(rt *Runtime, err error) error {
+func (c cli) interrupted(rt *Runtime, err error) error {
 	switch {
 	case !errors.Is(err, context.Canceled):
 		return err
-	case c.Checkpoint == "":
+	case c.checkpoint == "":
 		fmt.Printf("      interrupted at %d %s (no -checkpoint set; progress lost)\n", rt.Observed(), rt.Unit)
 		return err
 	}
-	if serr := rt.SaveFile(c.Checkpoint); serr != nil {
+	if serr := rt.SaveFile(c.checkpoint); serr != nil {
 		return serr
 	}
 	fmt.Printf("      interrupted: checkpoint flushed at %d %s -> %s (rerun with -resume %s)\n",
-		rt.Observed(), rt.Unit, c.Checkpoint, c.Checkpoint)
+		rt.Observed(), rt.Unit, c.checkpoint, c.checkpoint)
 	return err
 }
 
-// save writes the shard's snapshot to Checkpoint, when set.
-func (c CLI) save(rt *Runtime) error {
-	if c.Checkpoint == "" {
+// save writes the shard's snapshot to checkpoint, when set.
+func (c cli) save(rt *Runtime) error {
+	if c.checkpoint == "" {
 		return nil
 	}
-	if err := rt.SaveFile(c.Checkpoint); err != nil {
+	if err := rt.SaveFile(c.checkpoint); err != nil {
 		return err
 	}
-	fmt.Printf("      checkpoint: %d %s -> %s\n", rt.Observed(), rt.Unit, c.Checkpoint)
+	fmt.Printf("      checkpoint: %d %s -> %s\n", rt.Observed(), rt.Unit, c.checkpoint)
 	return nil
 }
 
@@ -273,12 +255,16 @@ func LoadOrTrainModel(path string, keysPerTSC uint64, workers int, logf func(for
 	return model, nil
 }
 
-// RunWorker joins the cmd/fleetd coordinator at addr as capture worker id
+// runWorker joins the cmd/fleetd coordinator at addr as capture worker id
 // and collects leased lanes (CollectLane) until the coordinator declares
 // the run over or ctx is done, reporting in the attack CLIs' indented
-// style. The coordinator checks the spec's Fingerprint at the door.
-func (s Spec) RunWorker(ctx context.Context, addr, id string) error {
-	fp, err := s.Fingerprint()
+// style. The coordinator checks the job's fingerprint at the door.
+func (s Spec) runWorker(ctx context.Context, addr, id string) error {
+	rt, err := s.build(nil)
+	if err != nil {
+		return err
+	}
+	fp, err := fingerprint(rt.Decoder)
 	if err != nil {
 		return err
 	}

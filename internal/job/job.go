@@ -2,10 +2,10 @@
 // live attack state. Both of the paper's attacks (§5 TKIP, §6 HTTPS cookie)
 // run the same loop in every deployment shape — capture, decode, check
 // against the oracle — and every shape builds that loop's pieces here: the
-// attack CLIs (offline, online and fleet-worker), the fleet coordinator,
-// the attackd service and the experiments. Evidence can therefore differ
-// between shapes only through where capture is called, never through how
-// the job was built.
+// attack commands (Main: offline, online and fleet-worker), the fleet
+// coordinator, the attackd service and the experiments. Evidence can
+// therefore differ between shapes only through where capture is called,
+// never through how the job was built.
 //
 // The package owns the rules the shapes must agree on: the job
 // description and its one table of defaults (Spec, Normalize), the §6.1
@@ -189,7 +189,7 @@ func (r *Runtime) Summary() string {
 // Coordinator builds the fleet coordinator's side of the job from the
 // normalized spec: the lane job workers are welcomed with (the spec's
 // stream cut into lanes of laneRecords observations, stamped with the
-// Fingerprint workers must present), the evidence pool lanes merge into
+// fingerprint workers must present), the evidence pool lanes merge into
 // (resumed from evidence when non-nil), the oracle, and the decode
 // schedule. A pool merges many lane streams, so it carries no stream
 // identity of its own.
@@ -202,32 +202,18 @@ func (s Spec) Coordinator(laneRecords uint64, evidence []byte) (fleet.Config, er
 	if err != nil {
 		return fleet.Config{}, err
 	}
-	var pool fleet.Pool
-	if a, ok := rt.Decoder.(*tkip.Attack); ok {
-		pool = &fleet.TKIPPool{Attack: a, Model: s.Model}
-	} else {
-		pool = &fleet.CookiePool{Attack: rt.Decoder.(*cookieattack.Attack)}
-	}
 	return fleet.Config{
 		Job: fleet.JobSpec{Attack: s.Attack, Mode: s.Mode, Seed: s.Seed, Budget: s.Budget,
 			LaneRecords: laneRecords, Fingerprint: fp},
-		Pool:          pool,
+		Pool:          &fleet.EvidencePool{Attack: rt.Decoder},
 		Oracle:        rt.Oracle,
 		Cadence:       s.Cadence(),
 		MaxCandidates: s.MaxCandidates,
 	}, nil
 }
 
-// Fingerprint is the compatibility stamp fleet workers present to the
+// fingerprint is the compatibility stamp fleet workers present to the
 // coordinator: the cookie request layout's, or the TKIP model's.
-func (s Spec) Fingerprint() ([16]byte, error) {
-	rt, err := s.build(nil)
-	if err != nil {
-		return [16]byte{}, err
-	}
-	return fingerprint(rt.Decoder)
-}
-
 func fingerprint(d online.Evidence) ([16]byte, error) {
 	if a, ok := d.(*tkip.Attack); ok {
 		return a.Model.Fingerprint()
